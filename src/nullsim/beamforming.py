@@ -119,11 +119,28 @@ def lcmv_weights(
 
 
 def normalize(w: np.ndarray) -> np.ndarray:
-    """Scale to unit Frobenius norm so total transmit power stays fixed."""
-    n = np.linalg.norm(w)
-    if n == 0:
+    """Scale to unit Frobenius norm so total transmit power stays fixed.
+
+    A 2-D ``w`` is a stack of weight vectors, one per row; each row is
+    scaled on its own, to the same bits as normalizing it alone.
+    """
+    w = np.asarray(w)
+    n = np.linalg.norm(w) if w.ndim == 1 else _row_norms(w)[:, None]
+    if np.any(n == 0):
         raise ValueError("cannot normalize an all-zero weight vector")
     return w / n
+
+
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of ``w``, bit for bit.
+
+    The norm of one complex vector is sqrt(re.re + im.im), each dot a BLAS
+    call.  A stacked row-times-column matmul makes that same dot call per
+    row; a reduction along an axis would sum in another order.
+    """
+    re, im = w.real, w.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
 
 
 def floor_power_report(report: np.ndarray, floor: float = POWER_REPORT_FLOOR) -> np.ndarray:
@@ -137,22 +154,26 @@ def floor_power_report(report: np.ndarray, floor: float = POWER_REPORT_FLOOR) ->
 
 
 def power_correct(
-    w: np.ndarray, report: np.ndarray, rb_sc_map: RbScMap, r: int
+    w: np.ndarray, report: np.ndarray, rb_sc_map: RbScMap, r: int | np.ndarray
 ) -> np.ndarray:
     """Rescale weights for block ``r`` against the measured power report.
 
     Antenna k is scaled by sqrt(report[0, s] / report[k, s]) where s is the
     subcarrier mapped to block r, equalizing the per-antenna received power
-    around the reference antenna 0.
+    around the reference antenna 0.  An integer array ``r`` corrects all its
+    blocks in one pass and returns one corrected vector per row, shape
+    (len(r), antennas); the report is floored and checked once.
     """
     report = floor_power_report(report)
     if len(w) != report.shape[0]:
         raise ValueError("weight length and report antenna count differ")
-    s = rb_sc_map[r]
-    if not 0 <= s < report.shape[1]:
-        raise IndexError(f"mapped subcarrier {s} outside the power report")
-    scale = np.sqrt(report[0, s] / report[:, s])
-    return w * scale
+    s = np.asarray(rb_sc_map.rb_to_sc)[r]
+    if np.any(s < 0) or np.any(s >= report.shape[1]):
+        raise IndexError(
+            f"mapped subcarriers {np.min(s)}..{np.max(s)} outside the power report"
+        )
+    p = report.T[s]  # per-antenna power at each block's subcarrier
+    return w * np.sqrt(p[..., :1] / p)
 
 
 def build_weight_matrix(
@@ -167,7 +188,11 @@ def build_weight_matrix(
     """Per-block transmit precoding matrix of shape (antennas, n_rrb).
 
     Every column is the unit-norm, optionally power-corrected weight vector
-    for that resource block, conjugated into the transmit domain.  ``base``
+    for that resource block, conjugated into the transmit domain.  Without
+    a report all columns are one vector, normalized once and broadcast;
+    with one, all blocks are corrected by a single :func:`power_correct`
+    call and normalized together.  Either way each column has the bits of
+    ``conj(normalize(power_correct(w, report, rb_sc_map, r)))``.  ``base``
     skips the LCMV solve when the constraint-domain vector is already known
     (the search tree precomputes them).
     """
@@ -177,7 +202,9 @@ def build_weight_matrix(
         raise ValueError("power correction needs both a report and a block map")
     w = lcmv_weights(geom, beam_deg, null_degs) if base is None else np.asarray(base)
     cols = np.empty((geom.k_antennas, n_rrb), dtype=complex)
-    for r in range(n_rrb):
-        wr = w if report is None else power_correct(w, report, rb_sc_map, r)
-        cols[:, r] = np.conj(normalize(wr))
+    if report is None:
+        cols[:] = np.conj(normalize(w))[:, None]
+    else:
+        rows = normalize(power_correct(w, report, rb_sc_map, np.arange(n_rrb)))
+        cols[:] = np.conj(rows).T
     return cols

@@ -78,6 +78,10 @@ def records_from_result(
 ) -> list[ResultsRecord]:
     tl = result.timeline
     power_ms = tl.power_cycles * tl.t_csat_us / 1000.0
+    digest = scenario_hash(scenario)
+    configs_tested = sum(
+        1 for e in tl.events if e.kind == "test_slot" and not e.label.startswith("antenna:")
+    )
     out = []
     for user in result.users:
         trace = [
@@ -95,7 +99,7 @@ def records_from_result(
             ResultsRecord(
                 run_id=run_id,
                 user=user.user,
-                scenario_hash=scenario_hash(scenario),
+                scenario_hash=digest,
                 mode=result.mode,
                 seed=scenario.seed,
                 k_antennas=scenario.geometry.k_antennas,
@@ -106,11 +110,7 @@ def records_from_result(
                 final_inr_db=_r(user.final.aggregate_db),
                 delta_inr_db=_r(user.delta_inr_db),
                 nulls_used=user.nulls_used,
-                configs_tested=sum(
-                    1
-                    for e in tl.events
-                    if e.kind == "test_slot" and not e.label.startswith("antenna:")
-                ),
+                configs_tested=configs_tested,
                 power_phase_ms=_r(power_ms),
                 search_ms=_r(tl.total_delay_ms - power_ms),
                 total_delay_ms=_r(tl.total_delay_ms),

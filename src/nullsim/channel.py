@@ -130,11 +130,14 @@ def rx_power(
     return tx_power * np.abs(summed) ** 2
 
 
-def measure_inr(p_on: float, p_off: float) -> float:
-    """Interference-to-noise ratio of one on/off power pair (linear)."""
+def measure_inr(p_on: float | np.ndarray, p_off: float) -> float | np.ndarray:
+    """Interference-to-noise ratio of on/off power pairs (linear).
+
+    ``p_on`` may be an array of on-phase draws against one off-phase power.
+    """
     if p_off <= 0:
         raise ValueError("off-phase power must be positive")
-    if p_on < 0:
+    if np.any(np.less(p_on, 0)):
         raise ValueError("on-phase power cannot be negative")
     return p_on / p_off
 
@@ -155,8 +158,10 @@ def sampled_inr(
     Each draw perturbs the measured on-phase power by a zero-mean Gaussian
     of standard deviation ``noise_jitter * noise_power``; the off-phase
     measurement is the noise floor itself.  With zero jitter the average
-    equals the single-shot value exactly.  The per-subcarrier profile is
-    the noiseless diagnostic; feedback decisions use the aggregate.
+    equals the single-shot value exactly.  The draws are turned into INRs
+    and averaged as one array, in the order ``rng`` produced them.  The
+    per-subcarrier profile is the noiseless diagnostic; feedback decisions
+    use the aggregate.
     """
     if sample_count < 1:
         raise ValueError("need at least one measurement sample")
@@ -173,7 +178,7 @@ def sampled_inr(
             raise ValueError("jittered measurements need an rng")
         draws = p_on + noise_jitter * noise * rng.standard_normal(sample_count)
         np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
-        agg = float(np.mean([measure_inr(d, noise) for d in draws]))
+        agg = float(np.mean(measure_inr(draws, noise)))
     return InrReport(per_sc=per_sc, aggregate=agg, config_id=config_id)
 
 

@@ -386,13 +386,19 @@ class ProtocolResult:
 
 
 def _calibrated_channels(scenario: "Scenario", geom, wifi, w0_matrix, sc_rb):
-    """Per-user channels with noise set so the no-null INR hits the target."""
+    """Per-user channels with noise set so the no-null INR hits the target.
+
+    Returns the models and their responses; noise does not enter the
+    response, so calibration reuses the one it measured with.
+    """
     models = scenario.build_channels()
     out = []
+    responses = []
     for model in models:
+        h = channel_response(model, geom, wifi)
+        responses.append(h)
         if scenario.channel.baseline_inr_db is not None:
             target = 10.0 ** (scenario.channel.baseline_inr_db / 10.0)
-            h = channel_response(model, geom, wifi)
             base = float(np.mean(rx_power(h, w0_matrix, sc_rb, scenario.tx_power)))
             if base <= 0:
                 raise ValueError(
@@ -401,7 +407,7 @@ def _calibrated_channels(scenario: "Scenario", geom, wifi, w0_matrix, sc_rb):
                 )
             model = with_noise_power(model, base / (target - 1.0))
         out.append(model)
-    return out
+    return out, responses
 
 
 def _with_baseline_fallback(
@@ -436,8 +442,7 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     w0_matrix = build_weight_matrix(
         geom, scenario.ue_angle_deg, [], lte.n_rrb, base=w0
     )
-    models = _calibrated_channels(scenario, geom, wifi, w0_matrix, sc_rb)
-    responses = [channel_response(m, geom, wifi) for m in models]
+    models, responses = _calibrated_channels(scenario, geom, wifi, w0_matrix, sc_rb)
     meas_rngs = [
         np.random.default_rng([scenario.seed, 2000 + u]) for u in range(len(models))
     ]

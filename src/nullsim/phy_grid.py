@@ -9,13 +9,19 @@ so nearest-neighbour lookups have exact, reproducible tie behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 DEFAULT_CENTER_HZ = 2_412_000_000
 
+# distinct grid pairs whose cross-grid maps are kept
+MAP_CACHE_SIZE = 32
 
-def _grid_centers(center_hz: int, n: int, bw_hz: int) -> list[int]:
+
+def _grid_centers(center_hz: int, n: int, bw_hz: int) -> np.ndarray:
     # center of slot i is center + (2i - (n-1)) * bw/2, exact in integers
-    return [center_hz + (2 * i - (n - 1)) * bw_hz // 2 for i in range(n)]
+    return center_hz + (2 * np.arange(n, dtype=np.int64) - (n - 1)) * bw_hz // 2
 
 
 def _check_grid(center_hz: int, n: int, bw_hz: int) -> None:
@@ -109,25 +115,27 @@ def _require_overlap(lte: LteGrid, wifi: WifiGrid) -> None:
         raise ValueError("grids do not overlap in frequency")
 
 
+def _nearest(targets: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Per target, the index of the nearest center; ties go to the lower index."""
+    # argmin returns the first of equal distances, all exact integers
+    return np.argmin(np.abs(targets[:, None] - centers[None, :]), axis=1)
+
+
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def build_rb_sc_map(lte: LteGrid, wifi: WifiGrid) -> RbScMap:
     """Map every resource block to its nearest subcarrier center.
 
     Distance ties break toward the lower subcarrier index.  Excluded
-    subcarriers never appear in the map.
+    subcarriers never appear in the map.  The map is cached per grid pair,
+    so equal grids share one immutable map.
     """
     _require_overlap(lte, wifi)
-    usable = [s for s in range(wifi.n_sc) if s not in set(wifi.excluded)]
-    out = []
-    for r in range(lte.n_rrb):
-        fr = rrb_center_freq(lte, r)
-        best_s = usable[0]
-        best_d = abs(fr - sc_center_freq(wifi, best_s))
-        for s in usable[1:]:
-            d = abs(fr - sc_center_freq(wifi, s))
-            if d < best_d:
-                best_s, best_d = s, d
-        out.append(best_s)
-    return RbScMap(tuple(out))
+    excluded = set(wifi.excluded)
+    usable = np.array([s for s in range(wifi.n_sc) if s not in excluded])
+    rb_freqs = _grid_centers(lte.center_freq_hz, lte.n_rrb, lte.rrb_bandwidth_hz)
+    sc_freqs = _grid_centers(wifi.center_freq_hz, wifi.n_sc, wifi.sc_bandwidth_hz)
+    nearest = usable[_nearest(rb_freqs, sc_freqs[usable])]
+    return RbScMap(tuple(int(s) for s in nearest))
 
 
 def nearest_rrb(lte: LteGrid, freq_hz: int) -> int:
@@ -135,15 +143,17 @@ def nearest_rrb(lte: LteGrid, freq_hz: int) -> int:
 
     Ties break toward the lower index.
     """
-    best_r, best_d = 0, abs(freq_hz - rrb_center_freq(lte, 0))
-    for r in range(1, lte.n_rrb):
-        d = abs(freq_hz - rrb_center_freq(lte, r))
-        if d < best_d:
-            best_r, best_d = r, d
-    return best_r
+    rb_freqs = _grid_centers(lte.center_freq_hz, lte.n_rrb, lte.rrb_bandwidth_hz)
+    return int(_nearest(np.array([freq_hz]), rb_freqs)[0])
 
 
+@lru_cache(maxsize=MAP_CACHE_SIZE)
 def build_sc_rb_map(lte: LteGrid, wifi: WifiGrid) -> tuple[int, ...]:
-    """Inverse lookup used on the receive side: nearest block per subcarrier."""
+    """Inverse lookup used on the receive side: nearest block per subcarrier.
+
+    Cached per grid pair like :func:`build_rb_sc_map`.
+    """
     _require_overlap(lte, wifi)
-    return tuple(nearest_rrb(lte, sc_center_freq(wifi, s)) for s in range(wifi.n_sc))
+    sc_freqs = _grid_centers(wifi.center_freq_hz, wifi.n_sc, wifi.sc_bandwidth_hz)
+    rb_freqs = _grid_centers(lte.center_freq_hz, lte.n_rrb, lte.rrb_bandwidth_hz)
+    return tuple(int(r) for r in _nearest(sc_freqs, rb_freqs))

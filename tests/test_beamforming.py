@@ -214,6 +214,15 @@ def test_report_flooring():
         floor_power_report(np.ones(4))
 
 
+def test_block_array_correction_stacks_the_per_block_vectors(rb_map, rng):
+    report = rng.uniform(0.1, 10.0, size=(4, 64))
+    w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    stacked = power_correct(w, report, rb_map, np.arange(len(rb_map)))
+    assert stacked.shape == (len(rb_map), 4)
+    for r in range(len(rb_map)):
+        assert np.array_equal(stacked[r], power_correct(w, report, rb_map, r))
+
+
 def test_correction_shape_errors(rb_map):
     with pytest.raises(ValueError):
         power_correct(np.ones(3, dtype=complex), flat_report(4, 64), rb_map, 0)
@@ -267,3 +276,43 @@ def test_matrix_argument_validation(geom4, lte, rb_map):
         build_weight_matrix(geom4, 0.0, (), lte.n_rrb, report=flat_report(4, 64))
     with pytest.raises(ValueError):
         build_weight_matrix(geom4, 0.0, (), lte.n_rrb, rb_sc_map=rb_map)
+    with pytest.raises(ValueError):
+        build_weight_matrix(geom4, 0.0, (), lte.n_rrb, base=np.ones(3, dtype=complex))
+
+
+def per_block_reference(w, n_rrb, report=None, rb_map=None):
+    """The matrix column by column: per-block power_correct, normalize, conj."""
+    cols = np.empty((len(w), n_rrb), dtype=complex)
+    for r in range(n_rrb):
+        wr = w if report is None else power_correct(w, report, rb_map, r)
+        cols[:, r] = np.conj(normalize(wr))
+    return cols
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("excluded", [(), (0, 1, 31, 32, 62, 63)])
+def test_matrix_is_bit_identical_to_per_block_reference(k, corrected, excluded, lte):
+    geom = ArrayGeometry(k_antennas=k)
+    rb_map = build_rb_sc_map(lte, WifiGrid(excluded=excluded))
+    rng = np.random.default_rng([k, len(excluded)])
+    for _ in range(25):
+        w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        w *= 10.0 ** rng.uniform(-3.0, 3.0)
+        report = None
+        if corrected:
+            report = rng.exponential(size=(k, 64)) * 10.0 ** rng.uniform(-9.0, 3.0)
+            report[rng.random(report.shape) < 0.15] = 0.0  # floored
+        m = build_weight_matrix(
+            geom, 0.0, (), lte.n_rrb, report=report,
+            rb_sc_map=rb_map if corrected else None, base=w,
+        )
+        assert m.shape == (k, lte.n_rrb)
+        assert np.array_equal(m, per_block_reference(w, lte.n_rrb, report, rb_map))
+
+
+def test_matrix_report_too_short_for_the_map(geom4, lte, rb_map):
+    with pytest.raises(IndexError):
+        build_weight_matrix(
+            geom4, 0.0, (30.0,), lte.n_rrb, report=flat_report(4, 10), rb_sc_map=rb_map
+        )

@@ -219,6 +219,33 @@ def test_averaging_variance_shrinks_with_sample_count(geom4, wifi, sc_rb, lte):
     assert 2.8 < ratio < 5.7  # ideal 4.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    noise=st.floats(min_value=1e-6, max_value=1e2),
+    jitter=st.floats(min_value=1e-3, max_value=5.0),
+    count=st.integers(min_value=1, max_value=300),
+)
+def test_jittered_aggregate_matches_per_draw_mean(geom4, wifi, sc_rb, lte, seed, noise, jitter, count):
+    """The array average equals the per-draw list mean and draws the same numbers."""
+    model = flat_channel(20.0, noise_power=noise)
+    h = channel_response(model, geom4, wifi)
+    w = build_weight_matrix(geom4, 0.0, (), lte.n_rrb)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rep = sampled_inr(h, w, sc_rb, model, sample_count=count, noise_jitter=jitter, rng=rng)
+    p_on = float(np.mean(rx_power(h, w, sc_rb))) + noise
+    draws = p_on + jitter * noise * ref_rng.standard_normal(count)
+    np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
+    assert rep.aggregate == float(np.mean([measure_inr(d, noise) for d in draws]))
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_measure_inr_of_draws_rejects_negative_power():
+    assert np.array_equal(measure_inr(np.array([1.0, 3.0]), 2.0), [0.5, 1.5])
+    with pytest.raises(ValueError):
+        measure_inr(np.array([1.0, -1e-9]), 1.0)
+
+
 def test_sample_count_validation(geom4, wifi, sc_rb, lte):
     model = flat_channel(0.0)
     h = channel_response(model, geom4, wifi)

@@ -1,5 +1,7 @@
 """Grid geometry and the cross-grid nearest-neighbour maps."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +145,46 @@ def test_map_optimality_for_small_grids(n_rrb, n_sc):
         d = abs(fr - sc_center_freq(wifi, m[r]))
         for s in range(n_sc):
             assert abs(fr - sc_center_freq(wifi, s)) >= d
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_rrb=st.integers(min_value=1, max_value=30),
+    n_sc=st.integers(min_value=2, max_value=30),
+    rrb_bw=st.sampled_from([2, 4, 180_000]),
+    sc_bw=st.sampled_from([2, 6, 312_500]),
+    offset=st.integers(min_value=-3, max_value=3),
+    data=st.data(),
+)
+def test_maps_match_the_per_slot_scan(n_rrb, n_sc, rrb_bw, sc_bw, offset, data):
+    """Both maps equal a plain nearest scan, ties to the lower index, exclusions skipped."""
+    excluded = tuple(data.draw(st.sets(st.integers(0, n_sc - 1), max_size=n_sc - 1)))
+    lte = LteGrid(n_rrb=n_rrb, rrb_bandwidth_hz=rrb_bw)
+    wifi = WifiGrid(center_freq_hz=lte.center_freq_hz + offset, n_sc=n_sc,
+                    sc_bandwidth_hz=sc_bw, excluded=excluded)
+    try:
+        rb_map, sc_rb = build_rb_sc_map(lte, wifi), build_sc_rb_map(lte, wifi)
+    except ValueError:
+        return  # grids without overlap
+    usable = [s for s in range(n_sc) if s not in excluded]
+    for r in range(n_rrb):
+        fr = rrb_center_freq(lte, r)
+        assert rb_map[r] == min(usable, key=lambda s: (abs(fr - sc_center_freq(wifi, s)), s))
+    for s in range(n_sc):
+        fs = sc_center_freq(wifi, s)
+        assert sc_rb[s] == min(range(n_rrb), key=lambda r: (abs(fs - rrb_center_freq(lte, r)), r))
+
+
+def test_maps_are_cached_per_grid_pair():
+    rb_map = build_rb_sc_map(LteGrid(), WifiGrid())
+    assert build_rb_sc_map(LteGrid(), WifiGrid()) is rb_map
+    assert build_sc_rb_map(LteGrid(), WifiGrid()) is build_sc_rb_map(LteGrid(), WifiGrid())
+    assert isinstance(build_sc_rb_map(LteGrid(), WifiGrid()), tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rb_map.rb_to_sc = ()
+    guarded = build_rb_sc_map(LteGrid(), WifiGrid(excluded=(31, 32)))
+    assert guarded is not rb_map and guarded != rb_map
+    assert build_rb_sc_map(LteGrid(), WifiGrid(excluded=(31, 32))) is guarded
 
 
 # ---------------------------------------------------------------------------
