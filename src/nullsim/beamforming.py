@@ -80,6 +80,22 @@ def steering_vector(geom: ArrayGeometry, theta_deg: float) -> np.ndarray:
     return np.exp(2j * np.pi * geom.spacing_wavelengths * k * np.sin(theta))
 
 
+def steering_vectors(geom: ArrayGeometry, thetas_deg: np.ndarray) -> np.ndarray:
+    """:func:`steering_vector` toward every angle of an array of angles.
+
+    The result has the angles' shape plus one antenna axis.  The same
+    operations run elementwise, so every response has the bits of its own
+    :func:`steering_vector` call.
+    """
+    thetas = np.asarray(thetas_deg, dtype=float)
+    outside = ~((thetas >= -90.0) & (thetas <= 90.0))
+    if outside.any():
+        raise ValueError(f"angle {thetas[outside][0]} outside [-90, 90] degrees")
+    theta = np.radians(thetas)
+    k = np.arange(geom.k_antennas)
+    return np.exp(2j * np.pi * geom.spacing_wavelengths * k * np.sin(theta)[..., None])
+
+
 def lcmv_weights(
     geom: ArrayGeometry,
     beam_deg: float,
@@ -194,7 +210,7 @@ def build_weight_matrix(
     call and normalized together.  Either way each column has the bits of
     ``conj(normalize(power_correct(w, report, rb_sc_map, r)))``.  ``base``
     skips the LCMV solve when the constraint-domain vector is already known
-    (the search tree precomputes them).
+    (the search tree solves each node once).
     """
     if n_rrb < 1:
         raise ValueError("need at least one resource block")

@@ -16,11 +16,17 @@ choice may be an inner node rather than a leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .beamforming import ArrayGeometry, lcmv_weights
+from .beamforming import (
+    RANK_TOL,
+    ArrayGeometry,
+    DegenerateConstraintsError,
+    lcmv_weights,
+    steering_vectors,
+)
 from .channel import InrReport
 
 NodeId = tuple[int, ...]
@@ -88,9 +94,42 @@ def _evenly_inset(a: float, b: float, n: int) -> tuple[float, ...]:
     return tuple(a + step * (i + 0.5) for i in range(n))
 
 
+class _NodeWeights(Mapping[NodeId, np.ndarray]):
+    """Read-only node weights, each solved on first access.
+
+    ``weights[node_id]`` runs :func:`lcmv_weights` for that node the first
+    time it is read and keeps the vector for the tree's lifetime, so a
+    descent pays for the nodes it tests and no others.
+    """
+
+    def __init__(self, geom: ArrayGeometry, nodes: dict[NodeId, NullConfig]):
+        self._geom = geom
+        self._nodes = nodes
+        self._solved: dict[NodeId, np.ndarray] = {}
+
+    def __getitem__(self, node_id: NodeId) -> np.ndarray:
+        w = self._solved.get(node_id)
+        if w is None:
+            cfg = self._nodes[node_id]
+            w = lcmv_weights(self._geom, cfg.beam_angle_deg, cfg.null_angles_deg)
+            self._solved[node_id] = w
+        return w
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+
 @dataclass
 class SearchTree:
-    """Precomputed candidate configs for every node of the search tree."""
+    """Candidate configs for every node of the search tree.
+
+    The simulated protocol treats every node's weights as precomputed, so
+    no solve eats into a 2 ms test slot.  On the host, ``weights`` solves a
+    node on first use: a descent reads 12 of a default tree's 120 nodes.
+    """
 
     geometry: ArrayGeometry
     beam_angle_deg: float
@@ -98,8 +137,11 @@ class SearchTree:
     depth: int
     nulls_per_level: tuple[int, ...]
     nodes: dict[NodeId, NullConfig] = field(repr=False)
-    weights: dict[NodeId, np.ndarray] = field(repr=False)
     root_sector: tuple[float, float] = ROOT_SECTOR
+    weights: Mapping[NodeId, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.weights = _NodeWeights(self.geometry, self.nodes)
 
     def children(self, node_id: NodeId) -> list[NodeId]:
         if len(node_id) >= self.depth:
@@ -119,6 +161,42 @@ class SearchTree:
         return self.level_ids(self.depth)
 
 
+def _check_constraints(
+    geom: ArrayGeometry, beam_angle_deg: float, nodes: dict[NodeId, NullConfig]
+) -> None:
+    """Raise what :func:`lcmv_weights` would raise on some node, without solving.
+
+    A node fails when its beam sits exactly on one of its nulls, or when
+    its beam-plus-null steering matrix is rank deficient (aliased or
+    near-coincident directions).  The rank test is one stacked SVD per
+    null count (so per level, or fewer) over the same matrices
+    ``lcmv_weights`` builds, with the same tolerance.  Of the failing nodes, the first in depth-first order
+    raises, with the message its own solve would give.
+    """
+    by_width: dict[int, list[NullConfig]] = {}
+    for cfg in nodes.values():
+        by_width.setdefault(len(cfg.null_angles_deg), []).append(cfg)
+    failing: dict[NodeId, str] = {}
+    for cfgs in by_width.values():
+        angles = np.array([(beam_angle_deg, *cfg.null_angles_deg) for cfg in cfgs])
+        c = steering_vectors(geom, angles).transpose(0, 2, 1)
+        sv = np.linalg.svd(c, compute_uv=False)
+        on_beam = angles[:, 1:] == beam_angle_deg
+        rank_low = sv[:, -1] < RANK_TOL * sv[:, 0]
+        for i in np.flatnonzero(on_beam.any(axis=1) | rank_low):
+            cfg = cfgs[i]
+            if on_beam[i].any():
+                a = cfg.null_angles_deg[int(np.argmax(on_beam[i]))]
+                failing[cfg.node_id] = f"null at {a} deg coincides with the beam direction"
+            else:
+                ratio = sv[i, -1] / sv[i, 0]
+                failing[cfg.node_id] = (
+                    f"constraint directions are rank deficient (sigma ratio {ratio:.2e})"
+                )
+    if failing:
+        raise DegenerateConstraintsError(failing[min(failing)])
+
+
 def build_tree(
     geom: ArrayGeometry,
     beam_angle_deg: float,
@@ -127,12 +205,13 @@ def build_tree(
     nulls_per_level: Sequence[int] | None = None,
     root_sector: tuple[float, float] = ROOT_SECTOR,
 ) -> SearchTree:
-    """Build the search tree and solve the weights of every node up front.
+    """Build the search tree's node table and check every node's constraints.
 
-    Weight solves at traversal time would eat into the 2 ms test slots, so
-    everything is precomputed.  A beam angle that coincides exactly with
-    any candidate null makes that node's constraints rank deficient; the
-    error propagates from here.
+    No weights are solved here: ``tree.weights`` solves a node the first
+    time it is read.  A node whose constraints are degenerate (a beam
+    exactly on a candidate null, or aliased directions) raises the same
+    :class:`DegenerateConstraintsError` its solve would, before any node
+    is used.
     """
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
@@ -157,25 +236,23 @@ def build_tree(
         raise ValueError("root sector must be a nonempty range inside [-90, 90]")
 
     nodes: dict[NodeId, NullConfig] = {}
-    weights: dict[NodeId, np.ndarray] = {}
 
     def grow(node_id: NodeId, a: float, b: float) -> None:
         level = len(node_id)
         if level > 0:
-            cfg = NullConfig(
+            nodes[node_id] = NullConfig(
                 node_id=node_id,
                 beam_angle_deg=beam_angle_deg,
                 null_angles_deg=_evenly_inset(a, b, schedule[level - 1]),
                 sector=(a, b),
             )
-            nodes[node_id] = cfg
-            weights[node_id] = lcmv_weights(geom, beam_angle_deg, cfg.null_angles_deg)
         if level < depth:
             w = (b - a) / fanout
             for i in range(fanout):
                 grow(node_id + (i,), a + i * w, a + (i + 1) * w)
 
     grow((), lo, hi)
+    _check_constraints(geom, beam_angle_deg, nodes)
     return SearchTree(
         geometry=geom,
         beam_angle_deg=beam_angle_deg,
@@ -183,7 +260,6 @@ def build_tree(
         depth=depth,
         nulls_per_level=schedule,
         nodes=nodes,
-        weights=weights,
         root_sector=root_sector,
     )
 

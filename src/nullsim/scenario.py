@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .beamforming import ArrayGeometry
+from .beamforming import ArrayGeometry, DegenerateConstraintsError
 from .channel import (
     ChannelModel,
     flat_channel,
@@ -284,18 +284,8 @@ def validate_scenario(s: Scenario) -> None:
                 f"nulls (one degree of freedom stays with the beam)",
             )
 
-    # exact beam/null coincidence is the one degenerate constraint case
     if s.search.mode in ("tree", "multiuser"):
-        try:
-            build_tree(
-                s.geometry,
-                s.ue_angle_deg,
-                fanout=s.search.fanout,
-                depth=s.search.depth,
-                nulls_per_level=s.search.nulls_per_level,
-            )
-        except ValueError as exc:
-            raise ScenarioError("beam_on_candidate_null", str(exc)) from exc
+        _check_tree(s, schedule)
     if s.search.mode == "linear":
         grid = s.search.linear_grid or default_linear_grid()
         if any(g == s.ue_angle_deg for g in grid):
@@ -314,6 +304,36 @@ def validate_scenario(s: Scenario) -> None:
     for b in s.sweep_backhaul_ms:
         if b < 0:
             raise ScenarioError("backhaul_negative", f"sweep backhaul {b} ms < 0")
+
+
+def _check_tree(s: Scenario, schedule: tuple[int, ...]) -> None:
+    """Tree rules: the schedule's shape, then every node's constraints.
+
+    A beam on (or aliased with) a candidate null makes that node's
+    constraints degenerate; building the tree checks every node without
+    solving any.
+    """
+    if schedule[-1] != 1:
+        raise ScenarioError(
+            "leaf_level_not_single_null",
+            f"nulls_per_level {schedule} must end with exactly one leaf null",
+        )
+    if min(schedule) < 1:
+        raise ScenarioError(
+            "level_without_nulls",
+            f"nulls_per_level {schedule} leaves a level without nulls",
+        )
+    try:
+        build_tree(
+            s.geometry,
+            s.ue_angle_deg,
+            fanout=s.search.fanout,
+            depth=s.search.depth,
+            nulls_per_level=s.search.nulls_per_level,
+            root_sector=s.tree_root_sector,
+        )
+    except DegenerateConstraintsError as exc:
+        raise ScenarioError("beam_on_candidate_null", str(exc)) from exc
 
 
 def load_scenario(path: str) -> Scenario:

@@ -1,0 +1,295 @@
+"""Node weights solved on first use, checked against an eager solve.
+
+The oracle is the former eager build: one ``lcmv_weights`` solve per
+node, depth first, before the tree is used.  A tree built without solving
+must raise exactly when that loop raises, with the same message, hand out
+the same bits otherwise, and a run must solve only the nodes it tests.
+"""
+
+import math
+from dataclasses import replace
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nullsim import beamforming, coexsim, nullsearch, scenario as scenario_mod
+from nullsim.beamforming import (
+    ArrayGeometry,
+    DegenerateConstraintsError,
+    lcmv_weights,
+    steering_vector,
+    steering_vectors,
+)
+from nullsim.coexsim import run_full_protocol
+from nullsim.nullsearch import (
+    ROOT_SECTOR,
+    DofExhaustedError,
+    build_tree,
+    default_null_schedule,
+)
+from nullsim.presets import scenario_fig8_powercorr, scenario_fig10_multiuser
+from nullsim.scenario import ScenarioError, scenario_from_dict, scenario_to_dict
+
+SPACING_WAVELENGTHS = ArrayGeometry().spacing_wavelengths  # ~0.578
+
+
+def node_nulls(fanout, depth, schedule, root=ROOT_SECTOR):
+    """Every node's null angles, depth first, by the tree's own arithmetic."""
+    out = {}
+
+    def grow(node_id, a, b):
+        if node_id:
+            n = schedule[len(node_id) - 1]
+            step = (b - a) / n
+            out[node_id] = tuple(a + step * (i + 0.5) for i in range(n))
+        if len(node_id) < depth:
+            w = (b - a) / fanout
+            for i in range(fanout):
+                grow(node_id + (i,), a + i * w, a + (i + 1) * w)
+
+    grow((), *root)
+    return out
+
+
+def eager_weights(geom, beam, nulls):
+    """The oracle: every node solved up front, depth first."""
+    return {n: lcmv_weights(geom, beam, angles) for n, angles in nulls.items()}
+
+
+def aliases(nulls, offsets):
+    """Beams near the grating lobe of a null: sin shifted by one wavelength over d."""
+    out = []
+    for angle in nulls:
+        for sign in (-1.0, 1.0):
+            for off in offsets:
+                s = math.sin(math.radians(angle)) + sign / SPACING_WAVELENGTHS + off
+                if -1.0 <= s <= 1.0:
+                    out.append(math.degrees(math.asin(s)))
+    return out
+
+
+@st.composite
+def beams_for(draw, nulls, depth):
+    """A free beam, or one exactly on an inner or leaf null, or near an alias."""
+    inner = sorted({a for n, ns in nulls.items() if len(n) < depth for a in ns})
+    leaf = sorted({a for n, ns in nulls.items() if len(n) == depth for a in ns})
+    offsets = (0.0, 1e-12, -1e-10, 1e-9, -1e-8, 1e-6)
+    near = aliases(inner + leaf, offsets)
+    kinds = [st.floats(-90.0, 90.0, allow_nan=False), st.sampled_from(leaf)]
+    kinds += [st.sampled_from(inner)] if inner else []
+    kinds += [st.sampled_from(near)] if near else []
+    return draw(st.one_of(kinds))
+
+
+@st.composite
+def tree_cases(draw):
+    k = draw(st.sampled_from([4, 8]))
+    depth = draw(st.integers(1, 4))
+    fanout = draw(st.integers(2, 3))
+    inner = draw(st.lists(st.integers(1, k - 2), min_size=depth - 1, max_size=depth - 1))
+    schedule = tuple(inner) + (1,)
+    nulls = node_nulls(fanout, depth, schedule)
+    beam = draw(beams_for(nulls, depth))
+    return ArrayGeometry(k_antennas=k), beam, fanout, depth, schedule, nulls
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=tree_cases())
+def test_tree_matches_the_eager_solve(case):
+    geom, beam, fanout, depth, schedule, nulls = case
+    try:
+        eager = eager_weights(geom, beam, nulls)
+    except DegenerateConstraintsError as exc:
+        with pytest.raises(DegenerateConstraintsError) as err:
+            build_tree(geom, beam, fanout=fanout, depth=depth, nulls_per_level=schedule)
+        assert str(err.value) == str(exc)
+        return
+    tree = build_tree(geom, beam, fanout=fanout, depth=depth, nulls_per_level=schedule)
+    assert list(tree.nodes) == list(nulls)
+    assert {n: cfg.null_angles_deg for n, cfg in tree.nodes.items()} == nulls
+    assert list(tree.weights) == list(nulls)
+    for node_id, w in eager.items():
+        assert np.array_equal(tree.weights[node_id], w)
+
+
+def test_known_degenerate_beams_raise_the_solve_message():
+    geom = ArrayGeometry(k_antennas=4)
+    nulls = node_nulls(3, 4, default_null_schedule(4))
+    inner, leaf = nulls[(0,)][1], nulls[(1, 1, 1, 0)][0]
+    alias = aliases(nulls[(2,)], (0.0,))[0]  # the grating lobe of the 75 deg null
+    for beam in (inner, leaf, alias):
+        with pytest.raises(DegenerateConstraintsError) as eager_err:
+            eager_weights(geom, beam, nulls)
+        with pytest.raises(DegenerateConstraintsError) as err:
+            build_tree(geom, beam)
+        assert str(err.value) == str(eager_err.value)
+
+
+def test_steering_vectors_have_the_bits_of_single_calls():
+    geom = ArrayGeometry(k_antennas=5)
+    angles = np.random.default_rng(3).uniform(-90.0, 90.0, size=(7, 3))
+    rows = steering_vectors(geom, angles)
+    assert rows.shape == (7, 3, 5)
+    for idx in np.ndindex(angles.shape):
+        assert np.array_equal(rows[idx], steering_vector(geom, float(angles[idx])))
+    with pytest.raises(ValueError, match="outside"):
+        steering_vectors(geom, [10.0, 95.0])
+
+
+def test_weights_are_read_only_and_solved_once(monkeypatch):
+    tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
+    calls = []
+    monkeypatch.setattr(
+        nullsearch, "lcmv_weights", lambda *a: calls.append(a) or lcmv_weights(*a)
+    )
+    leaf = tree.leaf_ids[5]
+    assert tree.weights[leaf] is tree.weights[leaf]
+    assert len(calls) == 1
+    assert len(tree.weights) == len(tree.nodes) == 120
+    with pytest.raises(TypeError):
+        tree.weights[leaf] = np.zeros(8)
+    with pytest.raises(KeyError):
+        tree.weights[(9,)]
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# scenario validation accepts and rejects what it did with eager trees
+
+
+def _check_tree_eagerly(s, schedule):
+    """The former tree rule: the eager build's own checks and solves, any
+    ``ValueError`` reported as a beam collision."""
+    try:
+        if schedule[-1] != 1 or min(schedule) < 1:
+            raise ValueError("schedule rejected by the tree build")
+        eager_weights(
+            s.geometry,
+            s.ue_angle_deg,
+            node_nulls(s.search.fanout, s.search.depth, schedule, s.tree_root_sector),
+        )
+    except ValueError as exc:
+        raise ScenarioError("beam_on_candidate_null", str(exc)) from exc
+
+
+@st.composite
+def tree_scenario_dicts(draw):
+    k = draw(st.sampled_from([4, 8]))
+    depth = draw(st.integers(1, 4))
+    fanout = draw(st.integers(2, 3))
+    mode = draw(st.sampled_from(["tree", "multiuser", "linear"]))
+    length = draw(st.sampled_from([depth, depth, depth, depth + 1]))
+    schedule = draw(
+        st.none()
+        | st.lists(st.integers(-1, k - 1), min_size=length, max_size=length)
+    )
+    resolved = schedule if schedule is not None else default_null_schedule(k, depth)
+    if len(resolved) == depth and min(resolved) >= 1:
+        beam = draw(beams_for(node_nulls(fanout, depth, resolved), depth))
+    else:
+        beam = draw(st.floats(-90.0, 90.0, allow_nan=False))
+    users = [-20.0, 35.0] if mode == "multiuser" else [-20.0]
+    return {
+        "ue_angle_deg": beam,
+        "user_angles_deg": users,
+        "geometry": {"k_antennas": k},
+        "search": {
+            "mode": mode,
+            "fanout": fanout,
+            "depth": depth,
+            "nulls_per_level": schedule,
+        },
+    }
+
+
+def _rule(raw):
+    try:
+        scenario_from_dict(raw)
+    except ScenarioError as exc:
+        return exc.rule
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw=tree_scenario_dicts())
+def test_validation_accepts_and_rejects_as_with_eager_trees(raw):
+    rule = _rule(raw)
+    with patch.object(scenario_mod, "_check_tree", _check_tree_eagerly):
+        rule_before = _rule(raw)
+    assert (rule is None) == (rule_before is None)
+    if rule != rule_before:
+        # the schedule rules used to surface as a beam collision
+        assert rule_before == "beam_on_candidate_null"
+        assert rule in ("leaf_level_not_single_null", "level_without_nulls")
+
+
+def test_validation_checks_the_tree_the_run_builds(monkeypatch):
+    sectors = []
+    real = scenario_mod.build_tree
+    monkeypatch.setattr(
+        scenario_mod,
+        "build_tree",
+        lambda *a, **kw: sectors.append(kw["root_sector"]) or real(*a, **kw),
+    )
+    s = scenario_from_dict({"ue_angle_deg": 21.4})
+    assert sectors == [s.tree_root_sector]
+
+
+# ---------------------------------------------------------------------------
+# solve counts: only visited nodes are solved, validation solves none
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lcmv_weights(*args, **kwargs)
+
+    for module in (beamforming, nullsearch, coexsim):
+        monkeypatch.setattr(module, "lcmv_weights", counted)
+    return calls
+
+
+@pytest.fixture
+def union_visited(monkeypatch):
+    """Every node some user's frontier held when its results were recorded."""
+    visited = set()
+    real = nullsearch.record_results
+
+    def recording(state, tree, reports):
+        visited.update(state.frontier)
+        return real(state, tree, reports)
+
+    monkeypatch.setattr(nullsearch, "record_results", recording)
+    return visited
+
+
+def test_loading_a_tree_scenario_solves_nothing(solves):
+    scenario_from_dict(scenario_to_dict(scenario_fig8_powercorr()))
+    scenario_from_dict(scenario_to_dict(scenario_fig10_multiuser()))
+    assert solves == []
+
+
+def test_tree_run_solves_the_tested_nodes_and_the_baseline(solves):
+    result = run_full_protocol(scenario_fig8_powercorr())
+    assert len(solves) == len(result.users[0].trace) + 1 == 13
+
+
+def test_multi_user_run_solves_each_union_node_once(solves, union_visited):
+    run_full_protocol(scenario_fig10_multiuser())
+    # the no-null baseline, the union nodes, the joint configuration
+    assert len(solves) == 1 + len(union_visited) + 1
+
+
+def test_multi_user_run_that_runs_out_of_freedom_skips_the_joint_solve(
+    solves, union_visited
+):
+    s = replace(scenario_fig10_multiuser(), user_angles_deg=(-40.0, 35.6))
+    with pytest.raises(DofExhaustedError):
+        run_full_protocol(s)
+    assert len(solves) == 1 + len(union_visited)
