@@ -113,8 +113,6 @@ def test_spec_dataclasses_name_their_own_rules():
             "nulls_exceed_dof",
         ),
         ({"geometry": {"k_antennas": 2}}, "nulls_exceed_dof"),
-        ({"search": {"nulls_per_level": [2, 2, 2, 2]}}, "leaf_level_not_single_null"),
-        ({"search": {"nulls_per_level": [2, 0, 2, 1]}}, "level_without_nulls"),
         ({"ue_angle_deg": 0.0}, "beam_on_candidate_null"),
         (
             {"ue_angle_deg": 21.0, "search": {"mode": "linear"}},
@@ -126,6 +124,8 @@ def test_spec_dataclasses_name_their_own_rules():
         ),
         ({"sweep": {"duty": [1.5]}}, "duty_out_of_range"),
         ({"sweep": {"backhaul_ms": [-1.0]}}, "backhaul_negative"),
+        ({"search": {"nulls_per_level": [2, 2, 2, 2]}}, "leaf_level_not_single_null"),
+        ({"search": {"nulls_per_level": [2, 0, 2, 1]}}, "level_without_nulls"),
     ],
 )
 def test_validation_rules(raw, rule):
