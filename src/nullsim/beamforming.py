@@ -96,10 +96,67 @@ def steering_vectors(geom: ArrayGeometry, thetas_deg: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * geom.spacing_wavelengths * k * np.sin(theta)[..., None])
 
 
+def constraint_matrices(
+    geom: ArrayGeometry, beam_deg: float, null_sets: np.ndarray
+) -> np.ndarray:
+    """Beam-plus-null steering matrices of a stack of null sets.
+
+    ``null_sets`` has shape (n, m); row i yields the (K, 1 + m) matrix
+    whose columns steer toward the beam and then toward row i's nulls, the
+    constraint matrix :func:`lcmv_weights` solves.  Shape (n, K, 1 + m).
+    """
+    null_sets = np.asarray(null_sets, dtype=float)
+    beams = np.full((len(null_sets), 1), float(beam_deg))
+    angles = np.concatenate((beams, null_sets), axis=1)
+    return steering_vectors(geom, angles).transpose(0, 2, 1)
+
+
+def _degenerate(
+    c: np.ndarray, null_sets: np.ndarray, beam_deg: float, rank_tol: float
+) -> dict[int, str]:
+    """Rows of a constraint stack whose solve is rejected, with its message.
+
+    A row fails when its beam sits exactly on one of its nulls, or when its
+    steering matrix is rank deficient (aliased or near-coincident
+    directions).  The rank test is one stacked SVD of all matrices.
+    """
+    sv = np.linalg.svd(c, compute_uv=False)
+    on_beam = null_sets == beam_deg
+    rank_low = sv[:, -1] < rank_tol * sv[:, 0]
+    failing: dict[int, str] = {}
+    for i in np.flatnonzero(on_beam.any(axis=1) | rank_low):
+        if on_beam[i].any():
+            a = float(null_sets[i][np.argmax(on_beam[i])])
+            failing[int(i)] = f"null at {a} deg coincides with the beam direction"
+        else:
+            ratio = sv[i, -1] / sv[i, 0]
+            failing[int(i)] = (
+                f"constraint directions are rank deficient (sigma ratio {ratio:.2e})"
+            )
+    return failing
+
+
+def degenerate_rows(
+    geom: ArrayGeometry,
+    beam_deg: float,
+    null_sets: np.ndarray,
+    rank_tol: float = RANK_TOL,
+) -> dict[int, str]:
+    """Which rows of an (n, m) stack of null sets :func:`lcmv_weights` rejects.
+
+    Every angle must lie inside [-90, 90].  Maps each failing row to the
+    message of the :class:`DegenerateConstraintsError` its solve raises,
+    without solving anything.
+    """
+    null_sets = np.asarray(null_sets, dtype=float)
+    c = constraint_matrices(geom, beam_deg, null_sets)
+    return _degenerate(c, null_sets, beam_deg, rank_tol)
+
+
 def lcmv_weights(
     geom: ArrayGeometry,
     beam_deg: float,
-    null_degs: Sequence[float],
+    null_degs: Sequence[float] | Sequence[Sequence[float]],
     rank_tol: float = RANK_TOL,
 ) -> np.ndarray:
     """Minimum-norm weights with unit gain at ``beam_deg``, zeros at ``null_degs``.
@@ -108,55 +165,74 @@ def lcmv_weights(
     the minimum-norm solution of the constraint system, which is what the
     sounding-free protocol can actually compute.  Requires at most K-1
     nulls so the constraint matrix can have full column rank.
+
+    ``null_degs`` may also be a stack of null sets of shape (n, m); the
+    result is then one weight vector per row, shape (n, K), each with the
+    bits of its own 1-D call.  The stack raises exactly when one of its
+    rows would, and the first such row raises its own error.  A row's
+    checks run in this order: angles in range, beam on a null, null count,
+    beam angle in range, rank.  All rows are checked and solved by two
+    stacked SVDs: the rank test, then the solve.
     """
-    nulls = [_check_angle(a) for a in null_degs]
-    for a in nulls:
-        if a == beam_deg:
-            raise DegenerateConstraintsError(
-                f"null at {a} deg coincides with the beam direction"
+    nulls = np.asarray(null_degs, dtype=float)
+    stacked = nulls.ndim == 2
+    rows = nulls if stacked else nulls.reshape(1, -1)
+    in_range = ((rows >= -90.0) & (rows <= 90.0)).all(axis=1)
+    fits = 1 + rows.shape[1] <= geom.k_antennas and -90.0 <= beam_deg <= 90.0
+    if fits:
+        # out-of-range rows fail on their angles; 0 only keeps the SVD defined
+        safe = np.where(in_range[:, None], rows, 0.0)
+        c = constraint_matrices(geom, beam_deg, safe)
+        failing = _degenerate(c, safe, beam_deg, rank_tol)
+        failing.update((int(i), "") for i in np.flatnonzero(~in_range))
+    else:
+        failing = {0: ""}  # every row fails on its count or on the beam
+    if failing:
+        i = min(failing)
+        nulls_i = [_check_angle(a) for a in (null_degs[i] if stacked else null_degs)]
+        for a in nulls_i:
+            if a == beam_deg:
+                raise DegenerateConstraintsError(
+                    f"null at {a} deg coincides with the beam direction"
+                )
+        if 1 + len(nulls_i) > geom.k_antennas:
+            raise ValueError(
+                f"{len(nulls_i)} nulls plus one beam exceed {geom.k_antennas} antennas"
             )
-    if 1 + len(nulls) > geom.k_antennas:
-        raise ValueError(
-            f"{len(nulls)} nulls plus one beam exceed {geom.k_antennas} antennas"
-        )
-    cols = [steering_vector(geom, beam_deg)]
-    cols += [steering_vector(geom, a) for a in nulls]
-    c = np.column_stack(cols)
-    sv = np.linalg.svd(c, compute_uv=False)
-    if sv[-1] < rank_tol * sv[0]:
-        raise DegenerateConstraintsError(
-            f"constraint directions are rank deficient (sigma ratio {sv[-1] / sv[0]:.2e})"
-        )
-    f = np.zeros(c.shape[1], dtype=complex)
-    f[0] = 1.0
-    # minimum-norm solution of the underdetermined system c^H w = f
-    w, *_ = np.linalg.lstsq(c.conj().T, f, rcond=None)
-    return w
+        _check_angle(beam_deg)
+        raise DegenerateConstraintsError(failing[i])
+    # minimum-norm solutions of the underdetermined systems c^H w = e1,
+    # from the SVD c^H = U S Vh: w = Vh^H (U^H e1 / s); the sum over the
+    # singular directions runs along a non-last axis, in order
+    u, s, vh = np.linalg.svd(c.conj().transpose(0, 2, 1), full_matrices=False)
+    w = (vh.conj() * (u[:, 0, :].conj() / s)[:, :, None]).sum(axis=1)
+    return w if stacked else w[0]
 
 
 def normalize(w: np.ndarray) -> np.ndarray:
     """Scale to unit Frobenius norm so total transmit power stays fixed.
 
-    A 2-D ``w`` is a stack of weight vectors, one per row; each row is
-    scaled on its own, to the same bits as normalizing it alone.
+    A ``w`` of more than one dimension is a stack of weight vectors along
+    its last axis; each vector is scaled on its own, to the same bits as
+    normalizing it alone.
     """
     w = np.asarray(w)
-    n = np.linalg.norm(w) if w.ndim == 1 else _row_norms(w)[:, None]
+    n = np.linalg.norm(w) if w.ndim == 1 else _row_norms(w)[..., None]
     if np.any(n == 0):
         raise ValueError("cannot normalize an all-zero weight vector")
     return w / n
 
 
 def _row_norms(w: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of every row of ``w``, bit for bit.
+    """``np.linalg.norm`` of every vector along the last axis of ``w``, bit for bit.
 
     The norm of one complex vector is sqrt(re.re + im.im), each dot a BLAS
     call.  A stacked row-times-column matmul makes that same dot call per
     row; a reduction along an axis would sum in another order.
     """
     re, im = w.real, w.imag
-    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    return np.sqrt(sq[:, 0, 0])
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(sq[..., 0, 0])
 
 
 def floor_power_report(report: np.ndarray, floor: float = POWER_REPORT_FLOOR) -> np.ndarray:
@@ -178,10 +254,12 @@ def power_correct(
     subcarrier mapped to block r, equalizing the per-antenna received power
     around the reference antenna 0.  An integer array ``r`` corrects all its
     blocks in one pass and returns one corrected vector per row, shape
-    (len(r), antennas); the report is floored and checked once.
+    (len(r), antennas); the report is floored and checked once.  The
+    antennas are the last axis of ``w``; a stack of vectors of shape
+    (n, 1, antennas) against an array ``r`` gives (n, len(r), antennas).
     """
     report = floor_power_report(report)
-    if len(w) != report.shape[0]:
+    if np.shape(w)[-1] != report.shape[0]:
         raise ValueError("weight length and report antenna count differ")
     s = np.asarray(rb_sc_map.rb_to_sc)[r]
     if np.any(s < 0) or np.any(s >= report.shape[1]):
@@ -195,7 +273,7 @@ def power_correct(
 def build_weight_matrix(
     geom: ArrayGeometry,
     beam_deg: float,
-    null_degs: Sequence[float],
+    null_degs: Sequence[float] | Sequence[Sequence[float]],
     n_rrb: int,
     report: np.ndarray | None = None,
     rb_sc_map: RbScMap | None = None,
@@ -205,22 +283,31 @@ def build_weight_matrix(
 
     Every column is the unit-norm, optionally power-corrected weight vector
     for that resource block, conjugated into the transmit domain.  Without
-    a report all columns are one vector, normalized once and broadcast;
-    with one, all blocks are corrected by a single :func:`power_correct`
-    call and normalized together.  Either way each column has the bits of
+    a report all columns are one vector, normalized once and broadcast: the
+    result is a read-only view whose last stride is 0.  With a report, all
+    blocks are corrected by a single :func:`power_correct` call and
+    normalized together.  Either way each column has the bits of
     ``conj(normalize(power_correct(w, report, rb_sc_map, r)))``.  ``base``
     skips the LCMV solve when the constraint-domain vector is already known
     (the search tree solves each node once).
+
+    A stack of null sets (shape (n, m), passed as a tuple of tuples) or a
+    stacked ``base`` of shape (n, antennas) gives a stack of matrices,
+    (n, antennas, n_rrb), each with the bits of its own call.
     """
     if n_rrb < 1:
         raise ValueError("need at least one resource block")
     if (report is None) != (rb_sc_map is None):
         raise ValueError("power correction needs both a report and a block map")
     w = lcmv_weights(geom, beam_deg, null_degs) if base is None else np.asarray(base)
-    cols = np.empty((geom.k_antennas, n_rrb), dtype=complex)
+    if w.shape[-1] != geom.k_antennas:
+        raise ValueError(
+            f"weights of length {w.shape[-1]} do not fit {geom.k_antennas} antennas"
+        )
     if report is None:
-        cols[:] = np.conj(normalize(w))[:, None]
-    else:
-        rows = normalize(power_correct(w, report, rb_sc_map, np.arange(n_rrb)))
-        cols[:] = np.conj(rows).T
-    return cols
+        cols = np.conj(normalize(w))[..., None]
+        return np.broadcast_to(cols, w.shape + (n_rrb,))
+    # (..., blocks, antennas): one corrected vector per block, then per column
+    blocks = np.arange(n_rrb)
+    rows = normalize(power_correct(w[..., None, :], report, rb_sc_map, blocks))
+    return np.conj(rows).swapaxes(-1, -2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -68,9 +68,8 @@ class ResultsRecord:
     trace: list[dict[str, Any]] = field(default_factory=list)
 
     def summary_row(self) -> dict[str, Any]:
-        d = asdict(self)
-        d.pop("trace")
-        return d
+        """The summary fields, in column order; the trace is left out."""
+        return {name: getattr(self, name) for name in SUMMARY_COLUMNS}
 
 
 def records_from_result(
@@ -174,9 +173,9 @@ def export_results(records: list[ResultsRecord], fmt: str, path: str) -> list[st
     p = Path(path)
     if fmt == "json":
         payload = [dict(r.summary_row(), trace=r.trace) for r in records]
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         with open(p, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
         return [str(p)]
     if fmt == "csv":
         trace_path = p.with_name(p.stem + "_trace.csv")

@@ -114,19 +114,29 @@ def rx_power(
 
     Subcarrier s sees the precoding column of its nearest resource block:
     power[s] = tx_power * |sum_k W[k, rrb(s)] * h[k, s]|^2.
+
+    ``weight_matrix`` may be a stack of matrices, (n, K, n_rrb), one per
+    config of a frontier; the result is then (n, subcarriers), each row
+    with the bits of its own 2-D call.  The sum over K runs along a
+    non-last axis of a C-ordered product, so it adds antennas in order
+    whatever the stack size.  A broadcast matrix (last stride 0, as
+    :func:`~nullsim.beamforming.build_weight_matrix` returns without a
+    power report) has one column for every block and is used as that
+    column, with no per-subcarrier gather.
     """
     if tx_power <= 0:
         raise ValueError("tx power must be positive")
     h = np.asarray(h)
     w = np.asarray(weight_matrix)
-    if h.shape[0] != w.shape[0]:
+    if h.shape[0] != w.shape[-2]:
         raise ValueError("antenna counts of response and weights differ")
     idx = np.asarray(sc_to_rrb, dtype=int)
     if len(idx) != h.shape[1]:
         raise ValueError("sc_to_rrb length must match the subcarrier count")
-    if np.any(idx < 0) or np.any(idx >= w.shape[1]):
+    if np.any(idx < 0) or np.any(idx >= w.shape[-1]):
         raise IndexError("sc_to_rrb references a resource block outside the matrix")
-    summed = np.sum(w[:, idx] * h, axis=0)
+    cols = w[..., :1] if w.strides[-1] == 0 else w[..., idx]
+    summed = np.multiply(cols, h, order="C").sum(axis=-2)
     return tx_power * np.abs(summed) ** 2
 
 
@@ -151,8 +161,8 @@ def sampled_inr(
     sample_count: int = 100,
     noise_jitter: float = 0.0,
     rng: np.random.Generator | None = None,
-    config_id: str = "",
-) -> InrReport:
+    config_id: str | Sequence[str] = "",
+) -> InrReport | list[InrReport]:
     """Average ``sample_count`` noisy INR draws into one report.
 
     Each draw perturbs the measured on-phase power by a zero-mean Gaussian
@@ -162,24 +172,43 @@ def sampled_inr(
     and averaged as one array, in the order ``rng`` produced them.  The
     per-subcarrier profile is the noiseless diagnostic; feedback decisions
     use the aggregate.
+
+    A stack of weight matrices (n, K, n_rrb) measures a whole frontier and
+    returns n reports; ``config_id`` is then one id for all of them or a
+    sequence of one id per config.  The draws for all n come from one
+    ``rng.standard_normal((n, sample_count))`` call, the same numbers (and
+    the same next draw) as n calls in config order, so every report has
+    the bits of its own 2-D call.
     """
     if sample_count < 1:
         raise ValueError("need at least one measurement sample")
     if noise_jitter < 0:
         raise ValueError("noise jitter cannot be negative")
-    p_sc = rx_power(h, weight_matrix, sc_to_rrb, tx_power)
+    stacked = np.ndim(weight_matrix) == 3
+    p_sc = np.atleast_2d(rx_power(h, weight_matrix, sc_to_rrb, tx_power))
+    n = len(p_sc)
+    ids = [config_id] * n if isinstance(config_id, str) else list(config_id)
+    if len(ids) != n:
+        raise ValueError("one config id per weight matrix required")
     noise = model.noise_power
     per_sc = (p_sc + noise) / noise
-    p_on = float(np.mean(p_sc)) + noise
+    p_on = np.mean(p_sc, axis=1) + noise
     if noise_jitter == 0.0:
         agg = measure_inr(p_on, noise)
     else:
         if rng is None:
             raise ValueError("jittered measurements need an rng")
-        draws = p_on + noise_jitter * noise * rng.standard_normal(sample_count)
+        z = rng.standard_normal((n, sample_count))
+        draws = p_on[:, None] + noise_jitter * noise * z
         np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
-        agg = float(np.mean(measure_inr(draws, noise)))
-    return InrReport(per_sc=per_sc, aggregate=agg, config_id=config_id)
+        agg = np.mean(measure_inr(draws, noise), axis=1)
+    # each report owns its profile: a row view would keep the whole
+    # frontier's stack alive for as long as any one report is kept
+    reports = [
+        InrReport(per_sc=per_sc[i].copy(), aggregate=float(agg[i]), config_id=ids[i])
+        for i in range(n)
+    ]
+    return reports if stacked else reports[0]
 
 
 def power_report(model: ChannelModel, geom: ArrayGeometry, wifi: WifiGrid) -> np.ndarray:

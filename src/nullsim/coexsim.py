@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -38,6 +39,8 @@ from .channel import (
 )
 from .nullsearch import (
     Evaluator,
+    FrontierEvaluator,
+    MultiUserEvaluator,
     MultiUserPlan,
     NullConfig,
     SearchState,
@@ -46,6 +49,7 @@ from .nullsearch import (
     build_tree,
     default_linear_grid,
     linear_search,
+    measure,
     min_inr_index,
     multi_user_search,
     record_results,
@@ -285,7 +289,7 @@ def simulate_tree_search(
         labels = [f"config:{tree.nodes[n].label}" for n in state.frontier]
         end = _emit_test_cycles(tl, t, labels, dc, sim, per_cycle)
         tl.level_cycles.append(math.ceil(len(labels) / per_cycle))
-        reports = [evaluate(tree.nodes[n], tree.weights[n]) for n in state.frontier]
+        reports = measure(evaluate, *tree.stack(state.frontier))
         state = record_results(state, tree, reports)
         state = advance(state, tree, min_inr_index(reports))
         note = f"level {level} feedback"
@@ -331,7 +335,7 @@ def simulate_multi_user(
     dc: DutyCycleConfig,
     backhaul: BackhaulConfig,
     sim: SimConfig,
-    evaluate,
+    evaluate: MultiUserEvaluator,
 ) -> tuple[SimTimeline, MultiUserPlan]:
     """Parallel multi-user descent with shared test slots.
 
@@ -446,39 +450,42 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     meas_rngs = [
         np.random.default_rng([scenario.seed, 2000 + u]) for u in range(len(models))
     ]
-
-    def make_evaluator(u: int, report: np.ndarray | None) -> Evaluator:
-        def evaluate(cfg: NullConfig, w: np.ndarray) -> InrReport:
-            wm = build_weight_matrix(
-                geom,
-                cfg.beam_angle_deg,
-                cfg.null_angles_deg,
-                lte.n_rrb,
-                report=report,
-                rb_sc_map=rb_map if report is not None else None,
-                base=w,
-            )
-            return sampled_inr(
-                responses[u],
-                wm,
-                sc_rb,
-                models[u],
-                scenario.tx_power,
-                sim.sample_count,
-                sim.noise_jitter,
-                meas_rngs[u],
-                config_id=cfg.label,
-            )
-
-        return evaluate
-
     sim = scenario.sim
     dc, backhaul = scenario.duty, scenario.backhaul
 
-    baselines = []
-    for u in range(len(models)):
-        base_cfg = NullConfig((), scenario.ue_angle_deg, (), scenario.tree_root_sector)
-        baselines.append(make_evaluator(u, None)(base_cfg, w0))
+    def measure_frontier(
+        u: int,
+        cfgs: Sequence[NullConfig],
+        weights: np.ndarray,
+        report: np.ndarray | None = None,
+    ) -> list[InrReport]:
+        """User ``u``'s reports for a frontier: one stacked weight-matrix
+        build and one stacked measurement, draws from the user's own rng."""
+        wm = build_weight_matrix(
+            geom,
+            scenario.ue_angle_deg,
+            tuple(cfg.null_angles_deg for cfg in cfgs),
+            lte.n_rrb,
+            report=report,
+            rb_sc_map=rb_map if report is not None else None,
+            base=weights,
+        )
+        return sampled_inr(
+            responses[u],
+            wm,
+            sc_rb,
+            models[u],
+            scenario.tx_power,
+            sim.sample_count,
+            sim.noise_jitter,
+            meas_rngs[u],
+            config_id=[cfg.label for cfg in cfgs],
+        )
+
+    base_cfg = NullConfig((), scenario.ue_angle_deg, (), scenario.tree_root_sector)
+    baselines = [
+        measure_frontier(u, [base_cfg], w0[None])[0] for u in range(len(models))
+    ]
 
     if search.mode in ("tree", "multiuser"):
         tree = build_tree(
@@ -495,7 +502,8 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             power_report(models[0], geom, wifi) if search.power_correction else None
         )
         timeline, state = simulate_tree_search(
-            tree, dc, backhaul, sim, make_evaluator(0, report),
+            tree, dc, backhaul, sim,
+            FrontierEvaluator(partial(measure_frontier, 0, report=report)),
             power_correction=search.power_correction,
         )
         best_cfg, best_rep = _with_baseline_fallback(
@@ -514,7 +522,8 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     if search.mode == "linear":
         grid = search.linear_grid or default_linear_grid()
         timeline, best, tested = simulate_linear_search(
-            grid, geom, dc, backhaul, sim, make_evaluator(0, None),
+            grid, geom, dc, backhaul, sim,
+            FrontierEvaluator(partial(measure_frontier, 0)),
             scenario.ue_angle_deg,
         )
         best_rep = next(rep for cfg, rep in tested if cfg is best)
@@ -530,20 +539,17 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
         return ProtocolResult("linear", timeline, [outcome])
 
     if search.mode == "multiuser":
-        evaluators = [make_evaluator(u, None) for u in range(len(models))]
-
-        def evaluate_mu(u: int, cfg: NullConfig, w: np.ndarray) -> InrReport:
-            return evaluators[u](cfg, w)
-
         states = [start_search(tree) for _ in models]
-        timeline, plan = simulate_multi_user(states, tree, dc, backhaul, sim, evaluate_mu)
+        timeline, plan = simulate_multi_user(
+            states, tree, dc, backhaul, sim, FrontierEvaluator(measure_frontier)
+        )
         joint_cfg = NullConfig(
             (), scenario.ue_angle_deg, plan.joint_null_angles, scenario.tree_root_sector
         )
         w_joint = lcmv_weights(geom, scenario.ue_angle_deg, plan.joint_null_angles)
         outcomes = []
         for u in range(len(models)):
-            final = evaluators[u](joint_cfg, w_joint)
+            final = measure_frontier(u, [joint_cfg], w_joint[None])[0]
             outcomes.append(
                 UserOutcome(
                     user=u,

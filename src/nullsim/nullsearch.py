@@ -21,11 +21,10 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .beamforming import (
-    RANK_TOL,
     ArrayGeometry,
     DegenerateConstraintsError,
+    degenerate_rows,
     lcmv_weights,
-    steering_vectors,
 )
 from .channel import InrReport
 
@@ -143,6 +142,11 @@ class SearchTree:
     def __post_init__(self) -> None:
         self.weights = _NodeWeights(self.geometry, self.nodes)
 
+    def stack(self, node_ids: Sequence[NodeId]) -> tuple[list[NullConfig], np.ndarray]:
+        """The configs of ``node_ids`` and their weights, one row per node."""
+        cfgs = [self.nodes[n] for n in node_ids]
+        return cfgs, np.array([self.weights[n] for n in node_ids])
+
     def children(self, node_id: NodeId) -> list[NodeId]:
         if len(node_id) >= self.depth:
             return []
@@ -166,33 +170,20 @@ def _check_constraints(
 ) -> None:
     """Raise what :func:`lcmv_weights` would raise on some node, without solving.
 
-    A node fails when its beam sits exactly on one of its nulls, or when
-    its beam-plus-null steering matrix is rank deficient (aliased or
-    near-coincident directions).  The rank test is one stacked SVD per
-    null count (so per level, or fewer) over the same matrices
-    ``lcmv_weights`` builds, with the same tolerance.  Of the failing nodes, the first in depth-first order
-    raises, with the message its own solve would give.
+    Nodes are grouped by null count (so per level, or fewer groups) and
+    each group is checked by :func:`degenerate_rows`: one stacked SVD over
+    the matrices ``lcmv_weights`` builds, with the same tolerance.  Of the
+    failing nodes, the first in depth-first order raises, with the message
+    its own solve would give.
     """
     by_width: dict[int, list[NullConfig]] = {}
     for cfg in nodes.values():
         by_width.setdefault(len(cfg.null_angles_deg), []).append(cfg)
     failing: dict[NodeId, str] = {}
     for cfgs in by_width.values():
-        angles = np.array([(beam_angle_deg, *cfg.null_angles_deg) for cfg in cfgs])
-        c = steering_vectors(geom, angles).transpose(0, 2, 1)
-        sv = np.linalg.svd(c, compute_uv=False)
-        on_beam = angles[:, 1:] == beam_angle_deg
-        rank_low = sv[:, -1] < RANK_TOL * sv[:, 0]
-        for i in np.flatnonzero(on_beam.any(axis=1) | rank_low):
-            cfg = cfgs[i]
-            if on_beam[i].any():
-                a = cfg.null_angles_deg[int(np.argmax(on_beam[i]))]
-                failing[cfg.node_id] = f"null at {a} deg coincides with the beam direction"
-            else:
-                ratio = sv[i, -1] / sv[i, 0]
-                failing[cfg.node_id] = (
-                    f"constraint directions are rank deficient (sigma ratio {ratio:.2e})"
-                )
+        null_sets = [cfg.null_angles_deg for cfg in cfgs]
+        for i, message in degenerate_rows(geom, beam_angle_deg, null_sets).items():
+            failing[cfgs[i].node_id] = message
     if failing:
         raise DegenerateConstraintsError(failing[min(failing)])
 
@@ -267,7 +258,36 @@ def build_tree(
 # ---------------------------------------------------------------------------
 # tree traversal
 
-Evaluator = Callable[[NullConfig, np.ndarray], InrReport]
+@dataclass(frozen=True)
+class FrontierEvaluator:
+    """An evaluator that measures a whole frontier in one call.
+
+    ``frontier(cfgs, weights)`` returns one report per config, in order;
+    ``weights`` stacks the configs' constraint-domain vectors, one per row.
+    In multi-user search it takes the user index first:
+    ``frontier(user, cfgs, weights)``.
+    """
+
+    frontier: Callable[..., list[InrReport]]
+
+
+# a per-config callable, which :func:`measure` maps over a frontier, or a
+# FrontierEvaluator that measures the frontier itself
+Evaluator = Callable[[NullConfig, np.ndarray], InrReport] | FrontierEvaluator
+
+
+def measure(
+    evaluate: Evaluator, cfgs: Sequence[NullConfig], weights: np.ndarray, *user: int
+) -> list[InrReport]:
+    """One evaluator call for a whole frontier.
+
+    A :class:`FrontierEvaluator` gets the frontier at once; a plain
+    per-config callable is mapped over it, config by config.  ``user``,
+    in multi-user search, comes first in either call.
+    """
+    if isinstance(evaluate, FrontierEvaluator):
+        return evaluate.frontier(*user, cfgs, weights)
+    return [evaluate(*user, cfg, w) for cfg, w in zip(cfgs, weights)]
 
 
 @dataclass
@@ -357,7 +377,7 @@ def run_tree_search(tree: SearchTree, evaluate: Evaluator) -> SearchState:
     """Drive a full descent; returns the finished state."""
     state = start_search(tree)
     while not state.done:
-        reports = [evaluate(tree.nodes[n], tree.weights[n]) for n in state.frontier]
+        reports = measure(evaluate, *tree.stack(state.frontier))
         state = record_results(state, tree, reports)
         state = advance(state, tree, min_inr_index(reports))
     return state
@@ -384,21 +404,23 @@ def linear_search(
     """Exhaustive single-null scan over ``grid_angles``.
 
     The baseline the tree is measured against: every angle is one tested
-    config, one feedback summarizes the whole scan.  Ties break toward the
-    lower grid index.
+    config, one feedback summarizes the whole scan.  The grid is solved by
+    one stacked :func:`lcmv_weights` call and measured as one frontier.
+    Ties break toward the lower grid index.
     """
     if not grid_angles:
         raise ValueError("linear search needs a nonempty grid")
-    tested: list[tuple[NullConfig, InrReport]] = []
-    for i, ang in enumerate(grid_angles):
-        cfg = NullConfig(
+    cfgs = [
+        NullConfig(
             node_id=(i,),
             beam_angle_deg=beam_angle_deg,
             null_angles_deg=(float(ang),),
             sector=(float(ang), float(ang)),
         )
-        w = lcmv_weights(geom, beam_angle_deg, cfg.null_angles_deg)
-        tested.append((cfg, evaluate(cfg, w)))
+        for i, ang in enumerate(grid_angles)
+    ]
+    weights = lcmv_weights(geom, beam_angle_deg, [cfg.null_angles_deg for cfg in cfgs])
+    tested = list(zip(cfgs, measure(evaluate, cfgs, weights)))
     arg = min_inr_index([rep for _, rep in tested])
     return tested[arg][0], tested[arg][1], tested
 
@@ -406,7 +428,10 @@ def linear_search(
 # ---------------------------------------------------------------------------
 # multi-user
 
-MultiUserEvaluator = Callable[[int, NullConfig, np.ndarray], InrReport]
+# as Evaluator, with the user index first
+MultiUserEvaluator = (
+    Callable[[int, NullConfig, np.ndarray], InrReport] | FrontierEvaluator
+)
 
 
 @dataclass
@@ -450,10 +475,13 @@ def multi_user_search(
 
     Per level the union of all users' frontiers is tested; a node shared
     by several users costs one slot because every node measures the same
-    transmission.  Each user then descends into its own winner.  The final
-    joint configuration is the union of the per-user best null sets, users
-    served in input order until the array runs out of freedom (the beam
-    keeps one degree), in which case the error names who still fit.
+    transmission.  Every user measures the whole union as one frontier,
+    users in order (each user's measurement noise is its own stream, so
+    the order between users changes nothing).  Each user then descends
+    into its own winner.  The final joint configuration is the union of
+    the per-user best null sets, users served in input order until the
+    array runs out of freedom (the beam keeps one degree), in which case
+    the error names who still fit.
 
     Power correction is unavailable here: one correction cannot equalize
     several users' channels at once, so plain weights are used throughout.
@@ -467,11 +495,12 @@ def multi_user_search(
         if not frontier_union:
             break
         visited_per_level.append(frontier_union)
-        measured: dict[tuple[int, NodeId], InrReport] = {}
-        for node_id in frontier_union:
-            cfg, w = tree.nodes[node_id], tree.weights[node_id]
-            for u in range(len(states)):
-                measured[(u, node_id)] = evaluate(u, cfg, w)
+        cfgs, weights = tree.stack(frontier_union)
+        measured = {
+            (u, n): rep
+            for u in range(len(states))
+            for n, rep in zip(frontier_union, measure(evaluate, cfgs, weights, u))
+        }
         for u, st in enumerate(states):
             if st.done:
                 continue

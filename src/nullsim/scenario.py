@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .beamforming import ArrayGeometry, DegenerateConstraintsError
+from .beamforming import ArrayGeometry, DegenerateConstraintsError, degenerate_rows
 from .channel import (
     ChannelModel,
     flat_channel,
@@ -296,6 +296,13 @@ def validate_scenario(s: Scenario) -> None:
         if any(not -90.0 <= g <= 90.0 for g in grid):
             raise ScenarioError(
                 "scan_angle_out_of_range", "linear_grid angles must be in [-90, 90]"
+            )
+        # an angle aliased with the beam makes its single-null solve degenerate
+        failing = degenerate_rows(s.geometry, s.ue_angle_deg, [(g,) for g in grid])
+        if failing:
+            i = min(failing)
+            raise ScenarioError(
+                "beam_on_candidate_null", f"scan angle {grid[i]}: {failing[i]}"
             )
 
     for d in s.sweep_duty:

@@ -126,6 +126,15 @@ def test_spec_dataclasses_name_their_own_rules():
         ({"sweep": {"backhaul_ms": [-1.0]}}, "backhaul_negative"),
         ({"search": {"nulls_per_level": [2, 2, 2, 2]}}, "leaf_level_not_single_null"),
         ({"search": {"nulls_per_level": [2, 0, 2, 1]}}, "level_without_nulls"),
+        (
+            # the grating-lobe alias of the 60 deg beam at K=8
+            {
+                "ue_angle_deg": 60.0,
+                "geometry": {"k_antennas": 8},
+                "search": {"mode": "linear", "linear_grid": [-59.88976691395693, 0, 20]},
+            },
+            "beam_on_candidate_null",
+        ),
     ],
 )
 def test_validation_rules(raw, rule):
