@@ -5,154 +5,27 @@ uncoordinated single-antenna receivers, guided only by scalar interference
 reports.  The package models the antenna weights, the frequency-selective
 channel, the hierarchical null search, and the reconfiguration-delay budget
 of the feedback protocol.
+
+The package exports the scenario-to-results path; everything else is
+imported from its submodule (``nullsim.coexsim``, ``nullsim.nullsearch``,
+and so on).
 """
 
-from .beamforming import (
-    ArrayGeometry,
-    BsConfig,
-    DegenerateConstraintsError,
-    build_weight_matrix,
-    lcmv_weights,
-    power_correct,
-    steering_vector,
-)
-from .campaign import (
-    ResultsRecord,
-    export_results,
-    load_results,
-    records_from_result,
-    run_campaign,
-)
-from .channel import (
-    ChannelModel,
-    InrReport,
-    Path,
-    channel_response,
-    flat_channel,
-    measure_inr,
-    orbit_like_channel,
-    power_report,
-    rx_power,
-    sampled_inr,
-    two_ray_channel,
-)
-from .coexsim import (
-    BackhaulConfig,
-    DutyCycleConfig,
-    ProtocolResult,
-    SimConfig,
-    SimTimeline,
-    UserOutcome,
-    configs_per_cycle,
-    run_full_protocol,
-    simulate_linear_search,
-    simulate_multi_user,
-    simulate_tree_search,
-)
-from .nullsearch import (
-    DofExhaustedError,
-    NullConfig,
-    SearchState,
-    SearchTree,
-    advance,
-    build_tree,
-    default_linear_grid,
-    default_null_schedule,
-    linear_search,
-    multi_user_search,
-    record_results,
-    run_tree_search,
-    start_search,
-)
-from .phy_grid import (
-    LteGrid,
-    RbScMap,
-    WifiGrid,
-    build_rb_sc_map,
-    build_sc_rb_map,
-    nearest_rrb,
-)
-from .presets import PRESET_NAMES, PRESETS, run_repro
-from .scenario import (
-    ChannelSpec,
-    Scenario,
-    ScenarioError,
-    SearchSpec,
-    load_scenario,
-    scenario_from_dict,
-    scenario_hash,
-    scenario_to_dict,
-    validate_scenario,
-    with_overrides,
-)
+from .beamforming import DegenerateConstraintsError
+from .campaign import export_results, load_results, records_from_result
+from .coexsim import run_full_protocol
+from .nullsearch import DofExhaustedError
+from .scenario import ScenarioError, scenario_from_dict
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayGeometry",
-    "BackhaulConfig",
-    "BsConfig",
-    "ChannelModel",
-    "ChannelSpec",
     "DegenerateConstraintsError",
     "DofExhaustedError",
-    "DutyCycleConfig",
-    "InrReport",
-    "LteGrid",
-    "NullConfig",
-    "PRESETS",
-    "PRESET_NAMES",
-    "Path",
-    "ProtocolResult",
-    "RbScMap",
-    "ResultsRecord",
-    "Scenario",
     "ScenarioError",
-    "SearchSpec",
-    "SearchState",
-    "SearchTree",
-    "SimConfig",
-    "SimTimeline",
-    "UserOutcome",
-    "WifiGrid",
-    "advance",
-    "build_rb_sc_map",
-    "build_sc_rb_map",
-    "build_tree",
-    "build_weight_matrix",
-    "channel_response",
-    "configs_per_cycle",
-    "default_linear_grid",
-    "default_null_schedule",
     "export_results",
-    "flat_channel",
-    "lcmv_weights",
-    "linear_search",
     "load_results",
-    "load_scenario",
-    "measure_inr",
-    "multi_user_search",
-    "nearest_rrb",
-    "orbit_like_channel",
-    "power_correct",
-    "power_report",
-    "record_results",
     "records_from_result",
-    "run_campaign",
     "run_full_protocol",
-    "run_repro",
-    "run_tree_search",
-    "rx_power",
-    "sampled_inr",
     "scenario_from_dict",
-    "scenario_hash",
-    "scenario_to_dict",
-    "simulate_linear_search",
-    "simulate_multi_user",
-    "simulate_tree_search",
-    "start_search",
-    "steering_vector",
-    "two_ray_channel",
-    "validate_scenario",
-    "with_overrides",
 ]

@@ -76,7 +76,8 @@ class InrReport:
     config_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.aggregate < 0 or np.any(self.per_sc < 0):
+        # the method, not np.any: this runs once per tested config
+        if self.aggregate < 0 or np.less(self.per_sc, 0).any():
             raise ValueError("INR is a ratio of powers and cannot be negative")
 
     @property

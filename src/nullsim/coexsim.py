@@ -29,7 +29,6 @@ import numpy as np
 
 from .beamforming import build_weight_matrix, lcmv_weights
 from .channel import (
-    ChannelModel,
     InrReport,
     channel_response,
     power_report,
@@ -45,17 +44,14 @@ from .nullsearch import (
     NullConfig,
     SearchState,
     SearchTree,
-    advance,
     build_tree,
     default_linear_grid,
+    descend,
     linear_search,
-    measure,
-    min_inr_index,
     multi_user_search,
-    record_results,
     start_search,
 )
-from .phy_grid import LteGrid, WifiGrid, build_rb_sc_map, build_sc_rb_map
+from .phy_grid import build_rb_sc_map, build_sc_rb_map
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -155,18 +151,12 @@ def slot_offsets_in_cycle(dc: DutyCycleConfig, sim: SimConfig) -> list[int]:
     return offsets
 
 
-def configs_per_cycle(
-    dc: DutyCycleConfig, sim: SimConfig, fanout: int | None = None
-) -> int:
-    """How many configs one CSAT cycle can test.
-
-    Capped at the tree fanout when given: descending needs feedback, so
-    testing past the current level's candidates buys nothing.
-    """
+def configs_per_cycle(dc: DutyCycleConfig, sim: SimConfig) -> int:
+    """How many configs one CSAT cycle can test."""
     n = len(slot_offsets_in_cycle(dc, sim))
     if n < 1:
         raise ValueError("test slot does not fit the usable on-phase")
-    return min(n, fanout) if fanout is not None else n
+    return n
 
 
 @dataclass(frozen=True)
@@ -212,14 +202,13 @@ def _emit_test_cycles(
     dc: DutyCycleConfig,
     sim: SimConfig,
     per_cycle: int,
-    kind: str = "test_slot",
 ) -> int:
     """Lay test slots into consecutive cycles; returns the phase end time."""
     offsets = slot_offsets_in_cycle(dc, sim)
     cycles = math.ceil(len(labels) / per_cycle)
     for i, label in enumerate(labels):
         cycle, slot = divmod(i, per_cycle)
-        tl.emit(start_us + cycle * dc.t_csat_us + offsets[slot], kind, label)
+        tl.emit(start_us + cycle * dc.t_csat_us + offsets[slot], "test_slot", label)
     return start_us + cycles * dc.t_csat_us
 
 
@@ -256,6 +245,47 @@ def simulate_power_measurement(
     return tl
 
 
+def _emit_search(
+    levels: Sequence[Sequence[NullConfig]],
+    applied_nulls: Sequence[float],
+    dc: DutyCycleConfig,
+    backhaul: BackhaulConfig,
+    sim: SimConfig,
+    sounded_antennas: int = 0,
+) -> SimTimeline:
+    """The timeline of a search that tested ``levels``, one feedback each.
+
+    With ``sounded_antennas`` the power-measurement phase comes first and
+    its report rides with the level-1 feedback.  The search ends by
+    applying ``applied_nulls``.
+    """
+    tl = SimTimeline(t_csat_us=dc.t_csat_us, delta_b_us=backhaul.delay_us)
+    t = 0
+    tl.emit(t, "phase", "protocol_start")
+    if sounded_antennas:
+        pm = simulate_power_measurement(
+            sounded_antennas, dc, backhaul, sim, start_us=t, piggyback=True
+        )
+        tl.events.extend(pm.events)
+        tl.power_cycles = pm.power_cycles
+        t = pm.total_delay_us
+    per_cycle = configs_per_cycle(dc, sim)
+    for level, cfgs in enumerate(levels, start=1):
+        tl.emit(t, "phase", f"tree_level_{level}")
+        labels = [f"config:{cfg.label}" for cfg in cfgs]
+        end = _emit_test_cycles(tl, t, labels, dc, sim, per_cycle)
+        tl.level_cycles.append(math.ceil(len(labels) / per_cycle))
+        note = f"level {level} feedback"
+        if sounded_antennas and level == 1:
+            note += " + power report"
+        tl.emit(end, "ctc_send", note)
+        t = end + backhaul.delay_us
+        tl.emit(t, "ctc_recv", note)
+    tl.emit(t, "apply", "apply nulls:" + ";".join(f"{a:.2f}" for a in applied_nulls))
+    tl.total_delay_us = t
+    return tl
+
+
 def simulate_tree_search(
     tree: SearchTree,
     dc: DutyCycleConfig,
@@ -271,35 +301,13 @@ def simulate_tree_search(
     the level-1 feedback.  The evaluator is expected to match: corrected
     weights when ``power_correction`` is set, plain ones otherwise.
     """
-    tl = SimTimeline(t_csat_us=dc.t_csat_us, delta_b_us=backhaul.delay_us)
-    t = 0
-    tl.emit(t, "phase", "protocol_start")
-    if power_correction:
-        pm = simulate_power_measurement(
-            tree.geometry.k_antennas, dc, backhaul, sim, start_us=t, piggyback=True
-        )
-        tl.events.extend(pm.events)
-        tl.power_cycles = pm.power_cycles
-        t = pm.total_delay_us
-    per_cycle = configs_per_cycle(dc, sim, tree.fanout)
-    state = start_search(tree)
-    while not state.done:
-        level = state.level
-        tl.emit(t, "phase", f"tree_level_{level}")
-        labels = [f"config:{tree.nodes[n].label}" for n in state.frontier]
-        end = _emit_test_cycles(tl, t, labels, dc, sim, per_cycle)
-        tl.level_cycles.append(math.ceil(len(labels) / per_cycle))
-        reports = measure(evaluate, *tree.stack(state.frontier))
-        state = record_results(state, tree, reports)
-        state = advance(state, tree, min_inr_index(reports))
-        note = f"level {level} feedback"
-        if power_correction and level == 1:
-            note += " + power report"
-        tl.emit(end, "ctc_send", note)
-        t = end + backhaul.delay_us
-        tl.emit(t, "ctc_recv", note)
-    tl.emit(t, "apply", f"apply config:{state.best_config.label}")
-    tl.total_delay_us = t
+    (state,), visited = descend([start_search(tree)], tree, [evaluate])
+    tl = _emit_search(
+        [[tree.nodes[n] for n in nodes] for nodes in visited],
+        state.best_config.null_angles_deg,
+        dc, backhaul, sim,
+        sounded_antennas=tree.geometry.k_antennas if power_correction else 0,
+    )
     return tl, state
 
 
@@ -314,18 +322,10 @@ def simulate_linear_search(
 ) -> tuple[SimTimeline, NullConfig, list]:
     """Exhaustive-scan baseline: every grid angle tested, one feedback."""
     geom = getattr(tree_or_geom, "geometry", tree_or_geom)
-    tl = SimTimeline(t_csat_us=dc.t_csat_us, delta_b_us=backhaul.delay_us)
-    tl.emit(0, "phase", "linear_scan")
-    per_cycle = configs_per_cycle(dc, sim)
-    best, best_rep, tested = linear_search(geom, grid_angles, beam_angle_deg, evaluate)
-    labels = [f"angle:{cfg.null_angles_deg[0]:.2f}" for cfg, _ in tested]
-    end = _emit_test_cycles(tl, 0, labels, dc, sim, per_cycle)
-    tl.level_cycles.append(math.ceil(len(labels) / per_cycle))
-    tl.emit(end, "ctc_send", "scan feedback")
-    total = end + backhaul.delay_us
-    tl.emit(total, "ctc_recv", "scan feedback")
-    tl.emit(total, "apply", f"apply angle:{best.null_angles_deg[0]:.2f}")
-    tl.total_delay_us = total
+    best, _, tested = linear_search(geom, grid_angles, beam_angle_deg, evaluate)
+    tl = _emit_search(
+        [[cfg for cfg, _ in tested]], best.null_angles_deg, dc, backhaul, sim
+    )
     return tl, best, tested
 
 
@@ -341,25 +341,14 @@ def simulate_multi_user(
 
     All users measure the same transmissions, so a level costs the union
     of the users' frontiers, not their sum, and one aggregated feedback.
-    Slots per cycle are not fanout-capped here: a level's nodes all precede
-    the same feedback round.  No power correction exists in this mode.
+    No power correction exists in this mode.
     """
     plan = multi_user_search(states, tree, evaluate)
-    tl = SimTimeline(t_csat_us=dc.t_csat_us, delta_b_us=backhaul.delay_us)
-    per_cycle = configs_per_cycle(dc, sim)
-    t = 0
-    tl.emit(t, "phase", "protocol_start")
-    for level, visited in enumerate(plan.visited_per_level, start=1):
-        tl.emit(t, "phase", f"tree_level_{level}")
-        labels = [f"config:{tree.nodes[n].label}" for n in visited]
-        end = _emit_test_cycles(tl, t, labels, dc, sim, per_cycle)
-        tl.level_cycles.append(math.ceil(len(labels) / per_cycle))
-        tl.emit(end, "ctc_send", f"level {level} aggregated feedback")
-        t = end + backhaul.delay_us
-        tl.emit(t, "ctc_recv", f"level {level} aggregated feedback")
-    joint = ";".join(f"{a:.2f}" for a in plan.joint_null_angles)
-    tl.emit(t, "apply", f"apply joint nulls:{joint}")
-    tl.total_delay_us = t
+    tl = _emit_search(
+        [[tree.nodes[n] for n in nodes] for nodes in plan.visited_per_level],
+        plan.joint_null_angles,
+        dc, backhaul, sim,
+    )
     return tl, plan
 
 
@@ -412,21 +401,6 @@ def _calibrated_channels(scenario: "Scenario", geom, wifi, w0_matrix, sc_rb):
             model = with_noise_power(model, base / (target - 1.0))
         out.append(model)
     return out, responses
-
-
-def _with_baseline_fallback(
-    best: tuple[NullConfig, InrReport],
-    baseline: InrReport,
-    scenario: "Scenario",
-) -> tuple[NullConfig, InrReport]:
-    """Never deploy a config that measures worse than not nulling at all."""
-    cfg, rep = best
-    if rep.aggregate >= baseline.aggregate:
-        no_null = NullConfig(
-            (), scenario.ue_angle_deg, (), scenario.tree_root_sector
-        )
-        return no_null, baseline
-    return cfg, rep
 
 
 def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
@@ -497,47 +471,6 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             root_sector=scenario.tree_root_sector,
         )
 
-    if search.mode == "tree":
-        report = (
-            power_report(models[0], geom, wifi) if search.power_correction else None
-        )
-        timeline, state = simulate_tree_search(
-            tree, dc, backhaul, sim,
-            FrontierEvaluator(partial(measure_frontier, 0, report=report)),
-            power_correction=search.power_correction,
-        )
-        best_cfg, best_rep = _with_baseline_fallback(
-            state.best, baselines[0], scenario
-        )
-        outcome = UserOutcome(
-            user=0,
-            baseline=baselines[0],
-            final=best_rep,
-            best_config=best_cfg,
-            nulls_used=len(best_cfg.null_angles_deg),
-            trace=state.tested,
-        )
-        return ProtocolResult("tree", timeline, [outcome])
-
-    if search.mode == "linear":
-        grid = search.linear_grid or default_linear_grid()
-        timeline, best, tested = simulate_linear_search(
-            grid, geom, dc, backhaul, sim,
-            FrontierEvaluator(partial(measure_frontier, 0)),
-            scenario.ue_angle_deg,
-        )
-        best_rep = next(rep for cfg, rep in tested if cfg is best)
-        best, best_rep = _with_baseline_fallback((best, best_rep), baselines[0], scenario)
-        outcome = UserOutcome(
-            user=0,
-            baseline=baselines[0],
-            final=best_rep,
-            best_config=best,
-            nulls_used=len(best.null_angles_deg),
-            trace=tested,
-        )
-        return ProtocolResult("linear", timeline, [outcome])
-
     if search.mode == "multiuser":
         states = [start_search(tree) for _ in models]
         timeline, plan = simulate_multi_user(
@@ -564,4 +497,35 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             "multiuser", timeline, outcomes, joint_null_angles=plan.joint_null_angles
         )
 
-    raise ValueError(f"unknown search mode {search.mode!r}")
+    if search.mode == "tree":
+        report = (
+            power_report(models[0], geom, wifi) if search.power_correction else None
+        )
+        timeline, state = simulate_tree_search(
+            tree, dc, backhaul, sim,
+            FrontierEvaluator(partial(measure_frontier, 0, report=report)),
+            power_correction=search.power_correction,
+        )
+        best, tested = state.best, state.tested
+    elif search.mode == "linear":
+        timeline, best_cfg, tested = simulate_linear_search(
+            search.linear_grid or default_linear_grid(), geom, dc, backhaul, sim,
+            FrontierEvaluator(partial(measure_frontier, 0)),
+            scenario.ue_angle_deg,
+        )
+        best = next((cfg, rep) for cfg, rep in tested if cfg is best_cfg)
+    else:
+        raise ValueError(f"unknown search mode {search.mode!r}")
+    cfg, rep = best
+    if rep.aggregate >= baselines[0].aggregate:
+        # never deploy a config that measures worse than not nulling at all
+        cfg, rep = base_cfg, baselines[0]
+    outcome = UserOutcome(
+        user=0,
+        baseline=baselines[0],
+        final=rep,
+        best_config=cfg,
+        nulls_used=len(cfg.null_angles_deg),
+        trace=tested,
+    )
+    return ProtocolResult(search.mode, timeline, [outcome])

@@ -16,6 +16,7 @@ choice may be an inner node rather than a leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -69,7 +70,7 @@ class NullConfig:
 
     @property
     def label(self) -> str:
-        return ".".join(str(i) for i in self.node_id)
+        return ".".join(map(str, self.node_id))
 
 
 def default_null_schedule(k_antennas: int, depth: int = 4) -> tuple[int, ...]:
@@ -94,25 +95,35 @@ def _evenly_inset(a: float, b: float, n: int) -> tuple[float, ...]:
 
 
 class _NodeWeights(Mapping[NodeId, np.ndarray]):
-    """Read-only node weights, each solved on first access.
+    """Read-only node weights, each solved on first use.
 
-    ``weights[node_id]`` runs :func:`lcmv_weights` for that node the first
-    time it is read and keeps the vector for the tree's lifetime, so a
-    descent pays for the nodes it tests and no others.
+    ``solve(node_ids)`` solves the nodes not yet solved with one stacked
+    :func:`lcmv_weights` call (a frontier's nodes share a null count);
+    ``weights[node_id]`` is the one-node case.  Vectors are kept for the
+    tree's lifetime, so a descent pays for the nodes it tests and no others.
     """
 
-    def __init__(self, geom: ArrayGeometry, nodes: dict[NodeId, NullConfig]):
+    def __init__(
+        self, geom: ArrayGeometry, beam_angle_deg: float, nodes: dict[NodeId, NullConfig]
+    ):
         self._geom = geom
+        self._beam = beam_angle_deg
         self._nodes = nodes
         self._solved: dict[NodeId, np.ndarray] = {}
 
+    def solve(self, node_ids: Sequence[NodeId]) -> np.ndarray:
+        """The weights of ``node_ids``, one row per node."""
+        todo = [n for n in node_ids if n not in self._solved]
+        if todo:
+            null_sets = [self._nodes[n].null_angles_deg for n in todo]
+            rows = lcmv_weights(self._geom, self._beam, null_sets)
+            self._solved.update(zip(todo, rows))
+        return np.array([self._solved[n] for n in node_ids])
+
     def __getitem__(self, node_id: NodeId) -> np.ndarray:
-        w = self._solved.get(node_id)
-        if w is None:
-            cfg = self._nodes[node_id]
-            w = lcmv_weights(self._geom, cfg.beam_angle_deg, cfg.null_angles_deg)
-            self._solved[node_id] = w
-        return w
+        if node_id not in self._solved:
+            self.solve([node_id])
+        return self._solved[node_id]
 
     def __iter__(self) -> Iterator[NodeId]:
         return iter(self._nodes)
@@ -126,8 +137,10 @@ class SearchTree:
     """Candidate configs for every node of the search tree.
 
     The simulated protocol treats every node's weights as precomputed, so
-    no solve eats into a 2 ms test slot.  On the host, ``weights`` solves a
-    node on first use: a descent reads 12 of a default tree's 120 nodes.
+    no solve eats into a 2 ms test slot.  On the host, a node is solved on
+    first use, a frontier's unsolved nodes by one stacked call: a descent
+    reads 12 of a default tree's 120 nodes.  A linear scan is a depth-1
+    tree whose nodes are the grid angles.
     """
 
     geometry: ArrayGeometry
@@ -137,15 +150,17 @@ class SearchTree:
     nulls_per_level: tuple[int, ...]
     nodes: dict[NodeId, NullConfig] = field(repr=False)
     root_sector: tuple[float, float] = ROOT_SECTOR
-    weights: Mapping[NodeId, np.ndarray] = field(init=False, repr=False, compare=False)
+    weights: _NodeWeights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.weights = _NodeWeights(self.geometry, self.nodes)
+        self.weights = _NodeWeights(self.geometry, self.beam_angle_deg, self.nodes)
 
     def stack(self, node_ids: Sequence[NodeId]) -> tuple[list[NullConfig], np.ndarray]:
-        """The configs of ``node_ids`` and their weights, one row per node."""
-        cfgs = [self.nodes[n] for n in node_ids]
-        return cfgs, np.array([self.weights[n] for n in node_ids])
+        """The configs of ``node_ids`` and their weights, one row per node.
+
+        The nodes not yet solved are solved by one stacked call.
+        """
+        return [self.nodes[n] for n in node_ids], self.weights.solve(node_ids)
 
     def children(self, node_id: NodeId) -> list[NodeId]:
         if len(node_id) >= self.depth:
@@ -277,17 +292,16 @@ Evaluator = Callable[[NullConfig, np.ndarray], InrReport] | FrontierEvaluator
 
 
 def measure(
-    evaluate: Evaluator, cfgs: Sequence[NullConfig], weights: np.ndarray, *user: int
+    evaluate: Evaluator, cfgs: Sequence[NullConfig], weights: np.ndarray
 ) -> list[InrReport]:
     """One evaluator call for a whole frontier.
 
     A :class:`FrontierEvaluator` gets the frontier at once; a plain
-    per-config callable is mapped over it, config by config.  ``user``,
-    in multi-user search, comes first in either call.
+    per-config callable is mapped over it, config by config.
     """
     if isinstance(evaluate, FrontierEvaluator):
-        return evaluate.frontier(*user, cfgs, weights)
-    return [evaluate(*user, cfg, w) for cfg, w in zip(cfgs, weights)]
+        return evaluate.frontier(cfgs, weights)
+    return [evaluate(cfg, w) for cfg, w in zip(cfgs, weights)]
 
 
 @dataclass
@@ -373,14 +387,33 @@ def min_inr_index(reports: Sequence[InrReport]) -> int:
     return arg
 
 
-def run_tree_search(tree: SearchTree, evaluate: Evaluator) -> SearchState:
-    """Drive a full descent; returns the finished state."""
-    state = start_search(tree)
-    while not state.done:
-        reports = measure(evaluate, *tree.stack(state.frontier))
-        state = record_results(state, tree, reports)
-        state = advance(state, tree, min_inr_index(reports))
-    return state
+def descend(
+    states: Sequence[SearchState], tree: SearchTree, evaluators: Sequence[Evaluator]
+) -> tuple[list[SearchState], list[list[NodeId]]]:
+    """The feedback loop every search mode runs: test, feed back, descend.
+
+    Per level the union of the unfinished users' frontiers is solved and
+    stacked once and measured once per user, with that user's evaluator
+    (users in order; each user's noise is its own stream, so the order
+    between users changes nothing).  Each user then records its own
+    frontier's reports and descends into its winner.  Returns the finished
+    states and the union tested at each level.
+    """
+    states = list(states)
+    visited_per_level: list[list[NodeId]] = []
+    while True:
+        union = sorted({n for st in states if not st.done for n in st.frontier})
+        if not union:
+            return states, visited_per_level
+        visited_per_level.append(union)
+        cfgs, weights = tree.stack(union)
+        for u, st in enumerate(states):
+            if st.done:
+                continue
+            measured = dict(zip(union, measure(evaluators[u], cfgs, weights)))
+            reports = [measured[n] for n in st.frontier]
+            st = record_results(st, tree, reports)
+            states[u] = advance(st, tree, min_inr_index(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -403,26 +436,33 @@ def linear_search(
 ) -> tuple[NullConfig, InrReport, list[tuple[NullConfig, InrReport]]]:
     """Exhaustive single-null scan over ``grid_angles``.
 
-    The baseline the tree is measured against: every angle is one tested
-    config, one feedback summarizes the whole scan.  The grid is solved by
-    one stacked :func:`lcmv_weights` call and measured as one frontier.
+    The baseline the tree is measured against: a depth-1 tree whose nodes
+    are the grid angles, so the whole grid is one frontier, solved by one
+    stacked :func:`lcmv_weights` call and summarized by one feedback.
     Ties break toward the lower grid index.
     """
     if not grid_angles:
         raise ValueError("linear search needs a nonempty grid")
-    cfgs = [
-        NullConfig(
+    nodes = {
+        (i,): NullConfig(
             node_id=(i,),
             beam_angle_deg=beam_angle_deg,
             null_angles_deg=(float(ang),),
             sector=(float(ang), float(ang)),
         )
         for i, ang in enumerate(grid_angles)
-    ]
-    weights = lcmv_weights(geom, beam_angle_deg, [cfg.null_angles_deg for cfg in cfgs])
-    tested = list(zip(cfgs, measure(evaluate, cfgs, weights)))
-    arg = min_inr_index([rep for _, rep in tested])
-    return tested[arg][0], tested[arg][1], tested
+    }
+    tree = SearchTree(
+        geometry=geom,
+        beam_angle_deg=beam_angle_deg,
+        fanout=len(nodes),
+        depth=1,
+        nulls_per_level=(1,),
+        nodes=nodes,
+    )
+    (state,), _ = descend([start_search(tree)], tree, [evaluate])
+    best, best_rep = state.best
+    return best, best_rep, state.tested
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +506,13 @@ def _join_nulls(
     return tuple(joint)
 
 
+def _for_user(evaluate: MultiUserEvaluator, u: int) -> Evaluator:
+    """``evaluate`` with the user index bound."""
+    if isinstance(evaluate, FrontierEvaluator):
+        return FrontierEvaluator(partial(evaluate.frontier, u))
+    return partial(evaluate, u)
+
+
 def multi_user_search(
     states: list[SearchState],
     tree: SearchTree,
@@ -475,38 +522,18 @@ def multi_user_search(
 
     Per level the union of all users' frontiers is tested; a node shared
     by several users costs one slot because every node measures the same
-    transmission.  Every user measures the whole union as one frontier,
-    users in order (each user's measurement noise is its own stream, so
-    the order between users changes nothing).  Each user then descends
-    into its own winner.  The final joint configuration is the union of
-    the per-user best null sets, users served in input order until the
-    array runs out of freedom (the beam keeps one degree), in which case
-    the error names who still fit.
+    transmission.  The final joint configuration is the union of the
+    per-user best null sets, users served in input order until the array
+    runs out of freedom (the beam keeps one degree), in which case the
+    error names who still fit.
 
     Power correction is unavailable here: one correction cannot equalize
     several users' channels at once, so plain weights are used throughout.
     """
     if not states:
         raise ValueError("need at least one user")
-    states = list(states)
-    visited_per_level: list[list[NodeId]] = []
-    for _ in range(tree.depth):
-        frontier_union = sorted({n for st in states if not st.done for n in st.frontier})
-        if not frontier_union:
-            break
-        visited_per_level.append(frontier_union)
-        cfgs, weights = tree.stack(frontier_union)
-        measured = {
-            (u, n): rep
-            for u in range(len(states))
-            for n, rep in zip(frontier_union, measure(evaluate, cfgs, weights, u))
-        }
-        for u, st in enumerate(states):
-            if st.done:
-                continue
-            reports = [measured[(u, n)] for n in st.frontier]
-            st = record_results(st, tree, reports)
-            states[u] = advance(st, tree, min_inr_index(reports))
+    evaluators = [_for_user(evaluate, u) for u in range(len(states))]
+    states, visited_per_level = descend(states, tree, evaluators)
     bests = [st.best for st in states]
     if any(b is None for b in bests):
         raise RuntimeError("search ended with an untested user")

@@ -137,33 +137,35 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # dict <-> dataclass plumbing
 
-_GEOMETRY_KEYS = {"k_antennas", "spacing_m", "carrier_freq_hz"}
-_CHANNEL_KEYS = {"preset", "angle_offset_deg", "baseline_inr_db", "noise_power"}
-_DUTY_KEYS = {"t_csat_ms", "duty", "puncture_ms_per_20ms"}
-_BACKHAUL_KEYS = {"delay_ms"}
-_SIM_KEYS = {"test_slot_ms", "sample_rate_hz", "sample_count", "noise_jitter"}
-_SEARCH_KEYS = {
-    "mode",
-    "fanout",
-    "depth",
-    "nulls_per_level",
-    "power_correction",
-    "linear_grid",
+# every field's JSON type, by section; "scenario" holds the top-level fields
+_FIELDS: dict[str, dict[str, Any]] = {
+    "scenario": {"seed": int, "tx_power": float, "ue_angle_deg": float, "user_angles_deg": [float]},
+    "geometry": {"k_antennas": int, "spacing_m": float, "carrier_freq_hz": float},
+    "channel": {
+        "preset": str,
+        "angle_offset_deg": float,
+        "baseline_inr_db": float,
+        "noise_power": float,
+    },
+    "duty_cycle": {"t_csat_ms": float, "duty": float, "puncture_ms_per_20ms": float},
+    "backhaul": {"delay_ms": float},
+    "sim": {
+        "test_slot_ms": float,
+        "sample_rate_hz": float,
+        "sample_count": int,
+        "noise_jitter": float,
+    },
+    "search": {
+        "mode": str,
+        "fanout": int,
+        "depth": int,
+        "nulls_per_level": [int],
+        "power_correction": bool,
+        "linear_grid": [float],
+    },
+    "sweep": {"backhaul_ms": [float], "duty": [float]},
 }
-_SWEEP_KEYS = {"backhaul_ms", "duty"}
-_TOP_KEYS = {
-    "seed",
-    "tx_power",
-    "ue_angle_deg",
-    "user_angles_deg",
-    "geometry",
-    "channel",
-    "duty_cycle",
-    "backhaul",
-    "sim",
-    "search",
-    "sweep",
-}
+_NULLABLE = {"baseline_inr_db", "nulls_per_level", "linear_grid"}
 
 
 def _strict(d: dict, allowed: set[str], where: str) -> None:
@@ -172,6 +174,37 @@ def _strict(d: dict, allowed: set[str], where: str) -> None:
         raise ScenarioError(
             "unknown_key", f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
         )
+
+
+def _has_type(value: Any, kind: Any) -> bool:
+    """Whether ``value`` is a JSON value of ``kind``: an integer is a float
+    too, a bool is neither, and ``[kind]`` is a list of ``kind``."""
+    if isinstance(kind, list):
+        return isinstance(value, (list, tuple)) and all(_has_type(v, kind[0]) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_types(d: dict, where: str) -> None:
+    for key, kind in _FIELDS[where].items():
+        value = d.get(key)
+        if key in d and not (value is None and key in _NULLABLE or _has_type(value, kind)):
+            name = f"list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+            null = " or null" if key in _NULLABLE else ""
+            raise ScenarioError(
+                "invalid_type", f"{where}.{key} must be {name}{null}, got {value!r}"
+            )
+
+
+def _section(raw: dict, name: str) -> dict:
+    """Section ``name`` of the scenario: an object of known keys and typed values."""
+    d = raw.get(name, {})
+    if not isinstance(d, dict):
+        raise ScenarioError("invalid_type", f"{name} must be an object, got {d!r}")
+    _strict(d, set(_FIELDS[name]), name)
+    _check_types(d, name)
+    return dict(d)
 
 
 def _wrap(section: str, build):
@@ -183,48 +216,37 @@ def _wrap(section: str, build):
         raise ScenarioError(f"invalid_{section}", str(exc)) from exc
 
 
+def _build(raw: dict, name: str, cls):
+    fields = _section(raw, name)
+    return _wrap(name, lambda: cls(**fields))
+
+
 def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("not_an_object", "scenario file must hold a JSON object")
-    _strict(raw, _TOP_KEYS, "scenario")
+    _strict(raw, (set(_FIELDS) - {"scenario"}) | set(_FIELDS["scenario"]), "scenario")
+    _check_types(raw, "scenario")
+    geometry = _build(raw, "geometry", ArrayGeometry)
+    chan = _build(raw, "channel", ChannelSpec)
+    duty = _build(raw, "duty_cycle", DutyCycleConfig)
+    backhaul = _build(raw, "backhaul", BackhaulConfig)
+    sim = _build(raw, "sim", SimConfig)
 
-    geo_d = dict(raw.get("geometry", {}))
-    _strict(geo_d, _GEOMETRY_KEYS, "geometry")
-    geometry = _wrap("geometry", lambda: ArrayGeometry(**geo_d))
-
-    ch_d = dict(raw.get("channel", {}))
-    _strict(ch_d, _CHANNEL_KEYS, "channel")
-    chan = _wrap("channel", lambda: ChannelSpec(**ch_d))
-
-    duty_d = dict(raw.get("duty_cycle", {}))
-    _strict(duty_d, _DUTY_KEYS, "duty_cycle")
-    duty = _wrap("duty_cycle", lambda: DutyCycleConfig(**duty_d))
-
-    bh_d = dict(raw.get("backhaul", {}))
-    _strict(bh_d, _BACKHAUL_KEYS, "backhaul")
-    backhaul = _wrap("backhaul", lambda: BackhaulConfig(**bh_d))
-
-    sim_d = dict(raw.get("sim", {}))
-    _strict(sim_d, _SIM_KEYS, "sim")
-    sim = _wrap("sim", lambda: SimConfig(**sim_d))
-
-    se_d = dict(raw.get("search", {}))
-    _strict(se_d, _SEARCH_KEYS, "search")
+    se_d = _section(raw, "search")
     if se_d.get("nulls_per_level") is not None:
-        se_d["nulls_per_level"] = tuple(int(x) for x in se_d["nulls_per_level"])
+        se_d["nulls_per_level"] = tuple(se_d["nulls_per_level"])
     if se_d.get("linear_grid") is not None:
         se_d["linear_grid"] = tuple(float(x) for x in se_d["linear_grid"])
     search = _wrap("search", lambda: SearchSpec(**se_d))
 
-    sweep_d = dict(raw.get("sweep", {}))
-    _strict(sweep_d, _SWEEP_KEYS, "sweep")
+    sweep_d = _section(raw, "sweep")
 
     users = raw.get("user_angles_deg", [-20.0])
-    if not isinstance(users, (list, tuple)) or not users:
+    if not users:
         raise ScenarioError("users_empty", "user_angles_deg must be a nonempty list")
 
     scenario = Scenario(
-        seed=int(raw.get("seed", 0)),
+        seed=raw.get("seed", 0),
         tx_power=float(raw.get("tx_power", 1.0)),
         ue_angle_deg=float(raw.get("ue_angle_deg", 21.4)),
         user_angles_deg=tuple(float(a) for a in users),

@@ -172,6 +172,8 @@ def test_measure_inr_examples():
 def test_inr_report_rejects_negative_values():
     with pytest.raises(ValueError):
         InrReport(per_sc=np.array([1.0]), aggregate=-0.5)
+    with pytest.raises(ValueError):
+        InrReport(per_sc=np.array([1.0, -1e-12, 2.0]), aggregate=1.0)
 
 
 def test_aggregate_db_floor():

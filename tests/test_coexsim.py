@@ -1,7 +1,12 @@
 """Duty-cycle timing, reconfiguration delay, and the full protocol driver."""
 
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nullsim.beamforming import ArrayGeometry, normalize, steering_vector
 from nullsim.channel import InrReport
@@ -117,9 +122,7 @@ def test_no_slot_spans_the_puncture_gap():
 def test_configs_per_cycle():
     assert configs_per_cycle(DutyCycleConfig(duty=0.05), SIM) == 1
     assert configs_per_cycle(DutyCycleConfig(duty=0.2), SIM) == 4
-    assert configs_per_cycle(DutyCycleConfig(duty=0.2), SIM, fanout=3) == 3
     assert configs_per_cycle(DutyCycleConfig(duty=1.0), SIM) == 18
-    assert configs_per_cycle(DutyCycleConfig(duty=1.0), SIM, fanout=3) == 3
 
 
 def test_slot_must_fit_the_usable_on_phase():
@@ -223,22 +226,82 @@ def test_linear_timeline_has_one_feedback(tree8):
     assert best.null_angles_deg == (-20.0,)
 
 
-def test_one_user_parallel_timing_equals_the_plain_descent(tree8):
-    geom = tree8.geometry
-    for duty in (0.2, 0.05):
-        dc, bh = DutyCycleConfig(duty=duty), BackhaulConfig(delay_ms=5.0)
-        tl_tree, _ = simulate_tree_search(
-            tree8, dc, bh, SIM, flat_ray_evaluator(geom, -20.0),
-            power_correction=False,
-        )
-        states = [start_search(tree8)]
-        tl_mu, plan = simulate_multi_user(
-            states, tree8, dc, bh, SIM,
-            lambda u, cfg, w: flat_ray_evaluator(geom, -20.0)(cfg, w),
-        )
-        assert tl_mu.identity_total_us() == tl_mu.total_delay_us
-        assert tl_mu.total_delay_us == tl_tree.total_delay_us
-        assert tl_mu.count("ctc_send") == tree8.depth
+@lru_cache(maxsize=None)
+def tree_of(fanout: int, depth: int):
+    """K=8 trees, built once per shape."""
+    return build_tree(ArrayGeometry(k_antennas=8), 21.4, fanout=fanout, depth=depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_csat=st.sampled_from([40.0, 80.0, 160.0]),
+    duty=st.floats(0.05, 1.0),
+    slot_ms=st.sampled_from([1.0, 2.0, 3.0, 5.0]),
+    fanout=st.integers(2, 4),
+    depth=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    distinct_scores=st.sampled_from([2, 10**6]),
+)
+def test_one_user_parallel_timing_equals_the_plain_descent(
+    t_csat, duty, slot_ms, fanout, depth, seed, distinct_scores
+):
+    dc, bh = DutyCycleConfig(t_csat_ms=t_csat, duty=duty), BackhaulConfig(delay_ms=5.0)
+    sim = SimConfig(test_slot_ms=slot_ms, sample_count=50)
+    assume(slot_offsets_in_cycle(dc, sim))
+    tree = tree_of(fanout, depth)
+    rng = np.random.default_rng(seed)
+    # few distinct scores make ties, which both searches break toward the lower index
+    scores = {n: float(rng.integers(distinct_scores)) + 0.5 for n in sorted(tree.nodes)}
+
+    def evaluate(cfg, w):
+        return report(scores[cfg.node_id])
+
+    tl_tree, state = simulate_tree_search(
+        tree, dc, bh, sim, evaluate, power_correction=False
+    )
+    tl_mu, plan = simulate_multi_user(
+        [start_search(tree)], tree, dc, bh, sim, lambda u, cfg, w: evaluate(cfg, w)
+    )
+    assert [(e.t_us, e.kind) for e in tl_mu.events] == [
+        (e.t_us, e.kind) for e in tl_tree.events
+    ]
+    assert tl_mu.level_cycles == tl_tree.level_cycles
+    assert tl_mu.total_delay_us == tl_tree.total_delay_us == tl_tree.identity_total_us()
+    (mu_state,) = plan.states
+    assert [c.node_id for c, _ in mu_state.tested] == [c.node_id for c, _ in state.tested]
+    bits = [np.float64(r.aggregate).tobytes() for _, r in state.tested]
+    assert [np.float64(r.aggregate).tobytes() for _, r in mu_state.tested] == bits
+
+
+def test_timeline_labels_are_the_same_in_every_mode():
+    """One emitter: start, optional sounding, per level a phase, slots and
+    one feedback, then the applied nulls."""
+    s = Scenario(geometry=ArrayGeometry(k_antennas=8))
+    runs = {
+        "tree": s,
+        "linear": replace(s, search=replace(s.search, mode="linear")),
+        "multiuser": replace(
+            s, user_angles_deg=(-20.0, -20.0), search=replace(s.search, mode="multiuser")
+        ),
+    }
+    for mode, scn in runs.items():
+        result = run_full_protocol(scn)
+        tl = result.timeline
+        levels = len(tl.level_cycles)
+        phases = [e.label for e in tl.events if e.kind == "phase"]
+        sounding = ["power_measurement"] if mode == "tree" else []
+        assert phases == ["protocol_start"] + sounding + [
+            f"tree_level_{n}" for n in range(1, levels + 1)
+        ]
+        sends = [e.label for e in tl.events if e.kind == "ctc_send"]
+        assert [x.removesuffix(" + power report") for x in sends] == [
+            f"level {n} feedback" for n in range(1, levels + 1)
+        ]
+        slots = [e.label for e in tl.events if e.kind == "test_slot"]
+        assert all(x.startswith(("config:", "antenna:")) for x in slots)
+        (apply,) = [e for e in tl.events if e.kind == "apply"]
+        assert apply is tl.events[-1]
+        assert apply.label.startswith("apply nulls:")
 
 
 def test_timeline_rejects_backward_events():

@@ -9,6 +9,7 @@ replaces, and leave every random stream where they left it.
 
 import hashlib
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -275,7 +276,7 @@ def test_measure_maps_a_per_config_stub_and_passes_a_frontier_whole():
 
     assert [r.aggregate for r in measure(stub, cfgs, weights)] == [0, 1, 2]
     assert seen == [((i,), weights[i].tolist()) for i in range(3)]
-    assert len(measure(FrontierEvaluator(whole), cfgs, weights, 7)) == 3
+    assert len(measure(FrontierEvaluator(partial(whole, 7)), cfgs, weights)) == 3
     assert frontiers == [(7, 3, (3, 3))]
 
 

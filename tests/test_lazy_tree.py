@@ -156,6 +156,29 @@ def test_weights_are_read_only_and_solved_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch):
+    geom = ArrayGeometry(k_antennas=8)
+    tree = build_tree(geom, 21.4)
+    calls = []
+    monkeypatch.setattr(
+        nullsearch, "lcmv_weights", lambda *a: calls.append(a) or lcmv_weights(*a)
+    )
+    level = tree.level_ids(2)
+    first = tree.weights[level[4]]
+    cfgs, weights = tree.stack(level)
+    assert [c.node_id for c in cfgs] == level
+    assert weights.shape == (len(level), 8)
+    # the node read first is solved alone, the other eight in one stacked call
+    assert [len(np.atleast_2d(a[2])) for a in calls] == [1, len(level) - 1]
+    assert tree.weights[level[4]] is first
+    for node_id, w in zip(level, weights):
+        expected = lcmv_weights(geom, 21.4, tree.nodes[node_id].null_angles_deg)
+        assert np.array_equal(w, expected)
+        assert np.array_equal(tree.weights[node_id], expected)
+    tree.stack(level)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # scenario validation accepts and rejects what it did with eager trees
 
@@ -244,15 +267,17 @@ def test_validation_checks_the_tree_the_run_builds(monkeypatch):
 
 @pytest.fixture
 def solves(monkeypatch):
-    calls = []
+    """The rows each ``lcmv_weights`` call solves, one entry per call."""
+    rows = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        nulls = args[2]
+        rows.append(len(nulls) if np.ndim(nulls) == 2 else 1)
         return lcmv_weights(*args, **kwargs)
 
     for module in (beamforming, nullsearch, coexsim):
         monkeypatch.setattr(module, "lcmv_weights", counted)
-    return calls
+    return rows
 
 
 @pytest.fixture
@@ -276,14 +301,17 @@ def test_loading_a_tree_scenario_solves_nothing(solves):
 
 
 def test_tree_run_solves_the_tested_nodes_and_the_baseline(solves):
-    result = run_full_protocol(scenario_fig8_powercorr())
-    assert len(solves) == len(result.users[0].trace) + 1 == 13
+    s = scenario_fig8_powercorr()
+    result = run_full_protocol(s)
+    assert sum(solves) == len(result.users[0].trace) + 1 == 13
+    # the baseline, then one stacked solve per level
+    assert len(solves) == s.search.depth + 1 == 5
 
 
 def test_multi_user_run_solves_each_union_node_once(solves, union_visited):
     run_full_protocol(scenario_fig10_multiuser())
     # the no-null baseline, the union nodes, the joint configuration
-    assert len(solves) == 1 + len(union_visited) + 1
+    assert sum(solves) == 1 + len(union_visited) + 1
 
 
 def test_multi_user_run_that_runs_out_of_freedom_skips_the_joint_solve(
@@ -292,4 +320,4 @@ def test_multi_user_run_that_runs_out_of_freedom_skips_the_joint_solve(
     s = replace(scenario_fig10_multiuser(), user_angles_deg=(-40.0, 35.6))
     with pytest.raises(DofExhaustedError):
         run_full_protocol(s)
-    assert len(solves) == 1 + len(union_visited)
+    assert sum(solves) == 1 + len(union_visited)

@@ -23,11 +23,11 @@ from nullsim.nullsearch import (
     build_tree,
     default_linear_grid,
     default_null_schedule,
+    descend,
     linear_search,
     min_inr_index,
     multi_user_search,
     record_results,
-    run_tree_search,
     start_search,
 )
 
@@ -180,9 +180,15 @@ def test_beam_on_a_candidate_null_is_rejected():
 # descent
 
 
+def run_descent(tree, evaluate):
+    """One user's full descent; the finished state."""
+    (state,), _ = descend([start_search(tree)], tree, [evaluate])
+    return state
+
+
 def test_descent_tests_fanout_nodes_per_level(tree8):
     evaluate, scores, calls = scripted_evaluator(tree8, seed=5)
-    state = run_tree_search(tree8, evaluate)
+    state = run_descent(tree8, evaluate)
     assert state.done
     assert len(calls) == 12
     assert len(state.tested) == 12
@@ -191,14 +197,14 @@ def test_descent_tests_fanout_nodes_per_level(tree8):
 
 def test_best_is_the_minimum_over_everything_tested(tree8):
     evaluate, scores, _ = scripted_evaluator(tree8, seed=6)
-    state = run_tree_search(tree8, evaluate)
+    state = run_descent(tree8, evaluate)
     assert state.best is not None
     assert state.best[1].aggregate == min(rep.aggregate for _, rep in state.tested)
 
 
 def test_descent_follows_the_per_level_minimum(tree8):
     evaluate, scores, calls = scripted_evaluator(tree8, seed=7)
-    state = run_tree_search(tree8, evaluate)
+    state = run_descent(tree8, evaluate)
     parent = ()
     for level in range(4):
         frontier = calls[3 * level : 3 * level + 3]
@@ -211,8 +217,8 @@ def test_descent_follows_the_per_level_minimum(tree8):
 def test_descent_is_deterministic(tree8):
     ev1, _, calls1 = scripted_evaluator(tree8, seed=8)
     ev2, _, calls2 = scripted_evaluator(tree8, seed=8)
-    s1 = run_tree_search(tree8, ev1)
-    s2 = run_tree_search(tree8, ev2)
+    s1 = run_descent(tree8, ev1)
+    s2 = run_descent(tree8, ev2)
     assert calls1 == calls2
     assert s1.last_winner == s2.last_winner
     assert s1.best[1].aggregate == s2.best[1].aggregate
@@ -230,8 +236,8 @@ def test_descent_depends_only_on_score_ranking(seed):
         calls_mapped.append(cfg.node_id)
         return report(float(np.exp(scores[cfg.node_id] / 50.0)))
 
-    raw = run_tree_search(tree, ev_raw)
-    mapped = run_tree_search(tree, ev_mapped)
+    raw = run_descent(tree, ev_raw)
+    mapped = run_descent(tree, ev_mapped)
     assert calls_raw == calls_mapped
     assert raw.last_winner == mapped.last_winner
 

@@ -1,8 +1,13 @@
 """Scenario schema: parsing, validation rules, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nullsim import cli
 from nullsim.channel import orbit_like_channel
 from nullsim.scenario import (
     ChannelSpec,
@@ -135,12 +140,104 @@ def test_spec_dataclasses_name_their_own_rules():
             },
             "beam_on_candidate_null",
         ),
+        ({"seed": "x"}, "invalid_type"),
+        ({"seed": True}, "invalid_type"),
+        ({"tx_power": None}, "invalid_type"),
+        ({"tx_power": False}, "invalid_type"),
+        ({"geometry": {"k_antennas": 4.5}}, "invalid_type"),
+        ({"search": {"fanout": 2.5}}, "invalid_type"),
+        ({"geometry": [1]}, "invalid_type"),
+        ({"user_angles_deg": ["a"]}, "invalid_type"),
+        ({"user_angles_deg": -20.0}, "invalid_type"),
+        ({"sweep": {"duty": ["a"]}}, "invalid_type"),
+        ({"search": {"nulls_per_level": "21"}}, "invalid_type"),
+        ({"search": {"nulls_per_level": [2, 2, 2.0, 1]}}, "invalid_type"),
+        ({"search": {"power_correction": "no"}}, "invalid_type"),
+        ({"search": {"power_correction": 1}}, "invalid_type"),
+        ({"search": {"mode": None}}, "invalid_type"),
+        ({"sim": {"sample_count": 2.5}}, "invalid_type"),
+        ({"channel": {"noise_power": None}}, "invalid_type"),
+        ({"channel": {"preset": 3}}, "invalid_type"),
     ],
 )
 def test_validation_rules(raw, rule):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(raw)
     assert rule_of(err) == rule
+
+
+def test_nullable_fields_accept_null_and_numbers_accept_integers():
+    s = scenario_from_dict(
+        {
+            "tx_power": 2,
+            "channel": {"baseline_inr_db": None},
+            "search": {"nulls_per_level": None, "linear_grid": None},
+            "sweep": {"duty": [1]},
+        }
+    )
+    assert s.channel.baseline_inr_db is None
+    assert s.tx_power == 2.0
+    assert s.sweep_duty == (1.0,)
+
+
+# any JSON value in any field: leaves, lists and objects, a bool among them
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _well_typed_like(default):
+    """Values of the type the field's default has, small enough to build."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2, 5)
+    if isinstance(default, float):
+        return st.floats(-200.0, 200.0) | st.floats(allow_nan=False, allow_infinity=False)
+    if isinstance(default, str):
+        return st.sampled_from(
+            ["flat", "two-ray", "orbit-like", "tree", "linear", "multiuser", ""]
+        )
+    # the list fields, and the fields that default to null
+    return st.none() | st.lists(st.integers(-2, 5) | st.floats(-90.0, 90.0), max_size=5)
+
+
+@st.composite
+def fuzzed_scenario_dicts(draw):
+    """The default scenario with some fields, or whole sections, replaced
+    by values of their own type or by any JSON value."""
+    raw = scenario_to_dict(Scenario())
+    raw["sweep"] = {"backhaul_ms": [5.0], "duty": [0.2]}
+    for key in list(raw):
+        section = raw[key] if isinstance(raw[key], dict) else {key: raw[key]}
+        target = section if isinstance(raw[key], dict) else raw
+        for field, default in section.items():
+            if draw(st.integers(0, 9)) == 0:
+                anything = draw(st.integers(0, 3)) == 0
+                target[field] = draw(JSON_VALUES if anything else _well_typed_like(default))
+        if isinstance(raw[key], dict) and draw(st.integers(0, 19)) == 0:
+            raw[key] = draw(JSON_VALUES)
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=fuzzed_scenario_dicts())
+def test_any_json_scenario_passes_or_breaks_a_named_rule(raw, tmp_path_factory):
+    try:
+        scenario_from_dict(raw)
+        expected = cli.EXIT_OK
+    except ScenarioError:
+        expected = cli.EXIT_VALIDATION
+    path = tmp_path_factory.getbasetemp() / "fuzzed_scenario.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(path)]) == expected
 
 
 def test_multiuser_mode_accepts_several_users():
@@ -166,8 +263,6 @@ def test_load_scenario_reports_parse_position(tmp_path):
 
 
 def test_round_trip_preserves_the_scenario(tmp_path):
-    import json
-
     s = scenario_from_dict(
         {
             "seed": 3,
