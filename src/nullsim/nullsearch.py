@@ -15,8 +15,10 @@ choice may be an inner node rather than a leaf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +34,17 @@ from .channel import InrReport
 NodeId = tuple[int, ...]
 
 ROOT_SECTOR = (-90.0, 90.0)
+
+# distinct search trees kept per process, with their solved weights; an
+# ensemble or a sweep on one array and beam shares a single tree
+TREE_CACHE_SIZE = 32
+
+# the most nodes a search tree may have.  The presets use 120 (fanout 3,
+# depth 4) and the tests at most 340 (fanout 4, depth 4).  A node costs
+# about 0.7 kB with its weights solved at K=8, so a cached tree at the cap
+# pins under 1.5 MB; without a cap, fanout 10 and depth 8 would ask for
+# 1.1e8 nodes, minutes and tens of GB before a single test slot.
+MAX_TREE_NODES = 2000
 
 
 class DofExhaustedError(RuntimeError):
@@ -100,11 +113,12 @@ class _NodeWeights(Mapping[NodeId, np.ndarray]):
     ``solve(node_ids)`` solves the nodes not yet solved with one stacked
     :func:`lcmv_weights` call (a frontier's nodes share a null count);
     ``weights[node_id]`` is the one-node case.  Vectors are kept for the
-    tree's lifetime, so a descent pays for the nodes it tests and no others.
+    tree's lifetime, read-only, so a descent pays for the nodes it tests and
+    no others, and every run sharing the tree reuses them.
     """
 
     def __init__(
-        self, geom: ArrayGeometry, beam_angle_deg: float, nodes: dict[NodeId, NullConfig]
+        self, geom: ArrayGeometry, beam_angle_deg: float, nodes: Mapping[NodeId, NullConfig]
     ):
         self._geom = geom
         self._beam = beam_angle_deg
@@ -117,6 +131,7 @@ class _NodeWeights(Mapping[NodeId, np.ndarray]):
         if todo:
             null_sets = [self._nodes[n].null_angles_deg for n in todo]
             rows = lcmv_weights(self._geom, self._beam, null_sets)
+            rows.flags.writeable = False
             self._solved.update(zip(todo, rows))
         return np.array([self._solved[n] for n in node_ids])
 
@@ -132,7 +147,7 @@ class _NodeWeights(Mapping[NodeId, np.ndarray]):
         return len(self._nodes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchTree:
     """Candidate configs for every node of the search tree.
 
@@ -141,6 +156,10 @@ class SearchTree:
     first use, a frontier's unsolved nodes by one stacked call: a descent
     reads 12 of a default tree's 120 nodes.  A linear scan is a depth-1
     tree whose nodes are the grid angles.
+
+    A tree is read-only: ``nodes`` is a read-only copy of the table it is
+    given and solved weight rows reject writes, so :func:`build_tree` can
+    hand one tree to every caller with the same key.
     """
 
     geometry: ArrayGeometry
@@ -148,12 +167,15 @@ class SearchTree:
     fanout: int
     depth: int
     nulls_per_level: tuple[int, ...]
-    nodes: dict[NodeId, NullConfig] = field(repr=False)
+    nodes: Mapping[NodeId, NullConfig] = field(repr=False)
     root_sector: tuple[float, float] = ROOT_SECTOR
     weights: _NodeWeights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.weights = _NodeWeights(self.geometry, self.beam_angle_deg, self.nodes)
+        nodes = MappingProxyType(dict(self.nodes))
+        object.__setattr__(self, "nodes", nodes)
+        weights = _NodeWeights(self.geometry, self.beam_angle_deg, nodes)
+        object.__setattr__(self, "weights", weights)
 
     def stack(self, node_ids: Sequence[NodeId]) -> tuple[list[NullConfig], np.ndarray]:
         """The configs of ``node_ids`` and their weights, one row per node.
@@ -180,8 +202,23 @@ class SearchTree:
         return self.level_ids(self.depth)
 
 
+def tree_node_count(fanout: int, depth: int) -> int:
+    """Nodes below the root, fanout + fanout**2 + ... + fanout**depth.
+
+    Counting stops once it passes :data:`MAX_TREE_NODES`, so an absurd
+    depth costs a few steps, not a huge integer.
+    """
+    total, width = 0, 1
+    for _ in range(depth):
+        width *= fanout
+        total += width
+        if total > MAX_TREE_NODES:
+            break
+    return total
+
+
 def _check_constraints(
-    geom: ArrayGeometry, beam_angle_deg: float, nodes: dict[NodeId, NullConfig]
+    geom: ArrayGeometry, beam_angle_deg: float, nodes: Mapping[NodeId, NullConfig]
 ) -> None:
     """Raise what :func:`lcmv_weights` would raise on some node, without solving.
 
@@ -211,16 +248,27 @@ def build_tree(
     nulls_per_level: Sequence[int] | None = None,
     root_sector: tuple[float, float] = ROOT_SECTOR,
 ) -> SearchTree:
-    """Build the search tree's node table and check every node's constraints.
+    """The search tree for these arguments, its every node's constraints checked.
 
     No weights are solved here: ``tree.weights`` solves a node the first
     time it is read.  A node whose constraints are degenerate (a beam
     exactly on a candidate null, or aliased directions) raises the same
     :class:`DegenerateConstraintsError` its solve would, before any node
     is used.
+
+    Trees are shared process-wide: equal arguments, with the null schedule
+    resolved (so ``None`` and the default schedule are one key), return
+    the same read-only tree, whose solved weights serve every later run.
+    Numbers are keyed by type and sign too, so ``0``, ``0.0`` and ``-0.0``
+    never share a tree.  The last :data:`TREE_CACHE_SIZE` distinct trees
+    are kept; a key that raises is not kept and raises again.
     """
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
+    if tree_node_count(fanout, depth) > MAX_TREE_NODES:
+        raise ValueError(
+            f"fanout {fanout} and depth {depth} exceed {MAX_TREE_NODES} tree nodes"
+        )
     schedule = (
         default_null_schedule(geom.k_antennas, depth)
         if nulls_per_level is None
@@ -240,7 +288,28 @@ def build_tree(
     lo, hi = root_sector
     if not (-90.0 <= lo < hi <= 90.0):
         raise ValueError("root sector must be a nonempty range inside [-90, 90]")
+    return _shared_tree(
+        geom, _exact(beam_angle_deg), fanout, depth, schedule, (_exact(lo), _exact(hi))
+    )
 
+
+def _exact(x: float) -> tuple:
+    """``x`` as a cache key: equal keys hold the same number, type and sign."""
+    return x, type(x), math.copysign(1.0, x)
+
+
+@lru_cache(maxsize=TREE_CACHE_SIZE)
+def _shared_tree(
+    geom: ArrayGeometry,
+    beam_key: tuple,
+    fanout: int,
+    depth: int,
+    schedule: tuple[int, ...],
+    sector_key: tuple[tuple, tuple],
+) -> SearchTree:
+    """Build and check the node table of one :func:`build_tree` key."""
+    beam_angle_deg = beam_key[0]
+    root_sector = (sector_key[0][0], sector_key[1][0])
     nodes: dict[NodeId, NullConfig] = {}
 
     def grow(node_id: NodeId, a: float, b: float) -> None:
@@ -257,7 +326,7 @@ def build_tree(
             for i in range(fanout):
                 grow(node_id + (i,), a + i * w, a + (i + 1) * w)
 
-    grow((), lo, hi)
+    grow((), *root_sector)
     _check_constraints(geom, beam_angle_deg, nodes)
     return SearchTree(
         geometry=geom,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -22,8 +23,21 @@ from .channel import (
     orbit_like_channel,
     two_ray_channel,
 )
-from .coexsim import BackhaulConfig, DutyCycleConfig, SimConfig, configs_per_cycle
-from .nullsearch import ROOT_SECTOR, build_tree, default_linear_grid, default_null_schedule
+from .coexsim import (
+    US_PER_MS,
+    BackhaulConfig,
+    DutyCycleConfig,
+    SimConfig,
+    configs_per_cycle,
+)
+from .nullsearch import (
+    MAX_TREE_NODES,
+    ROOT_SECTOR,
+    build_tree,
+    default_linear_grid,
+    default_null_schedule,
+    tree_node_count,
+)
 from .phy_grid import LteGrid, WifiGrid
 
 CHANNEL_PRESETS = ("flat", "two-ray", "orbit-like")
@@ -186,6 +200,17 @@ def _has_type(value: Any, kind: Any) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
+def _not_finite(value: Any) -> bool:
+    """Whether ``value`` is, or a list holds, a number no float can hold:
+    NaN, an infinity or an integer past the float range.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``, and NaN fails no
+    range check, so it would run through to NaN results."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_not_finite, value))
+    return isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max
+
+
 def _check_types(d: dict, where: str) -> None:
     for key, kind in _FIELDS[where].items():
         value = d.get(key)
@@ -194,6 +219,10 @@ def _check_types(d: dict, where: str) -> None:
             null = " or null" if key in _NULLABLE else ""
             raise ScenarioError(
                 "invalid_type", f"{where}.{key} must be {name}{null}, got {value!r}"
+            )
+        if _not_finite(value):
+            raise ScenarioError(
+                "not_finite", f"{where}.{key} must be a finite number, got {value!r}"
             )
 
 
@@ -265,6 +294,17 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
 
 def validate_scenario(s: Scenario) -> None:
     """Cross-field checks; every failure names its rule."""
+    # times run in integer microseconds
+    times_ms = [
+        ("backhaul.delay_ms", s.backhaul.delay_ms),
+        ("sim.test_slot_ms", s.sim.test_slot_ms),
+        *(("sweep.backhaul_ms", b) for b in s.sweep_backhaul_ms),
+    ]
+    for name, ms in times_ms:
+        if _not_finite(ms * US_PER_MS):
+            raise ScenarioError(
+                "time_not_finite", f"{name} {ms} ms is not a finite number of microseconds"
+            )
     if s.tx_power <= 0:
         raise ScenarioError("tx_power_not_positive", "tx_power must be > 0")
     if not -90.0 <= s.ue_angle_deg <= 90.0:
@@ -287,8 +327,16 @@ def validate_scenario(s: Scenario) -> None:
     except ValueError as exc:
         raise ScenarioError("test_slot_exceeds_on_phase", str(exc)) from exc
 
+    tree_mode = s.search.mode in ("tree", "multiuser")
+    # checked before the schedule, whose default has ``depth`` entries
+    if tree_mode and tree_node_count(s.search.fanout, s.search.depth) > MAX_TREE_NODES:
+        raise ScenarioError(
+            "tree_too_large",
+            f"fanout {s.search.fanout} and depth {s.search.depth} give more than "
+            f"{MAX_TREE_NODES} tree nodes",
+        )
     schedule = s.search.nulls_per_level
-    if schedule is None and s.search.mode in ("tree", "multiuser"):
+    if schedule is None and tree_mode:
         try:
             schedule = default_null_schedule(s.geometry.k_antennas, s.search.depth)
         except ValueError as exc:
@@ -306,7 +354,7 @@ def validate_scenario(s: Scenario) -> None:
                 f"nulls (one degree of freedom stays with the beam)",
             )
 
-    if s.search.mode in ("tree", "multiuser"):
+    if tree_mode:
         _check_tree(s, schedule)
     if s.search.mode == "linear":
         grid = s.search.linear_grid or default_linear_grid()

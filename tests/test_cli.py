@@ -29,6 +29,23 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
     assert "scenario error: unknown_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,rule",
+    [
+        ('{"search": {"fanout": 10, "depth": 8}}', "tree_too_large"),
+        ('{"tx_power": NaN}', "not_finite"),
+        ('{"user_angles_deg": [-Infinity]}', "not_finite"),
+        ('{"backhaul": {"delay_ms": 1e306}}', "time_not_finite"),
+    ],
+)
+def test_validate_rejects_what_the_run_could_not_finish(text, rule, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    assert f"scenario error: {rule}" in capsys.readouterr().err
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "nope.json")]) == cli.EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err

@@ -23,14 +23,20 @@ from nullsim.beamforming import (
     steering_vector,
     steering_vectors,
 )
+from nullsim.campaign import export_results, records_from_result
 from nullsim.coexsim import run_full_protocol
 from nullsim.nullsearch import (
+    MAX_TREE_NODES,
     ROOT_SECTOR,
     DofExhaustedError,
     build_tree,
     default_null_schedule,
 )
-from nullsim.presets import scenario_fig8_powercorr, scenario_fig10_multiuser
+from nullsim.presets import (
+    ORBIT_ENSEMBLE_SIZE,
+    scenario_fig8_powercorr,
+    scenario_fig10_multiuser,
+)
 from nullsim.scenario import ScenarioError, scenario_from_dict, scenario_to_dict
 
 SPACING_WAVELENGTHS = ArrayGeometry().spacing_wavelengths  # ~0.578
@@ -139,7 +145,13 @@ def test_steering_vectors_have_the_bits_of_single_calls():
         steering_vectors(geom, [10.0, 95.0])
 
 
-def test_weights_are_read_only_and_solved_once(monkeypatch):
+@pytest.fixture
+def fresh_trees():
+    """An empty tree cache: every tree is built, and every node solved, anew."""
+    nullsearch._shared_tree.cache_clear()
+
+
+def test_weights_are_read_only_and_solved_once(monkeypatch, fresh_trees):
     tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
     calls = []
     monkeypatch.setattr(
@@ -156,7 +168,7 @@ def test_weights_are_read_only_and_solved_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch):
+def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch, fresh_trees):
     geom = ArrayGeometry(k_antennas=8)
     tree = build_tree(geom, 21.4)
     calls = []
@@ -266,7 +278,7 @@ def test_validation_checks_the_tree_the_run_builds(monkeypatch):
 
 
 @pytest.fixture
-def solves(monkeypatch):
+def solves(monkeypatch, fresh_trees):
     """The rows each ``lcmv_weights`` call solves, one entry per call."""
     rows = []
 
@@ -321,3 +333,104 @@ def test_multi_user_run_that_runs_out_of_freedom_skips_the_joint_solve(
     with pytest.raises(DofExhaustedError):
         run_full_protocol(s)
     assert sum(solves) == 1 + len(union_visited)
+
+
+# ---------------------------------------------------------------------------
+# shared trees: one checked tree, and one set of solved nodes, per key
+
+
+def test_equal_keys_share_one_tree_and_other_keys_do_not():
+    geom = ArrayGeometry(k_antennas=8)
+    tree = build_tree(geom, 21.4)
+    assert build_tree(ArrayGeometry(k_antennas=8), 21.4) is tree
+    assert build_tree(geom, 21.4, nulls_per_level=[6, 4, 2, 1]) is tree
+    assert build_tree(geom, 21.4, 3, 4, (6, 4, 2, 1), (-90.0, 90.0)) is tree
+    others = [
+        build_tree(geom, 21.5),
+        build_tree(geom, 21.4, nulls_per_level=(4, 4, 2, 1)),
+        build_tree(geom, 21.4, root_sector=(-60.0, 60.0)),
+        build_tree(ArrayGeometry(k_antennas=4), 21.4),
+    ]
+    assert all(other is not tree for other in others)
+    assert len({id(t) for t in others}) == len(others)
+
+
+def test_zero_beams_of_another_sign_or_type_get_their_own_tree():
+    geom = ArrayGeometry(k_antennas=4)
+    trees = [build_tree(geom, beam, fanout=2) for beam in (0.0, -0.0, 0)]
+    assert len({id(t) for t in trees}) == 3
+    assert [repr(t.beam_angle_deg) for t in trees] == ["0.0", "-0.0", "0"]
+
+
+def test_the_shared_tree_is_read_only():
+    tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
+    leaf = tree.leaf_ids[0]
+    with pytest.raises(TypeError):
+        tree.nodes[leaf] = tree.nodes[tree.leaf_ids[1]]
+    with pytest.raises(TypeError):
+        del tree.nodes[leaf]
+    with pytest.raises(ValueError, match="read-only"):
+        tree.weights[leaf][0] = 0.0
+    with pytest.raises(AttributeError):
+        tree.beam_angle_deg = 0.0
+
+
+def test_a_raising_key_is_not_kept_and_raises_the_same_message_again():
+    geom = ArrayGeometry(k_antennas=4)
+    before = nullsearch._shared_tree.cache_info().currsize
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DegenerateConstraintsError) as err:
+            build_tree(geom, 0.0)  # 0 deg is a leaf null of the default tree
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert nullsearch._shared_tree.cache_info().currsize == before
+
+
+def test_a_tree_past_the_node_cap_is_refused_before_it_is_built(monkeypatch):
+    monkeypatch.setattr(nullsearch, "NullConfig", None)  # any build would fail
+    with pytest.raises(ValueError, match=f"exceed {MAX_TREE_NODES} tree nodes"):
+        build_tree(ArrayGeometry(k_antennas=8), 21.4, fanout=10, depth=8)
+    with pytest.raises(ValueError, match="tree nodes"):
+        build_tree(ArrayGeometry(k_antennas=8), 21.4, fanout=2, depth=10**9)
+
+
+def test_loading_then_running_fig8_checks_its_tree_once(monkeypatch, fresh_trees):
+    checks = []
+    real = nullsearch._check_constraints
+    monkeypatch.setattr(
+        nullsearch, "_check_constraints", lambda *a: checks.append(a) or real(*a)
+    )
+    s = scenario_from_dict(scenario_to_dict(scenario_fig8_powercorr()))
+    run_full_protocol(s)
+    assert len(checks) == 1
+
+
+def test_a_fig8_ensemble_solves_each_visited_node_once(solves, union_visited):
+    base = scenario_fig8_powercorr()
+    for i in range(ORBIT_ENSEMBLE_SIZE):
+        s = scenario_from_dict(scenario_to_dict(replace(base, seed=base.seed + i)))
+        run_full_protocol(s)
+    # the tree's visited nodes once across the ensemble, the no-null
+    # baseline once per run
+    assert sum(solves) == len(union_visited) + ORBIT_ENSEMBLE_SIZE
+
+
+def _export(s, path):
+    export_results(records_from_result(run_full_protocol(s), s), "json", str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "first,then",
+    [(0.0, -0.0), (-0.0, 0.0), (0.0, 0), (21.0, 21), (21, 21.0)],
+)
+def test_a_run_exports_the_bytes_of_a_fresh_process(first, then, tmp_path):
+    """A cleared cache stands for a fresh process: the run on the beam
+    ``then`` exports the same bytes after a run on the beam ``first``."""
+    base = scenario_from_dict({"search": {"fanout": 2}})
+    nullsearch._shared_tree.cache_clear()
+    fresh = _export(replace(base, ue_angle_deg=then), tmp_path / "fresh.json")
+    nullsearch._shared_tree.cache_clear()
+    _export(replace(base, ue_angle_deg=first), tmp_path / "first.json")
+    assert _export(replace(base, ue_angle_deg=then), tmp_path / "then.json") == fresh

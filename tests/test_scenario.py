@@ -1,6 +1,7 @@
 """Scenario schema: parsing, validation rules, and serialization."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullsim import cli
+from nullsim import scenario as scenario_mod
 from nullsim.channel import orbit_like_channel
 from nullsim.scenario import (
     ChannelSpec,
@@ -158,6 +160,21 @@ def test_spec_dataclasses_name_their_own_rules():
         ({"sim": {"sample_count": 2.5}}, "invalid_type"),
         ({"channel": {"noise_power": None}}, "invalid_type"),
         ({"channel": {"preset": 3}}, "invalid_type"),
+        ({"search": {"fanout": 10, "depth": 8}}, "tree_too_large"),
+        ({"search": {"fanout": 2, "depth": 10**9}}, "tree_too_large"),
+        (
+            {"user_angles_deg": [-40.0, 35.6], "geometry": {"k_antennas": 8},
+             "search": {"mode": "multiuser", "fanout": 4, "depth": 6}},
+            "tree_too_large",
+        ),
+        ({"tx_power": float("nan")}, "not_finite"),
+        ({"ue_angle_deg": float("-inf")}, "not_finite"),
+        ({"channel": {"noise_power": float("inf")}}, "not_finite"),
+        ({"search": {"linear_grid": [0.5, float("nan")]}}, "not_finite"),
+        ({"seed": 10**400}, "not_finite"),
+        ({"backhaul": {"delay_ms": 1e306}}, "time_not_finite"),
+        ({"sim": {"test_slot_ms": 1e306}}, "time_not_finite"),
+        ({"sweep": {"backhaul_ms": [5.0, 1e306]}}, "time_not_finite"),
     ],
 )
 def test_validation_rules(raw, rule):
@@ -238,6 +255,60 @@ def test_any_json_scenario_passes_or_breaks_a_named_rule(raw, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "fuzzed_scenario.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["validate", str(path)]) == expected
+
+
+# every number field of the schema, by section; "scenario" is the top level
+NUMBER_FIELDS = [
+    (section, key, kind)
+    for section, fields in scenario_mod._FIELDS.items()
+    for key, kind in fields.items()
+    if kind in (float, int, [float], [int])
+]
+TIME_FIELDS = [
+    ("backhaul", "delay_ms", float),
+    ("sim", "test_slot_ms", float),
+    ("sweep", "backhaul_ms", [float]),
+]
+
+
+@st.composite
+def non_finite_scenario_dicts(draw):
+    """The default scenario with NaN or an infinity in some number fields, or
+    with a time of more milliseconds than a float can count in microseconds.
+
+    Also returns the rules that may name the first bad field: a NaN or an
+    infinity in an integer field is no integer.
+    """
+    raw = scenario_to_dict(Scenario())
+    if draw(st.booleans()):
+        bad = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+        fields = st.sampled_from(NUMBER_FIELDS)
+    else:
+        bad = st.floats(sys.float_info.max / 999, sys.float_info.max)
+        fields = st.sampled_from(TIME_FIELDS)
+    rules = {"not_finite", "time_not_finite"}
+    chosen = draw(st.lists(fields, min_size=1, max_size=3, unique_by=lambda f: f[:2]))
+    for section, key, kind in chosen:
+        value = draw(bad)
+        if isinstance(kind, list):
+            value = draw(st.lists(st.integers(0, 90), max_size=2)) + [value]
+        if kind in (int, [int]):
+            rules.add("invalid_type")
+        target = raw if section == "scenario" else raw.setdefault(section, {})
+        target[key] = value
+    return raw, rules
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=non_finite_scenario_dicts())
+def test_non_finite_numbers_exit_2_under_a_named_rule(case, tmp_path_factory):
+    raw, rules = case
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(raw)
+    assert rule_of(err) in rules
+    path = tmp_path_factory.getbasetemp() / "non_finite_scenario.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
 
 
 def test_multiuser_mode_accepts_several_users():
