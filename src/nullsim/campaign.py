@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+from .channel import MIN_MEASURABLE_POWER
 from .coexsim import ProtocolResult, run_full_protocol
 from .scenario import Scenario, scenario_hash, validate_scenario
 
@@ -81,16 +82,20 @@ def records_from_result(
     configs_tested = sum(
         1 for e in tl.events if e.kind == "test_slot" and not e.label.startswith("antenna:")
     )
+    angle = f"{{:.{FLOAT_DECIMALS}f}}".format
     out = []
     for user in result.users:
+        # the values of cfg.label, cfg.level and _r(rep.aggregate_db), inline
         trace = [
             {
                 "run_id": run_id,
                 "user": user.user,
-                "node": cfg.label,
-                "level": cfg.level,
-                "null_angles_deg": ";".join(f"{a:.{FLOAT_DECIMALS}f}" for a in cfg.null_angles_deg),
-                "inr_db": _r(rep.aggregate_db),
+                "node": ".".join(map(str, cfg.node_id)),
+                "level": len(cfg.node_id),
+                "null_angles_deg": ";".join(map(angle, cfg.null_angles_deg)),
+                "inr_db": round(
+                    10.0 * math.log10(max(rep.aggregate, MIN_MEASURABLE_POWER)), FLOAT_DECIMALS
+                ),
             }
             for cfg, rep in user.trace
         ]
@@ -162,18 +167,53 @@ def run_campaign(
 # ---------------------------------------------------------------------------
 # export / import
 
+# The JSON export is ``json.dumps(payload, indent=2, sort_keys=True)``, byte
+# for byte.  With an indent, ``json`` always runs its pure-Python encoder, so
+# the export instead encodes each record's summary and trace with the C
+# encoder (no indent), whose item separators carry the newline and indent of
+# one fixed depth, and stitches the pieces at their indents.  A raw newline
+# is always escaped inside a JSON string, so every ",\n" in an encoded piece
+# is a separator and never part of a value.
+_FIELD_SEP = ",\n    "  # between a record's fields, depth 2
+_ROW_SEP = ",\n        "  # between a trace row's fields, depth 4
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(_FIELD_SEP, ": "))
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(_ROW_SEP, ": "))
+# summary fields that sort after "trace"; the trace goes in front of them
+_AFTER_TRACE = sum(name > "trace" for name in SUMMARY_COLUMNS)
+
+
+def _trace_json(trace: list[dict[str, Any]]) -> str:
+    """A trace list of flat rows as ``json.dumps`` writes it at depth 2."""
+    if not trace:
+        return "[]"
+    # rows hold scalars only, so "}" before a separator closes a row and
+    # "{" after it opens the next one
+    rows = _TRACE_ENCODER.encode(trace)[2:-2].replace(
+        "}" + _ROW_SEP + "{", "\n      },\n      {\n        "
+    )
+    return "[\n      {\n        " + rows + "\n      }\n    ]"
+
+
+def _record_json(record: ResultsRecord) -> str:
+    """One record, trace inline, as ``json.dumps`` writes it at depth 1."""
+    summary = _RECORD_ENCODER.encode(record.summary_row())
+    fields = summary[1:-1].rsplit(_FIELD_SEP, _AFTER_TRACE)
+    fields.insert(len(fields) - _AFTER_TRACE, '"trace": ' + _trace_json(record.trace))
+    return "{\n    " + _FIELD_SEP.join(fields) + "\n  }"
+
 
 def export_results(records: list[ResultsRecord], fmt: str, path: str) -> list[str]:
     """Write records; returns the list of files written.
 
-    JSON holds full records with inline traces.  CSV writes the summary
-    table at ``path`` and the visited-node trace rows next to it as
-    ``<stem>_trace.csv``.
+    JSON holds full records with inline traces, laid out as
+    ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.  CSV
+    writes the summary table at ``path`` and the visited-node trace rows
+    next to it as ``<stem>_trace.csv``.
     """
     p = Path(path)
     if fmt == "json":
-        payload = [dict(r.summary_row(), trace=r.trace) for r in records]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = ",\n  ".join(map(_record_json, records))
+        text = "[\n  " + body + "\n]\n" if records else "[]\n"
         with open(p, "w", encoding="utf-8") as fh:
             fh.write(text)
         return [str(p)]
@@ -182,14 +222,11 @@ def export_results(records: list[ResultsRecord], fmt: str, path: str) -> list[st
         with open(p, "w", encoding="utf-8", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
             w.writeheader()
-            for r in records:
-                w.writerow(r.summary_row())
+            w.writerows(r.summary_row() for r in records)
         with open(trace_path, "w", encoding="utf-8", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
             w.writeheader()
-            for r in records:
-                for row in r.trace:
-                    w.writerow(row)
+            w.writerows(row for r in records for row in r.trace)
         return [str(p), str(trace_path)]
     raise ValueError(f"unknown export format {fmt!r}; use csv or json")
 

@@ -41,6 +41,10 @@ from .nullsearch import (
 from .phy_grid import LteGrid, WifiGrid
 
 CHANNEL_PRESETS = ("flat", "two-ray", "orbit-like")
+# validation solves stacked K x (K-1) constraint systems, at a cost that
+# grows about as K**3.3; a 64-antenna tree of the default shape validates
+# in tens of milliseconds
+MAX_ANTENNAS = 64
 SEARCH_MODES = ("tree", "linear", "multiuser")
 
 
@@ -294,6 +298,12 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
 
 def validate_scenario(s: Scenario) -> None:
     """Cross-field checks; every failure names its rule."""
+    # checked before anything builds a steering matrix
+    if s.geometry.k_antennas > MAX_ANTENNAS:
+        raise ScenarioError(
+            "too_many_antennas",
+            f"k_antennas {s.geometry.k_antennas} exceeds {MAX_ANTENNAS}",
+        )
     # times run in integer microseconds
     times_ms = [
         ("backhaul.delay_ms", s.backhaul.delay_ms),
@@ -307,6 +317,16 @@ def validate_scenario(s: Scenario) -> None:
             )
     if s.tx_power <= 0:
         raise ScenarioError("tx_power_not_positive", "tx_power must be > 0")
+    # received power reaches about tx_power * K**2, and the INR that power
+    # over the noise power; subnormal powers lose precision or make it infinite
+    noise = s.channel.noise_power
+    peak_inr = s.tx_power * s.geometry.k_antennas**2 / noise
+    if not (min(s.tx_power, noise) >= sys.float_info.min and peak_inr <= sys.float_info.max):
+        raise ScenarioError(
+            "power_out_of_range",
+            f"tx_power {s.tx_power} and noise_power {noise} must be at least "
+            f"{sys.float_info.min}, and tx_power * K**2 / noise_power finite",
+        )
     if not -90.0 <= s.ue_angle_deg <= 90.0:
         raise ScenarioError("ue_angle_out_of_range", "ue_angle_deg must be in [-90, 90]")
     for a in s.user_angles_deg:

@@ -1,10 +1,16 @@
 """Campaign execution and result serialization round trips."""
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullsim.campaign import (
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
+    ResultsRecord,
     export_results,
     load_results,
     run_campaign,
@@ -123,3 +129,47 @@ def test_empty_export(tmp_path):
 def test_unknown_format(tmp_path, default_records):
     with pytest.raises(ValueError):
         export_results(default_records, "parquet", str(tmp_path / "x.pq"))
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer is json.dumps with indent=2 and sorted keys, byte for byte
+
+TEXTS = st.text() | st.sampled_from(
+    ['"', "\\", "\n", "caf\u00e9 \u2603 \U0001f4e1", "},\n        {", '"trace": 0', ""]
+)
+VALUES = {
+    "int": st.integers() | st.sampled_from([0, -1, 10**30, -(10**40)]),
+    "float": st.floats() | st.sampled_from([-0.0, 5e-324, 1e-310, 1.7976931348623157e308]),
+    "str": TEXTS,
+}
+# a trace row's fields and the types records_from_result gives them
+TRACE_TYPES = {"run_id": "int", "user": "int", "node": "str", "level": "int",
+               "null_angles_deg": "str", "inr_db": "float"}
+TRACE_ROWS = st.fixed_dictionaries({k: VALUES[t] for k, t in TRACE_TYPES.items()})
+RECORDS = st.builds(
+    ResultsRecord,
+    **{f.name: VALUES[f.type] for f in dataclasses.fields(ResultsRecord) if f.name != "trace"},
+    trace=st.lists(TRACE_ROWS, max_size=4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(RECORDS, max_size=4))
+def test_json_export_is_json_dumps_with_indent_two(records, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    export_results(records, "json", str(path))
+    payload = [dict(r.summary_row(), trace=r.trace) for r in records]
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_a_linear_run_exports_without_the_pure_python_encoder(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    records = run_campaign(Scenario(), mode="linear")
+    (path,) = export_results(records, "json", str(tmp_path / "linear.json"))
+    assert load_results(path) == [r.summary_row() for r in records]
+    with pytest.raises(AssertionError):
+        json.dumps([{}], indent=2)

@@ -36,6 +36,9 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
         ('{"tx_power": NaN}', "not_finite"),
         ('{"user_angles_deg": [-Infinity]}', "not_finite"),
         ('{"backhaul": {"delay_ms": 1e306}}', "time_not_finite"),
+        ('{"tx_power": 1e308}', "power_out_of_range"),
+        ('{"channel": {"baseline_inr_db": null, "noise_power": 1e-320}}', "power_out_of_range"),
+        ('{"geometry": {"k_antennas": 2048}}', "too_many_antennas"),
     ],
 )
 def test_validate_rejects_what_the_run_could_not_finish(text, rule, tmp_path, capsys):

@@ -12,6 +12,7 @@ from nullsim import cli
 from nullsim import scenario as scenario_mod
 from nullsim.channel import orbit_like_channel
 from nullsim.scenario import (
+    MAX_ANTENNAS,
     ChannelSpec,
     Scenario,
     ScenarioError,
@@ -175,12 +176,22 @@ def test_spec_dataclasses_name_their_own_rules():
         ({"backhaul": {"delay_ms": 1e306}}, "time_not_finite"),
         ({"sim": {"test_slot_ms": 1e306}}, "time_not_finite"),
         ({"sweep": {"backhaul_ms": [5.0, 1e306]}}, "time_not_finite"),
+        ({"tx_power": 1e308}, "power_out_of_range"),
+        ({"channel": {"baseline_inr_db": None, "noise_power": 1e-320}}, "power_out_of_range"),
+        ({"tx_power": 1e-320}, "power_out_of_range"),
+        ({"geometry": {"k_antennas": 2048}}, "too_many_antennas"),
+        ({"geometry": {"k_antennas": MAX_ANTENNAS + 1}}, "too_many_antennas"),
     ],
 )
 def test_validation_rules(raw, rule):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(raw)
     assert rule_of(err) == rule
+
+
+def test_the_antenna_cap_admits_its_own_value():
+    s = scenario_from_dict({"geometry": {"k_antennas": MAX_ANTENNAS}})
+    assert s.geometry.k_antennas == MAX_ANTENNAS
 
 
 def test_nullable_fields_accept_null_and_numbers_accept_integers():
