@@ -13,7 +13,7 @@ constrained gains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,18 +53,6 @@ class ArrayGeometry:
     @property
     def spacing_wavelengths(self) -> float:
         return self.spacing_m * self.carrier_freq_hz / SPEED_OF_LIGHT_MPS
-
-
-@dataclass(frozen=True)
-class BsConfig:
-    """Base-station transmit parameters."""
-
-    tx_power: float = 1.0
-    geometry: ArrayGeometry = field(default_factory=ArrayGeometry)
-
-    def __post_init__(self) -> None:
-        if self.tx_power <= 0:
-            raise ValueError("tx power must be positive")
 
 
 def _check_angle(theta_deg: float) -> float:

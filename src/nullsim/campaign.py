@@ -124,44 +124,61 @@ def records_from_result(
     return out
 
 
+def sweep_points(scenario: Scenario) -> list[Scenario]:
+    """The scenario's declared grid, duty-major, one scenario per point.
+
+    A missing grid holds the scenario's own value; the points carry no
+    grids of their own.
+    """
+    if not scenario.sweep_backhaul_ms and not scenario.sweep_duty:
+        raise ValueError("sweep mode needs sweep grids in the scenario")
+    duties = scenario.sweep_duty or (scenario.duty.duty,)
+    backhauls = scenario.sweep_backhaul_ms or (scenario.backhaul.delay_ms,)
+    return [
+        replace(
+            scenario,
+            duty=replace(scenario.duty, duty=duty),
+            backhaul=replace(scenario.backhaul, delay_ms=bh),
+            sweep_backhaul_ms=(),
+            sweep_duty=(),
+        )
+        for duty in duties
+        for bh in backhauls
+    ]
+
+
+def run_scenarios(scenarios: list[Scenario], repeats: int = 1) -> list[ResultsRecord]:
+    """Validate each scenario once and run it ``repeats`` times, in order.
+
+    A run's records get ``run_id`` = the number of records before them, so
+    ``run_id + user`` is a record's position and the records of one run
+    share their ``run_id``.  Repeats rerun the identical seed and must
+    reproduce identical records.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    records: list[ResultsRecord] = []
+    for s in scenarios:
+        validate_scenario(s)
+        for _ in range(repeats):
+            records.extend(records_from_result(run_full_protocol(s), s, run_id=len(records)))
+    return records
+
+
 def run_campaign(
     scenario: Scenario, mode: str | None = None, repeats: int = 1
 ) -> list[ResultsRecord]:
     """Execute a scenario, a sweep over its declared grids, or repeats.
 
-    ``mode`` overrides the scenario's search mode; ``"sweep"`` iterates
-    the declared backhaul and duty grids with the scenario's own mode.
-    Repeats rerun the identical seed and must reproduce identical records.
+    ``mode`` overrides the scenario's search mode; ``"sweep"`` runs the
+    :func:`sweep_points` of the declared backhaul and duty grids with the
+    scenario's own mode.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    records: list[ResultsRecord] = []
     if mode == "sweep":
-        if not scenario.sweep_backhaul_ms and not scenario.sweep_duty:
-            raise ValueError("sweep mode needs sweep grids in the scenario")
-        duties = scenario.sweep_duty or (scenario.duty.duty,)
-        backhauls = scenario.sweep_backhaul_ms or (scenario.backhaul.delay_ms,)
-        run_id = 0
-        for duty in duties:
-            for bh in backhauls:
-                s = replace(
-                    scenario,
-                    duty=replace(scenario.duty, duty=duty),
-                    backhaul=replace(scenario.backhaul, delay_ms=bh),
-                    sweep_backhaul_ms=(),
-                    sweep_duty=(),
-                )
-                validate_scenario(s)
-                for _ in range(repeats):
-                    records.extend(records_from_result(run_full_protocol(s), s, run_id))
-                    run_id += 1
-        return records
-    s = scenario if mode is None else replace(scenario, search=replace(scenario.search, mode=mode))
+        return run_scenarios(sweep_points(scenario), repeats)
     if mode is not None:
-        validate_scenario(s)
-    for run_id in range(repeats):
-        records.extend(records_from_result(run_full_protocol(s), s, run_id))
-    return records
+        scenario = replace(scenario, search=replace(scenario.search, mode=mode))
+    return run_scenarios([scenario], repeats)
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,6 @@ class SearchTree:
             raise IndexError(f"level {level} outside 1..{self.depth}")
         return sorted(n for n in self.nodes if len(n) == level)
 
-    def is_leaf(self, node_id: NodeId) -> bool:
-        return len(node_id) == self.depth
-
     @property
     def leaf_ids(self) -> list[NodeId]:
         return self.level_ids(self.depth)

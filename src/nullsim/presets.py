@@ -9,18 +9,16 @@ result records plus a printable summary table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
+from itertools import groupby
 
-from .campaign import ResultsRecord, records_from_result, run_campaign
-from .coexsim import run_full_protocol
+from .campaign import ResultsRecord, run_scenarios, sweep_points
 from .scenario import (
     BackhaulConfig,
     ChannelSpec,
     DutyCycleConfig,
     Scenario,
     SearchSpec,
-    validate_scenario,
 )
 from .beamforming import ArrayGeometry
 
@@ -29,8 +27,6 @@ _LEAF_WIDTH = 180.0 / 81.0
 _COLOCATED = -90.0 + 30.5 * _LEAF_WIDTH      # ~-22.2 deg
 _ADJACENT = -90.0 + 31.5 * _LEAF_WIDTH       # ~-20.0 deg, neighboring leaf
 _SEPARATE = -90.0 + 56.5 * _LEAF_WIDTH       # ~35.6 deg, different top sector
-
-PRESET_NAMES = ("fig7-cable", "fig8-powercorr", "fig9-delay", "fig10-multiuser")
 
 
 def scenario_fig7_cable() -> Scenario:
@@ -91,13 +87,6 @@ def scenario_fig10_multiuser() -> Scenario:
     )
 
 
-PRESETS = {
-    "fig7-cable": scenario_fig7_cable,
-    "fig8-powercorr": scenario_fig8_powercorr,
-    "fig9-delay": scenario_fig9_delay,
-    "fig10-multiuser": scenario_fig10_multiuser,
-}
-
 # reference points the presets are calibrated against
 ORBIT_REF_MEAN_DELTA_DB = 15.7
 ORBIT_REF_MEAN_NULLS = 2.7
@@ -113,40 +102,37 @@ ORBIT_ENSEMBLE_SIZE = 27
 
 def _repro_fig7() -> tuple[list[ResultsRecord], list[str]]:
     base = scenario_fig7_cable()
-    records: list[ResultsRecord] = []
-    lines = ["baseline_db  final_db  delta_db"]
-    for level_db in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0):
-        s = replace(base, channel=replace(base.channel, baseline_inr_db=level_db))
-        validate_scenario(s)
-        recs = records_from_result(run_full_protocol(s), s, run_id=len(records))
-        records.extend(recs)
-        r = recs[0]
-        lines.append(
-            f"{r.baseline_inr_db:11.2f} {r.final_inr_db:9.2f} {r.delta_inr_db:9.2f}"
-        )
+    records = run_scenarios(
+        [
+            replace(base, channel=replace(base.channel, baseline_inr_db=level_db))
+            for level_db in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+        ]
+    )
+    lines = ["baseline_db  final_db  delta_db"] + [
+        f"{r.baseline_inr_db:11.2f} {r.final_inr_db:9.2f} {r.delta_inr_db:9.2f}"
+        for r in records
+    ]
     return records, lines
 
 
 def _repro_fig8() -> tuple[list[ResultsRecord], list[str]]:
     base = scenario_fig8_powercorr()
-    records: list[ResultsRecord] = []
-    sums = {True: 0.0, False: 0.0}
-    nulls = 0.0
-    for corrected in (True, False):
-        for i in range(ORBIT_ENSEMBLE_SIZE):
-            s = replace(
+    n = ORBIT_ENSEMBLE_SIZE
+    records = run_scenarios(
+        [
+            replace(
                 base,
                 seed=base.seed + i,
                 search=replace(base.search, power_correction=corrected),
             )
-            validate_scenario(s)
-            recs = records_from_result(run_full_protocol(s), s, run_id=len(records))
-            records.extend(recs)
-            sums[corrected] += recs[0].delta_inr_db
-            if corrected:
-                nulls += recs[0].nulls_used
-    n = ORBIT_ENSEMBLE_SIZE
-    mean_on, mean_off = sums[True] / n, sums[False] / n
+            for corrected in (True, False)
+            for i in range(n)
+        ]
+    )
+    on, off = records[:n], records[n:]
+    mean_on = sum(r.delta_inr_db for r in on) / n
+    mean_off = sum(r.delta_inr_db for r in off) / n
+    nulls = sum(r.nulls_used for r in on)
     lines = [
         f"ensemble size            {n}",
         f"mean dINR corrected      {mean_on:6.2f} dB   (reference {ORBIT_REF_MEAN_DELTA_DB})",
@@ -158,54 +144,42 @@ def _repro_fig8() -> tuple[list[ResultsRecord], list[str]]:
 
 
 def _repro_fig9() -> tuple[list[ResultsRecord], list[str]]:
+    """The campaign sweep of the tree variant, then of the linear one."""
     base = scenario_fig9_delay()
-    records: list[ResultsRecord] = []
+    records = run_scenarios(
+        [
+            point
+            for mode in ("tree", "linear")
+            for point in sweep_points(replace(base, search=replace(base.search, mode=mode)))
+        ]
+    )
     lines = ["mode    duty  backhaul_ms  delay_ms  reference_ms"]
-    for mode in ("tree", "linear"):
-        s_mode = replace(base, search=replace(base.search, mode=mode))
-        for duty in base.sweep_duty:
-            for bh in base.sweep_backhaul_ms:
-                s = replace(
-                    s_mode,
-                    duty=replace(base.duty, duty=duty),
-                    backhaul=BackhaulConfig(delay_ms=bh),
-                    sweep_backhaul_ms=(),
-                    sweep_duty=(),
-                )
-                validate_scenario(s)
-                recs = records_from_result(run_full_protocol(s), s, run_id=len(records))
-                records.extend(recs)
-                ref = DELAY_REF_MS.get((mode, duty, bh))
-                lines.append(
-                    f"{mode:7s} {duty:4.2f} {bh:11.1f} {recs[0].total_delay_ms:9.1f}"
-                    + (f" {ref:13.1f}" if ref else "")
-                )
+    for r in records:
+        ref = DELAY_REF_MS.get((r.mode, r.duty, r.backhaul_ms))
+        lines.append(
+            f"{r.mode:7s} {r.duty:4.2f} {r.backhaul_ms:11.1f} {r.total_delay_ms:9.1f}"
+            + (f" {ref:13.1f}" if ref else "")
+        )
     return records, lines
 
 
 def _repro_fig10() -> tuple[list[ResultsRecord], list[str]]:
+    """Each user count runs the joint search, then each user alone."""
     base = scenario_fig10_multiuser()
-    records: list[ResultsRecord] = []
-    lines = ["n_users  parallel_ms  sequential_ms  speedup"]
-    for n in range(1, len(base.user_angles_deg) + 1):
+    alone = replace(base.search, mode="tree", power_correction=False)
+    counts = range(1, len(base.user_angles_deg) + 1)
+    scenarios = []
+    for n in counts:
         users = base.user_angles_deg[:n]
-        s_par = replace(base, user_angles_deg=users)
-        validate_scenario(s_par)
-        recs = records_from_result(run_full_protocol(s_par), s_par, run_id=len(records))
-        records.extend(recs)
-        parallel_ms = recs[0].total_delay_ms
-
-        sequential_ms = 0.0
-        for angle in users:
-            s_one = replace(
-                base,
-                user_angles_deg=(angle,),
-                search=replace(base.search, mode="tree", power_correction=False),
-            )
-            validate_scenario(s_one)
-            one = records_from_result(run_full_protocol(s_one), s_one, run_id=len(records))
-            records.extend(one)
-            sequential_ms += one[0].total_delay_ms
+        scenarios.append(replace(base, user_angles_deg=users))
+        scenarios += [replace(base, user_angles_deg=(a,), search=alone) for a in users]
+    records = run_scenarios(scenarios)
+    # one run's records share its run_id; the first carries the run's delay
+    delays = (next(run).total_delay_ms for _, run in groupby(records, lambda r: r.run_id))
+    lines = ["n_users  parallel_ms  sequential_ms  speedup"]
+    for n in counts:
+        parallel_ms = next(delays)
+        sequential_ms = sum(next(delays) for _ in range(n))
         lines.append(
             f"{n:7d} {parallel_ms:12.1f} {sequential_ms:14.1f} "
             f"{sequential_ms / parallel_ms:8.2f}"
@@ -213,13 +187,16 @@ def _repro_fig10() -> tuple[list[ResultsRecord], list[str]]:
     return records, lines
 
 
+RUNNERS = {
+    "fig7-cable": _repro_fig7,
+    "fig8-powercorr": _repro_fig8,
+    "fig9-delay": _repro_fig9,
+    "fig10-multiuser": _repro_fig10,
+}
+PRESET_NAMES = tuple(RUNNERS)
+
+
 def run_repro(name: str) -> tuple[list[ResultsRecord], list[str]]:
-    if name not in PRESETS:
+    if name not in RUNNERS:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    runner = {
-        "fig7-cable": _repro_fig7,
-        "fig8-powercorr": _repro_fig8,
-        "fig9-delay": _repro_fig9,
-        "fig10-multiuser": _repro_fig10,
-    }[name]
-    return runner()
+    return RUNNERS[name]()

@@ -45,6 +45,9 @@ CHANNEL_PRESETS = ("flat", "two-ray", "orbit-like")
 # grows about as K**3.3; a 64-antenna tree of the default shape validates
 # in tens of milliseconds
 MAX_ANTENNAS = 64
+# numpy's standard normal draws never reach this many deviations (its
+# ziggurat tail tops out near 13.7)
+NORMAL_DRAW_MAX = 16.0
 SEARCH_MODES = ("tree", "linear", "multiuser")
 
 
@@ -184,6 +187,16 @@ _FIELDS: dict[str, dict[str, Any]] = {
     "sweep": {"backhaul_ms": [float], "duty": [float]},
 }
 _NULLABLE = {"baseline_inr_db", "nulls_per_level", "linear_grid"}
+# the Scenario attribute holding each section; the "scenario" fields are the
+# scenario's own, and the "sweep" fields its ``sweep_<key>`` attributes
+_SECTION_ATTRS = {
+    "geometry": "geometry",
+    "channel": "channel",
+    "duty_cycle": "duty",
+    "backhaul": "backhaul",
+    "sim": "sim",
+    "search": "search",
+}
 
 
 def _strict(d: dict, allowed: set[str], where: str) -> None:
@@ -319,14 +332,40 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("tx_power_not_positive", "tx_power must be > 0")
     # received power reaches about tx_power * K**2, and the INR that power
     # over the noise power; subnormal powers lose precision or make it infinite
+    peak = s.tx_power * s.geometry.k_antennas**2
     noise = s.channel.noise_power
-    peak_inr = s.tx_power * s.geometry.k_antennas**2 / noise
-    if not (min(s.tx_power, noise) >= sys.float_info.min and peak_inr <= sys.float_info.max):
+    if not (min(s.tx_power, noise) >= sys.float_info.min and peak / noise <= sys.float_info.max):
         raise ScenarioError(
             "power_out_of_range",
             f"tx_power {s.tx_power} and noise_power {noise} must be at least "
             f"{sys.float_info.min}, and tx_power * K**2 / noise_power finite",
         )
+    # calibration sets the noise to the beam-only power, at most about
+    # ``peak``, over (target - 1)
+    baseline = s.channel.baseline_inr_db
+    if baseline is not None:
+        try:
+            target = 10.0 ** (baseline / 10.0)
+        except OverflowError:
+            target = float("inf")
+        if not 1.0 < target <= sys.float_info.max:
+            raise ScenarioError(
+                "baseline_inr_out_of_range",
+                f"baseline_inr_db {baseline} must give a finite linear INR "
+                f"10**(dB/10) above 1",
+            )
+        noise = peak / (target - 1.0)
+    # a jittered slot draws p_on + noise_jitter * noise * z in power and
+    # averages sample_count draws of INR + noise_jitter * z; NORMAL_DRAW_MAX
+    # bounds |z|, so this keeps every draw and every sum finite
+    if s.sim.noise_jitter > 0:
+        spread = s.sim.noise_jitter * NORMAL_DRAW_MAX * max(noise, 1.0)
+        if not s.sim.sample_count * (peak / noise + spread) <= sys.float_info.max:
+            raise ScenarioError(
+                "jitter_out_of_range",
+                f"noise_jitter {s.sim.noise_jitter} at noise power {noise:g} "
+                f"lets the measurement draws overflow",
+            )
     if not -90.0 <= s.ue_angle_deg <= 90.0:
         raise ScenarioError("ue_angle_out_of_range", "ue_angle_deg must be in [-90, 90]")
     for a in s.user_angles_deg:
@@ -445,51 +484,21 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def _json_field(key: str, value: Any) -> Any:
+    """A field as JSON holds it: a tuple is a list, an empty nullable one null."""
+    if isinstance(value, tuple):
+        return list(value) if value or key not in _NULLABLE else None
+    return value
+
+
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:
-    d: dict[str, Any] = {
-        "seed": s.seed,
-        "tx_power": s.tx_power,
-        "ue_angle_deg": s.ue_angle_deg,
-        "user_angles_deg": list(s.user_angles_deg),
-        "geometry": {
-            "k_antennas": s.geometry.k_antennas,
-            "spacing_m": s.geometry.spacing_m,
-            "carrier_freq_hz": s.geometry.carrier_freq_hz,
-        },
-        "channel": {
-            "preset": s.channel.preset,
-            "angle_offset_deg": s.channel.angle_offset_deg,
-            "baseline_inr_db": s.channel.baseline_inr_db,
-            "noise_power": s.channel.noise_power,
-        },
-        "duty_cycle": {
-            "t_csat_ms": s.duty.t_csat_ms,
-            "duty": s.duty.duty,
-            "puncture_ms_per_20ms": s.duty.puncture_ms_per_20ms,
-        },
-        "backhaul": {"delay_ms": s.backhaul.delay_ms},
-        "sim": {
-            "test_slot_ms": s.sim.test_slot_ms,
-            "sample_rate_hz": s.sim.sample_rate_hz,
-            "sample_count": s.sim.sample_count,
-            "noise_jitter": s.sim.noise_jitter,
-        },
-        "search": {
-            "mode": s.search.mode,
-            "fanout": s.search.fanout,
-            "depth": s.search.depth,
-            "nulls_per_level": list(s.search.nulls_per_level)
-            if s.search.nulls_per_level
-            else None,
-            "power_correction": s.search.power_correction,
-            "linear_grid": list(s.search.linear_grid) if s.search.linear_grid else None,
-        },
-    }
+    """The scenario as its file would hold it; the sweep only if it has grids."""
+    d = {key: _json_field(key, getattr(s, key)) for key in _FIELDS["scenario"]}
+    for section, attr in _SECTION_ATTRS.items():
+        obj = getattr(s, attr)
+        d[section] = {key: _json_field(key, getattr(obj, key)) for key in _FIELDS[section]}
     if s.sweep_backhaul_ms or s.sweep_duty:
-        d["sweep"] = {
-            "backhaul_ms": list(s.sweep_backhaul_ms),
-            "duty": list(s.sweep_duty),
-        }
+        d["sweep"] = {key: list(getattr(s, f"sweep_{key}")) for key in _FIELDS["sweep"]}
     return d
 
 
@@ -500,7 +509,7 @@ def scenario_hash(s: Scenario) -> str:
 
 
 def with_overrides(s: Scenario, **kwargs) -> Scenario:
-    """Functional update helper used by sweeps."""
+    """``dataclasses.replace`` that validates the updated scenario."""
     out = replace(s, **kwargs)
     validate_scenario(out)
     return out

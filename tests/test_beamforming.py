@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from nullsim.beamforming import (
     SPEED_OF_LIGHT_MPS,
     ArrayGeometry,
-    BsConfig,
     DegenerateConstraintsError,
     build_weight_matrix,
     floor_power_report,
@@ -88,8 +87,6 @@ def test_geometry_validation():
         ArrayGeometry(k_antennas=1)
     with pytest.raises(ValueError):
         ArrayGeometry(spacing_m=0.0)
-    with pytest.raises(ValueError):
-        BsConfig(tx_power=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ from nullsim.campaign import (
     export_results,
     load_results,
     run_campaign,
+    run_scenarios,
 )
+from nullsim import campaign
+from nullsim.presets import PRESET_NAMES, run_repro, scenario_fig9_delay, scenario_fig10_multiuser
 from nullsim.scenario import Scenario, with_overrides
 
 
@@ -77,6 +80,61 @@ def test_sweep_iterates_duty_major():
 def test_sweep_needs_grids():
     with pytest.raises(ValueError):
         run_campaign(Scenario(), mode="sweep")
+
+
+def _positions(records):
+    return [r.run_id + r.user for r in records]
+
+
+def _rows_without_run_id(records):
+    return [r.summary_row() | {"run_id": 0} for r in records]
+
+
+@pytest.mark.parametrize("figure", PRESET_NAMES)
+def test_run_id_plus_user_is_the_record_position_in_every_repro_table(figure):
+    records, _ = run_repro(figure)
+    assert _positions(records) == list(range(len(records)))
+
+
+def test_multi_user_repeats_number_runs_by_record_offset():
+    records = run_campaign(scenario_fig10_multiuser(), repeats=2)
+    assert [r.run_id for r in records] == [0] * 4 + [4] * 4
+    assert _positions(records) == list(range(8))
+    rows = _rows_without_run_id(records)
+    assert rows[:4] == rows[4:]
+
+
+def test_multi_user_sweep_numbers_runs_by_record_offset():
+    s = with_overrides(scenario_fig10_multiuser(), sweep_duty=(0.05, 0.2))
+    records = run_campaign(s, mode="sweep")
+    assert [(r.run_id, r.duty) for r in records[::4]] == [(0, 0.05), (4, 0.2)]
+    assert _positions(records) == list(range(8))
+
+
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_each_scenario_is_validated_once_whatever_the_repeats(repeats, monkeypatch):
+    validated = []
+    monkeypatch.setattr(campaign, "validate_scenario", validated.append)
+    scenarios = [Scenario(seed=seed) for seed in (1, 2, 3)]
+    records = run_scenarios(scenarios, repeats=repeats)
+    assert validated == scenarios
+    assert [r.seed for r in records] == [s.seed for s in scenarios for _ in range(repeats)]
+    assert [r.run_id for r in records] == list(range(3 * repeats))
+
+
+def test_fig9_is_the_campaign_sweep_of_the_tree_then_the_linear_variant():
+    records, _ = run_repro("fig9-delay")
+    base = scenario_fig9_delay()
+    swept = [
+        r
+        for mode in ("tree", "linear")
+        for r in run_campaign(
+            dataclasses.replace(base, search=dataclasses.replace(base.search, mode=mode)),
+            mode="sweep",
+        )
+    ]
+    assert [r.mode for r in records] == ["tree"] * 6 + ["linear"] * 6
+    assert _rows_without_run_id(records) == _rows_without_run_id(swept)
 
 
 # ---------------------------------------------------------------------------

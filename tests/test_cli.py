@@ -39,6 +39,13 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
         ('{"tx_power": 1e308}', "power_out_of_range"),
         ('{"channel": {"baseline_inr_db": null, "noise_power": 1e-320}}', "power_out_of_range"),
         ('{"geometry": {"k_antennas": 2048}}', "too_many_antennas"),
+        ('{"channel": {"baseline_inr_db": 4000}}', "baseline_inr_out_of_range"),
+        ('{"channel": {"baseline_inr_db": 1e-300}}', "baseline_inr_out_of_range"),
+        (
+            '{"channel": {"noise_power": 1e300, "baseline_inr_db": null}, '
+            '"sim": {"noise_jitter": 1e10}}',
+            "jitter_out_of_range",
+        ),
     ],
 )
 def test_validate_rejects_what_the_run_could_not_finish(text, rule, tmp_path, capsys):
@@ -141,3 +148,21 @@ def test_repro_json_export_matches_its_golden_digest(figure, tmp_path, capsys):
     code = cli.main(["repro", figure, "--format", "json", "--out", str(out)])
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPRO_JSON_SHA256[figure]
+
+
+# sha256 of each `nullsim repro <figure>` stdout table, taken while each
+# runner still ran its own scenario loop (Python 3.11, numpy 2.4, x86-64);
+# the tables are formatted from the returned records
+REPRO_TABLE_SHA256 = {
+    "fig7-cable": "f41d10b2586ed0a8493f188c9f514094d862df985857b5d3965549885660de74",
+    "fig8-powercorr": "2056e27c73a3d6a95c2a7974370cab8538b96fecd50a5cd6a7a1f78c75063545",
+    "fig9-delay": "5face66b455b4a25610865cb5b4893b67d29d9f205343b19d8acac51f185a9ad",
+    "fig10-multiuser": "61105179afd5f6b300234a5abb5e077daaab4f5886cd8202f802b4fe8e0b1805",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(REPRO_TABLE_SHA256))
+def test_repro_table_matches_its_golden_digest(figure, capsys):
+    assert cli.main(["repro", figure]) == cli.EXIT_OK
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == REPRO_TABLE_SHA256[figure]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nullsim import cli
 from nullsim import scenario as scenario_mod
 from nullsim.channel import orbit_like_channel
+from nullsim.coexsim import run_full_protocol
 from nullsim.scenario import (
     MAX_ANTENNAS,
     ChannelSpec,
@@ -181,6 +182,17 @@ def test_spec_dataclasses_name_their_own_rules():
         ({"tx_power": 1e-320}, "power_out_of_range"),
         ({"geometry": {"k_antennas": 2048}}, "too_many_antennas"),
         ({"geometry": {"k_antennas": MAX_ANTENNAS + 1}}, "too_many_antennas"),
+        ({"channel": {"baseline_inr_db": 4000}}, "baseline_inr_out_of_range"),
+        # 10 ** (1e-300 / 10) rounds to exactly 1: calibration divides by zero
+        ({"channel": {"baseline_inr_db": 1e-300}}, "baseline_inr_out_of_range"),
+        (
+            {"channel": {"noise_power": 1e300, "baseline_inr_db": None},
+             "sim": {"noise_jitter": 1e10}},
+            "jitter_out_of_range",
+        ),
+        ({"channel": {"baseline_inr_db": None}, "sim": {"noise_jitter": 1e307}}, "jitter_out_of_range"),
+        # a baseline just above 0 dB calibrates a huge noise power
+        ({"channel": {"baseline_inr_db": 1e-10}, "sim": {"noise_jitter": 1e300}}, "jitter_out_of_range"),
     ],
 )
 def test_validation_rules(raw, rule):
@@ -192,6 +204,19 @@ def test_validation_rules(raw, rule):
 def test_the_antenna_cap_admits_its_own_value():
     s = scenario_from_dict({"geometry": {"k_antennas": MAX_ANTENNAS}})
     assert s.geometry.k_antennas == MAX_ANTENNAS
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"channel": {"baseline_inr_db": 3000}},
+        {"channel": {"baseline_inr_db": 1e-12}, "sim": {"noise_jitter": 0.5}},
+        {"channel": {"baseline_inr_db": None}, "sim": {"noise_jitter": 1e5}},
+    ],
+)
+def test_extreme_values_the_rules_admit_run_to_finite_results(raw):
+    (user,) = run_full_protocol(scenario_from_dict(raw)).users
+    assert np.isfinite([user.baseline.aggregate_db, user.final.aggregate_db]).all()
 
 
 def test_nullable_fields_accept_null_and_numbers_accept_integers():
@@ -363,6 +388,15 @@ def test_round_trip_preserves_the_scenario(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scenario_to_dict(s)))
     assert load_scenario(str(path)) == s
+
+
+def test_empty_nullable_lists_are_written_as_null():
+    s = Scenario(search=SearchSpec(mode="linear", nulls_per_level=(), linear_grid=()))
+    d = scenario_to_dict(s)
+    assert d["search"]["nulls_per_level"] is None
+    assert d["search"]["linear_grid"] is None
+    assert "sweep" not in d
+    assert scenario_hash(s) == scenario_hash(Scenario(search=SearchSpec(mode="linear")))
 
 
 def test_hash_tracks_every_field():
