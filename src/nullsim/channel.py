@@ -67,6 +67,13 @@ class ChannelModel:
             raise ValueError("antenna gains must be positive")
 
 
+def _check_inr(per_sc: np.ndarray, aggregate: float | np.ndarray) -> None:
+    """Reject negative INRs; arrays of profiles and aggregates are checked at once."""
+    # the methods, not np.any: this runs once per report or frontier
+    if np.less(aggregate, 0).any() or np.less(per_sc, 0).any():
+        raise ValueError("INR is a ratio of powers and cannot be negative")
+
+
 @dataclass
 class InrReport:
     """One interference-to-noise measurement: per subcarrier and band aggregate."""
@@ -76,9 +83,14 @@ class InrReport:
     config_id: str = ""
 
     def __post_init__(self) -> None:
-        # the method, not np.any: this runs once per tested config
-        if self.aggregate < 0 or np.less(self.per_sc, 0).any():
-            raise ValueError("INR is a ratio of powers and cannot be negative")
+        _check_inr(self.per_sc, self.aggregate)
+
+    @classmethod
+    def _checked(cls, per_sc: np.ndarray, aggregate: float, config_id: str) -> InrReport:
+        """A report whose values :func:`_check_inr` has already passed."""
+        report = cls.__new__(cls)
+        report.per_sc, report.aggregate, report.config_id = per_sc, aggregate, config_id
+        return report
 
     @property
     def aggregate_db(self) -> float:
@@ -203,11 +215,11 @@ def sampled_inr(
         draws = p_on[:, None] + noise_jitter * noise * z
         np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
         agg = np.mean(measure_inr(draws, noise), axis=1)
+    _check_inr(per_sc, agg)
     # each report owns its profile: a row view would keep the whole
     # frontier's stack alive for as long as any one report is kept
     reports = [
-        InrReport(per_sc=per_sc[i].copy(), aggregate=float(agg[i]), config_id=ids[i])
-        for i in range(n)
+        InrReport._checked(per_sc[i].copy(), float(agg[i]), ids[i]) for i in range(n)
     ]
     return reports if stacked else reports[0]
 

@@ -9,15 +9,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .campaign import export_results, run_campaign
 from .presets import PRESET_NAMES, run_repro
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, with_overrides
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -30,7 +39,7 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario file")
     run.add_argument("scenario")
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument("--repeats", type=int, default=1)
+    run.add_argument("--repeats", type=_positive_int, default=1)
     run.add_argument("--out", default=None, help="results file path")
     run.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -73,8 +82,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb in ("run", "sweep"):
             scenario = load_scenario(args.scenario)
             if args.seed is not None:
-                scenario = replace(scenario, seed=args.seed)
+                scenario = with_overrides(scenario, seed=args.seed)
             if args.verb == "sweep":
+                if not scenario.sweep_backhaul_ms and not scenario.sweep_duty:
+                    print(
+                        f"error: {args.scenario} declares no sweep grids "
+                        f"(sweep.duty or sweep.backhaul_ms) to sweep",
+                        file=sys.stderr,
+                    )
+                    return EXIT_VALIDATION
                 records = run_campaign(scenario, mode="sweep")
             else:
                 records = run_campaign(scenario, repeats=args.repeats)

@@ -31,7 +31,6 @@ from .beamforming import build_weight_matrix, lcmv_weights
 from .channel import (
     InrReport,
     channel_response,
-    power_report,
     rx_power,
     sampled_inr,
     with_noise_power,
@@ -498,9 +497,9 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
         )
 
     if search.mode == "tree":
-        report = (
-            power_report(models[0], geom, wifi) if search.power_correction else None
-        )
+        # the measurement phase's power report, |h|**2 of the response
+        # calibration already computed
+        report = np.abs(responses[0]) ** 2 if search.power_correction else None
         timeline, state = simulate_tree_search(
             tree, dc, backhaul, sim,
             FrontierEvaluator(partial(measure_frontier, 0, report=report)),

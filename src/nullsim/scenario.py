@@ -328,6 +328,9 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError(
                 "time_not_finite", f"{name} {ms} ms is not a finite number of microseconds"
             )
+    # the channel and measurement streams are seeded with [seed, stream id]
+    if s.seed < 0:
+        raise ScenarioError("seed_negative", f"seed {s.seed} must be >= 0")
     if s.tx_power <= 0:
         raise ScenarioError("tx_power_not_positive", "tx_power must be > 0")
     # received power reaches about tx_power * K**2, and the INR that power

@@ -46,6 +46,7 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
             '"sim": {"noise_jitter": 1e10}}',
             "jitter_out_of_range",
         ),
+        ('{"seed": -1}', "seed_negative"),
     ],
 )
 def test_validate_rejects_what_the_run_could_not_finish(text, rule, tmp_path, capsys):
@@ -96,9 +97,25 @@ def test_sweep_runs_declared_grids(tmp_path, capsys):
     assert len(rows) == 1 + 4  # header plus the 2x2 grid
 
 
-def test_sweep_without_grids_is_a_runtime_error(scenario_file, capsys):
-    assert cli.main(["sweep", scenario_file]) == cli.EXIT_RUNTIME
-    assert "runtime error:" in capsys.readouterr().err
+def test_sweep_without_grids_is_an_argument_error(scenario_file, capsys):
+    assert cli.main(["sweep", scenario_file]) == cli.EXIT_VALIDATION
+    assert "declares no sweep grids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_a_negative_seed_override_is_an_argument_error(verb, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"sweep": {"duty": [0.2]}}))
+    assert cli.main([verb, str(path), "--seed", "-1"]) == cli.EXIT_VALIDATION
+    assert "scenario error: seed_negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2", "x"])
+def test_repeats_must_be_a_positive_integer(repeats, scenario_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", scenario_file, "--repeats", repeats])
+    assert err.value.code == cli.EXIT_VALIDATION
+    assert "argument --repeats:" in capsys.readouterr().err
 
 
 def test_repro_prints_a_table(capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullsim import beamforming, coexsim, nullsearch
+from nullsim import beamforming, channel, coexsim, nullsearch
 from nullsim.beamforming import (
     ArrayGeometry,
     DegenerateConstraintsError,
@@ -155,6 +155,70 @@ def test_degenerate_rows_name_each_failing_row():
     assert failing[2].startswith("constraint directions are rank deficient")
 
 
+def _unscreened_failures(geom, beam, rows):
+    """The rank test as one SVD of every row, with no screen in front of it."""
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    sv = np.linalg.svd(constraint_matrices(geom, beam, rows), compute_uv=False)
+    failing = {}
+    for i, row in enumerate(rows):
+        on_beam = row == beam
+        if on_beam.any():
+            a = float(row[np.argmax(on_beam)])
+            failing[i] = f"null at {a} deg coincides with the beam direction"
+        elif sv[i, -1] < beamforming.RANK_TOL * sv[i, 0]:
+            ratio = sv[i, -1] / sv[i, 0]
+            failing[i] = f"constraint directions are rank deficient (sigma ratio {ratio:.2e})"
+    return failing
+
+
+@st.composite
+def screened_stacks(draw):
+    """In-range null stacks on both sides of the rank tolerance.
+
+    Besides free angles, a null may sit on the beam, on the grating-lobe
+    aliases of +-60 deg, or 1e-9 to 1e-7 deg from the beam or from the
+    row's previous null: coincident within the tolerance, or just outside.
+    Half the stacks hold one null per row, the case the screen runs on.
+    """
+    k = draw(st.integers(min_value=2, max_value=16))
+    m = draw(st.one_of(st.just(1), st.integers(min_value=0, max_value=k - 1)))
+    n = draw(st.integers(min_value=1, max_value=6))
+    beam = draw(
+        st.one_of(
+            st.sampled_from([-60.0, 0.0, 60.0]), st.floats(min_value=-89.0, max_value=89.0)
+        )
+    )
+    offset = st.sampled_from([0.0, 1e-9, -1e-9, 1e-8, 1e-7])
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            kind = draw(st.sampled_from(["free", "beam", "alias", "previous"]))
+            if kind == "free":
+                a = draw(st.floats(min_value=-90.0, max_value=90.0))
+            elif kind == "alias":
+                a = draw(st.sampled_from([ALIAS_OF_60, -ALIAS_OF_60]))
+            else:
+                ref = row[-1] if kind == "previous" and row else beam
+                a = min(90.0, max(-90.0, ref + draw(offset)))
+            row.append(a)
+        rows.append(tuple(row))
+    return ArrayGeometry(k_antennas=k), beam, tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(screened_stacks())
+def test_the_gram_screen_keeps_every_rank_decision_and_message(case):
+    geom, beam, rows = case
+    expected = _unscreened_failures(geom, beam, rows)
+    assert degenerate_rows(geom, beam, np.array(rows).reshape(len(rows), -1)) == expected
+    solved = _outcome(lambda: lcmv_weights(geom, beam, rows))
+    if expected:
+        assert solved == (DegenerateConstraintsError, expected[min(expected)])
+    else:
+        assert solved.shape == (len(rows), geom.k_antennas)
+
+
 def test_linear_run_solves_the_beam_and_the_grid_once_each(monkeypatch):
     calls = []
 
@@ -253,6 +317,23 @@ def test_frontier_ids_must_match_the_stack(geom4, lte, wifi, sc_rb):
         sampled_inr(h, stack, sc_rb, model, config_id=["only one"])
 
 
+def test_a_stacked_measurement_still_rejects_a_negative_profile(
+    geom4, lte, wifi, sc_rb, monkeypatch
+):
+    model = two_ray_channel()
+    h = channel_response(model, geom4, wifi)
+    stack = build_weight_matrix(geom4, 0.0, ((30.0,), (50.0,), (-40.0,)), lte.n_rrb)
+
+    def dented(*args, **kwargs):
+        p = rx_power(*args, **kwargs).copy()
+        p[1, 7] = -2.0 * model.noise_power  # a profile entry of INR -1
+        return p
+
+    monkeypatch.setattr(channel, "rx_power", dented)
+    with pytest.raises(ValueError, match="INR is a ratio of powers and cannot be negative"):
+        sampled_inr(h, stack, sc_rb, model)
+
+
 # ---------------------------------------------------------------------------
 # one evaluator call per frontier
 
@@ -319,6 +400,20 @@ def test_multi_user_run_measures_each_user_once_per_level(monkeypatch):
     levels = len(result.timeline.level_cycles)
     # baselines, one union frontier per user and level, the joint config
     assert len(measured) == users * (1 + levels + 1)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [Scenario(), load_scenario(str(SCENARIOS / "multiuser_four.json"))],
+    ids=["tree-corrected", "multiuser"],
+)
+def test_each_user_channel_response_is_computed_once(scenario, monkeypatch):
+    assert scenario.search.mode == "multiuser" or scenario.search.power_correction
+    # a call through the channel module's own name, as power_report makes, counts too
+    responses = _count_calls(monkeypatch, coexsim, "channel_response")
+    via_channel = _count_calls(monkeypatch, channel, "channel_response")
+    run_full_protocol(scenario)
+    assert len(responses) + len(via_channel) == len(scenario.user_angles_deg)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,8 @@ def test_spec_dataclasses_name_their_own_rules():
         ({"channel": {"baseline_inr_db": None}, "sim": {"noise_jitter": 1e307}}, "jitter_out_of_range"),
         # a baseline just above 0 dB calibrates a huge noise power
         ({"channel": {"baseline_inr_db": 1e-10}, "sim": {"noise_jitter": 1e300}}, "jitter_out_of_range"),
+        # numpy's default_rng takes non-negative seeds only
+        ({"seed": -1}, "seed_negative"),
     ],
 )
 def test_validation_rules(raw, rule):
