@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .beamforming import build_weight_matrix, lcmv_weights
+from .beamforming import ArrayGeometry, build_weight_matrix, lcmv_weights
 from .channel import (
     InrReport,
     channel_response,
@@ -37,8 +37,6 @@ from .channel import (
 )
 from .nullsearch import (
     Evaluator,
-    FrontierEvaluator,
-    MultiUserEvaluator,
     MultiUserPlan,
     NullConfig,
     SearchState,
@@ -211,42 +209,8 @@ def _emit_test_cycles(
     return start_us + cycles * dc.t_csat_us
 
 
-def simulate_power_measurement(
-    k_antennas: int,
-    dc: DutyCycleConfig,
-    backhaul: BackhaulConfig,
-    sim: SimConfig,
-    start_us: int = 0,
-    piggyback: bool = False,
-) -> SimTimeline:
-    """Timeline of the per-antenna sounding phase.
-
-    Each antenna transmits alone for one slot; the WiFi node logs the
-    received power profile.  Standalone, the report costs one feedback;
-    inside the full protocol it piggybacks on the first search feedback
-    and the phase contributes cycles only.
-    """
-    if k_antennas < 1:
-        raise ValueError("need at least one antenna to sound")
-    tl = SimTimeline(t_csat_us=dc.t_csat_us, delta_b_us=backhaul.delay_us)
-    per_cycle = configs_per_cycle(dc, sim)
-    tl.emit(start_us, "phase", "power_measurement")
-    labels = [f"antenna:{k}" for k in range(k_antennas)]
-    end = _emit_test_cycles(tl, start_us, labels, dc, sim, per_cycle)
-    tl.power_cycles = math.ceil(k_antennas / per_cycle)
-    if piggyback:
-        tl.total_delay_us = end
-        return tl
-    tl.emit(end, "ctc_send", "power report")
-    tl.emit(end + backhaul.delay_us, "ctc_recv", "power report")
-    tl.level_cycles = []
-    tl.total_delay_us = end + backhaul.delay_us
-    return tl
-
-
 def _emit_search(
     levels: Sequence[Sequence[NullConfig]],
-    applied_nulls: Sequence[float],
     dc: DutyCycleConfig,
     backhaul: BackhaulConfig,
     sim: SimConfig,
@@ -254,21 +218,21 @@ def _emit_search(
 ) -> SimTimeline:
     """The timeline of a search that tested ``levels``, one feedback each.
 
-    With ``sounded_antennas`` the power-measurement phase comes first and
-    its report rides with the level-1 feedback.  The search ends by
-    applying ``applied_nulls``.
+    With ``sounded_antennas`` the power-measurement phase comes first: each
+    antenna transmits alone for one slot, and the WiFi node's power report
+    rides with the level-1 feedback, so the phase costs cycles but no
+    feedback of its own.  The caller emits the ``apply`` event once it has
+    decided what to deploy.
     """
     tl = SimTimeline(t_csat_us=dc.t_csat_us, delta_b_us=backhaul.delay_us)
     t = 0
     tl.emit(t, "phase", "protocol_start")
-    if sounded_antennas:
-        pm = simulate_power_measurement(
-            sounded_antennas, dc, backhaul, sim, start_us=t, piggyback=True
-        )
-        tl.events.extend(pm.events)
-        tl.power_cycles = pm.power_cycles
-        t = pm.total_delay_us
     per_cycle = configs_per_cycle(dc, sim)
+    if sounded_antennas:
+        tl.emit(t, "phase", "power_measurement")
+        labels = [f"antenna:{k}" for k in range(sounded_antennas)]
+        t = _emit_test_cycles(tl, t, labels, dc, sim, per_cycle)
+        tl.power_cycles = math.ceil(sounded_antennas / per_cycle)
     for level, cfgs in enumerate(levels, start=1):
         tl.emit(t, "phase", f"tree_level_{level}")
         labels = [f"config:{cfg.label}" for cfg in cfgs]
@@ -280,7 +244,6 @@ def _emit_search(
         tl.emit(end, "ctc_send", note)
         t = end + backhaul.delay_us
         tl.emit(t, "ctc_recv", note)
-    tl.emit(t, "apply", "apply nulls:" + ";".join(f"{a:.2f}" for a in applied_nulls))
     tl.total_delay_us = t
     return tl
 
@@ -303,7 +266,6 @@ def simulate_tree_search(
     (state,), visited = descend([start_search(tree)], tree, [evaluate])
     tl = _emit_search(
         [[tree.nodes[n] for n in nodes] for nodes in visited],
-        state.best_config.null_angles_deg,
         dc, backhaul, sim,
         sounded_antennas=tree.geometry.k_antennas if power_correction else 0,
     )
@@ -312,20 +274,17 @@ def simulate_tree_search(
 
 def simulate_linear_search(
     grid_angles: Sequence[float],
-    tree_or_geom,
+    geom: ArrayGeometry,
     dc: DutyCycleConfig,
     backhaul: BackhaulConfig,
     sim: SimConfig,
     evaluate: Evaluator,
     beam_angle_deg: float,
-) -> tuple[SimTimeline, NullConfig, list]:
+) -> tuple[SimTimeline, SearchState]:
     """Exhaustive-scan baseline: every grid angle tested, one feedback."""
-    geom = getattr(tree_or_geom, "geometry", tree_or_geom)
-    best, _, tested = linear_search(geom, grid_angles, beam_angle_deg, evaluate)
-    tl = _emit_search(
-        [[cfg for cfg, _ in tested]], best.null_angles_deg, dc, backhaul, sim
-    )
-    return tl, best, tested
+    state = linear_search(geom, grid_angles, beam_angle_deg, evaluate)
+    tl = _emit_search([[cfg for cfg, _ in state.tested]], dc, backhaul, sim)
+    return tl, state
 
 
 def simulate_multi_user(
@@ -334,7 +293,7 @@ def simulate_multi_user(
     dc: DutyCycleConfig,
     backhaul: BackhaulConfig,
     sim: SimConfig,
-    evaluate: MultiUserEvaluator,
+    evaluators: Sequence[Evaluator],
 ) -> tuple[SimTimeline, MultiUserPlan]:
     """Parallel multi-user descent with shared test slots.
 
@@ -342,10 +301,9 @@ def simulate_multi_user(
     of the users' frontiers, not their sum, and one aggregated feedback.
     No power correction exists in this mode.
     """
-    plan = multi_user_search(states, tree, evaluate)
+    plan = multi_user_search(states, tree, evaluators)
     tl = _emit_search(
         [[tree.nodes[n] for n in nodes] for nodes in plan.visited_per_level],
-        plan.joint_null_angles,
         dc, backhaul, sim,
     )
     return tl, plan
@@ -471,60 +429,62 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
         )
 
     if search.mode == "multiuser":
-        states = [start_search(tree) for _ in models]
         timeline, plan = simulate_multi_user(
-            states, tree, dc, backhaul, sim, FrontierEvaluator(measure_frontier)
+            [start_search(tree) for _ in models], tree, dc, backhaul, sim,
+            [partial(measure_frontier, u) for u in range(len(models))],
         )
+        deployed = joint = plan.joint_null_angles
         joint_cfg = NullConfig(
-            (), scenario.ue_angle_deg, plan.joint_null_angles, scenario.tree_root_sector
+            (), scenario.ue_angle_deg, joint, scenario.tree_root_sector
         )
-        w_joint = lcmv_weights(geom, scenario.ue_angle_deg, plan.joint_null_angles)
-        outcomes = []
-        for u in range(len(models)):
-            final = measure_frontier(u, [joint_cfg], w_joint[None])[0]
-            outcomes.append(
-                UserOutcome(
-                    user=u,
-                    baseline=baselines[u],
-                    final=final,
-                    best_config=plan.per_user_best[u][0],
-                    nulls_used=len(plan.joint_null_angles),
-                    trace=plan.states[u].tested,
-                )
+        w_joint = lcmv_weights(geom, scenario.ue_angle_deg, joint)
+        outcomes = [
+            UserOutcome(
+                user=u,
+                baseline=baselines[u],
+                final=measure_frontier(u, [joint_cfg], w_joint[None])[0],
+                best_config=st.best_config,
+                nulls_used=len(joint),
+                trace=st.tested,
             )
-        return ProtocolResult(
-            "multiuser", timeline, outcomes, joint_null_angles=plan.joint_null_angles
-        )
-
-    if search.mode == "tree":
-        # the measurement phase's power report, |h|**2 of the response
-        # calibration already computed
-        report = np.abs(responses[0]) ** 2 if search.power_correction else None
-        timeline, state = simulate_tree_search(
-            tree, dc, backhaul, sim,
-            FrontierEvaluator(partial(measure_frontier, 0, report=report)),
-            power_correction=search.power_correction,
-        )
-        best, tested = state.best, state.tested
-    elif search.mode == "linear":
-        timeline, best_cfg, tested = simulate_linear_search(
-            search.linear_grid or default_linear_grid(), geom, dc, backhaul, sim,
-            FrontierEvaluator(partial(measure_frontier, 0)),
-            scenario.ue_angle_deg,
-        )
-        best = next((cfg, rep) for cfg, rep in tested if cfg is best_cfg)
+            for u, st in enumerate(plan.states)
+        ]
     else:
-        raise ValueError(f"unknown search mode {search.mode!r}")
-    cfg, rep = best
-    if rep.aggregate >= baselines[0].aggregate:
-        # never deploy a config that measures worse than not nulling at all
-        cfg, rep = base_cfg, baselines[0]
-    outcome = UserOutcome(
-        user=0,
-        baseline=baselines[0],
-        final=rep,
-        best_config=cfg,
-        nulls_used=len(cfg.null_angles_deg),
-        trace=tested,
+        joint = None
+        if search.mode == "tree":
+            # the measurement phase's power report, |h|**2 of the response
+            # calibration already computed
+            report = np.abs(responses[0]) ** 2 if search.power_correction else None
+            timeline, state = simulate_tree_search(
+                tree, dc, backhaul, sim,
+                partial(measure_frontier, 0, report=report),
+                power_correction=search.power_correction,
+            )
+        elif search.mode == "linear":
+            timeline, state = simulate_linear_search(
+                search.linear_grid or default_linear_grid(), geom, dc, backhaul, sim,
+                partial(measure_frontier, 0), scenario.ue_angle_deg,
+            )
+        else:
+            raise ValueError(f"unknown search mode {search.mode!r}")
+        cfg, rep = state.best
+        if rep.aggregate >= baselines[0].aggregate:
+            # never deploy a config that measures worse than not nulling at all
+            cfg, rep = base_cfg, baselines[0]
+        outcomes = [
+            UserOutcome(
+                user=0,
+                baseline=baselines[0],
+                final=rep,
+                best_config=cfg,
+                nulls_used=len(cfg.null_angles_deg),
+                trace=state.tested,
+            )
+        ]
+        deployed = cfg.null_angles_deg
+    timeline.emit(
+        timeline.total_delay_us,
+        "apply",
+        "apply nulls:" + ";".join(f"{a:.2f}" for a in deployed),
     )
-    return ProtocolResult(search.mode, timeline, [outcome])
+    return ProtocolResult(search.mode, timeline, outcomes, joint_null_angles=joint)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -339,35 +339,10 @@ def _shared_tree(
 # ---------------------------------------------------------------------------
 # tree traversal
 
-@dataclass(frozen=True)
-class FrontierEvaluator:
-    """An evaluator that measures a whole frontier in one call.
-
-    ``frontier(cfgs, weights)`` returns one report per config, in order;
-    ``weights`` stacks the configs' constraint-domain vectors, one per row.
-    In multi-user search it takes the user index first:
-    ``frontier(user, cfgs, weights)``.
-    """
-
-    frontier: Callable[..., list[InrReport]]
-
-
-# a per-config callable, which :func:`measure` maps over a frontier, or a
-# FrontierEvaluator that measures the frontier itself
-Evaluator = Callable[[NullConfig, np.ndarray], InrReport] | FrontierEvaluator
-
-
-def measure(
-    evaluate: Evaluator, cfgs: Sequence[NullConfig], weights: np.ndarray
-) -> list[InrReport]:
-    """One evaluator call for a whole frontier.
-
-    A :class:`FrontierEvaluator` gets the frontier at once; a plain
-    per-config callable is mapped over it, config by config.
-    """
-    if isinstance(evaluate, FrontierEvaluator):
-        return evaluate.frontier(cfgs, weights)
-    return [evaluate(cfg, w) for cfg, w in zip(cfgs, weights)]
+# a frontier's measurements: ``evaluate(cfgs, weights)`` returns one report
+# per config, in order; ``weights`` stacks the configs' constraint-domain
+# vectors, one per row.  Multi-user search takes one evaluator per user.
+Evaluator = Callable[[Sequence[NullConfig], np.ndarray], list[InrReport]]
 
 
 @dataclass
@@ -476,7 +451,7 @@ def descend(
         for u, st in enumerate(states):
             if st.done:
                 continue
-            measured = dict(zip(union, measure(evaluators[u], cfgs, weights)))
+            measured = dict(zip(union, evaluators[u](cfgs, weights)))
             reports = [measured[n] for n in st.frontier]
             st = record_results(st, tree, reports)
             states[u] = advance(st, tree, min_inr_index(reports))
@@ -499,8 +474,8 @@ def linear_search(
     grid_angles: Sequence[float],
     beam_angle_deg: float,
     evaluate: Evaluator,
-) -> tuple[NullConfig, InrReport, list[tuple[NullConfig, InrReport]]]:
-    """Exhaustive single-null scan over ``grid_angles``.
+) -> SearchState:
+    """Exhaustive single-null scan over ``grid_angles``; the finished state.
 
     The baseline the tree is measured against: a depth-1 tree whose nodes
     are the grid angles, so the whole grid is one frontier, solved by one
@@ -527,18 +502,11 @@ def linear_search(
         nodes=nodes,
     )
     (state,), _ = descend([start_search(tree)], tree, [evaluate])
-    best, best_rep = state.best
-    return best, best_rep, state.tested
+    return state
 
 
 # ---------------------------------------------------------------------------
 # multi-user
-
-# as Evaluator, with the user index first
-MultiUserEvaluator = (
-    Callable[[int, NullConfig, np.ndarray], InrReport] | FrontierEvaluator
-)
-
 
 @dataclass
 class MultiUserPlan:
@@ -547,7 +515,6 @@ class MultiUserPlan:
     states: list[SearchState]
     visited_per_level: list[list[NodeId]]
     joint_null_angles: tuple[float, ...]
-    per_user_best: list[tuple[NullConfig, InrReport]]
 
     @property
     def visited_count(self) -> int:
@@ -572,33 +539,27 @@ def _join_nulls(
     return tuple(joint)
 
 
-def _for_user(evaluate: MultiUserEvaluator, u: int) -> Evaluator:
-    """``evaluate`` with the user index bound."""
-    if isinstance(evaluate, FrontierEvaluator):
-        return FrontierEvaluator(partial(evaluate.frontier, u))
-    return partial(evaluate, u)
-
-
 def multi_user_search(
     states: list[SearchState],
     tree: SearchTree,
-    evaluate: MultiUserEvaluator,
+    evaluators: Sequence[Evaluator],
 ) -> MultiUserPlan:
     """Descend the tree for every user at once, sharing test slots.
 
     Per level the union of all users' frontiers is tested; a node shared
     by several users costs one slot because every node measures the same
-    transmission.  The final joint configuration is the union of the
-    per-user best null sets, users served in input order until the array
-    runs out of freedom (the beam keeps one degree), in which case the
-    error names who still fit.
+    transmission, which each user measures with its own evaluator.  The
+    final joint configuration is the union of the per-user best null sets,
+    users served in input order until the array runs out of freedom (the
+    beam keeps one degree), in which case the error names who still fit.
 
     Power correction is unavailable here: one correction cannot equalize
     several users' channels at once, so plain weights are used throughout.
     """
     if not states:
         raise ValueError("need at least one user")
-    evaluators = [_for_user(evaluate, u) for u in range(len(states))]
+    if len(evaluators) != len(states):
+        raise ValueError("need one evaluator per user")
     states, visited_per_level = descend(states, tree, evaluators)
     bests = [st.best for st in states]
     if any(b is None for b in bests):
@@ -608,5 +569,4 @@ def multi_user_search(
         states=states,
         visited_per_level=visited_per_level,
         joint_null_angles=joint,
-        per_user_best=list(bests),
     )

@@ -246,10 +246,13 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
     ]
 
     def stub(i):
-        return lambda cfg, w: InrReport(
-            per_sc=np.array([scores[i][cfg.node_id]]),
-            aggregate=scores[i][cfg.node_id],
-        )
+        return lambda cfgs, w: [
+            InrReport(
+                per_sc=np.array([scores[i][cfg.node_id]]),
+                aggregate=scores[i][cfg.node_id],
+            )
+            for cfg in cfgs
+        ]
 
     sim = SimConfig()
     for it in range(1000):
@@ -261,16 +264,19 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
         bh = BackhaulConfig(delay_ms=float(rng.uniform(0.0, 120.0)))
         if it % 10 == 3:
             grid = tuple(np.linspace(-80.0, 80.0, int(rng.integers(3, 21))))
-            tl, _, _ = simulate_linear_search(
+            tl, _ = simulate_linear_search(
                 grid,
-                trees[i],
+                trees[i].geometry,
                 dc,
                 bh,
                 sim,
-                lambda cfg, w: InrReport(
-                    per_sc=np.array([1.0 + cfg.node_id[0]]),
-                    aggregate=1.0 + cfg.node_id[0],
-                ),
+                lambda cfgs, w: [
+                    InrReport(
+                        per_sc=np.array([1.0 + cfg.node_id[0]]),
+                        aggregate=1.0 + cfg.node_id[0],
+                    )
+                    for cfg in cfgs
+                ],
                 beam_angle_deg=21.4,
             )
         elif it % 10 == 7:
@@ -282,10 +288,16 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
                 dc,
                 bh,
                 sim,
-                lambda u, cfg, w: InrReport(
-                    per_sc=np.array([scores[i][cfg.node_id] + shift[u]]),
-                    aggregate=scores[i][cfg.node_id] + shift[u],
-                ),
+                [
+                    lambda cfgs, w, u=u: [
+                        InrReport(
+                            per_sc=np.array([scores[i][cfg.node_id] + shift[u]]),
+                            aggregate=scores[i][cfg.node_id] + shift[u],
+                        )
+                        for cfg in cfgs
+                    ]
+                    for u in range(2)
+                ],
             )
         else:
             tl, _ = simulate_tree_search(

@@ -214,7 +214,7 @@ RECORDS = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(records=st.lists(RECORDS, max_size=4))
 def test_json_export_is_json_dumps_with_indent_two(records, tmp_path_factory):
-    path = tmp_path_factory.getbasetemp() / "written.json"
+    path = tmp_path_factory.mktemp("export") / "written.json"
     export_results(records, "json", str(path))
     payload = [dict(r.summary_row(), trace=r.trace) for r in records]
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"

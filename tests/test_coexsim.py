@@ -20,7 +20,6 @@ from nullsim.coexsim import (
     run_full_protocol,
     simulate_linear_search,
     simulate_multi_user,
-    simulate_power_measurement,
     simulate_tree_search,
     slot_offsets_in_cycle,
 )
@@ -47,15 +46,17 @@ def report(value: float) -> InrReport:
 def scripted_evaluator(tree, seed: int):
     rng = np.random.default_rng(seed)
     scores = {n: float(rng.uniform(0.1, 100.0)) for n in sorted(tree.nodes)}
-    return lambda cfg, w: report(scores[cfg.node_id])
+    return lambda cfgs, w: [report(scores[cfg.node_id]) for cfg in cfgs]
 
 
 def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
     sv = steering_vector(geom, victim_deg)
 
-    def evaluate(cfg, w):
-        p = abs(np.vdot(normalize(w), sv)) ** 2
-        return report((p + noise) / noise)
+    def evaluate(cfgs, weights):
+        return [
+            report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise)
+            for w in weights
+        ]
 
     return evaluate
 
@@ -135,34 +136,55 @@ def test_slot_must_fit_the_usable_on_phase():
 # phase timelines
 
 
+def sounding_phase(tl):
+    """The events from the power-measurement phase up to level 1, and the
+    level-1 phase event."""
+    kinds = [(e.kind, e.label) for e in tl.events]
+    start = kinds.index(("phase", "power_measurement"))
+    level_1 = kinds.index(("phase", "tree_level_1"))
+    return tl.events[start + 1 : level_1], tl.events[level_1]
+
+
+def corrected_protocol(dc, k_antennas=4):
+    """The timeline of a power-corrected K-antenna tree run."""
+    scn = Scenario(geometry=ArrayGeometry(k_antennas=k_antennas), duty=dc)
+    assert scn.search.mode == "tree" and scn.search.power_correction
+    return run_full_protocol(scn).timeline
+
+
 def test_power_measurement_fits_one_generous_cycle():
-    dc, bh = DutyCycleConfig(duty=0.2), BackhaulConfig()
-    tl = simulate_power_measurement(4, dc, bh, SIM)
+    dc = DutyCycleConfig(duty=0.2)
+    tl = corrected_protocol(dc)
     assert tl.power_cycles == 1
-    assert tl.total_delay_us == dc.t_csat_us + bh.delay_us
-    slots = [e for e in tl.events if e.kind == "test_slot"]
+    slots, level_1 = sounding_phase(tl)
     assert [e.label for e in slots] == [f"antenna:{k}" for k in range(4)]
-    assert tl.count("ctc_send") == tl.count("ctc_recv") == 1
+    assert level_1.t_us == dc.t_csat_us
 
 
 def test_power_measurement_at_low_duty_needs_a_cycle_per_antenna():
-    dc, bh = DutyCycleConfig(duty=0.05), BackhaulConfig()
-    tl = simulate_power_measurement(4, dc, bh, SIM)
+    dc = DutyCycleConfig(duty=0.05)
+    tl = corrected_protocol(dc)
     assert tl.power_cycles == 4
-    assert tl.total_delay_us == 4 * dc.t_csat_us + bh.delay_us
+    slots, level_1 = sounding_phase(tl)
+    assert [e.label for e in slots] == [f"antenna:{k}" for k in range(4)]
+    assert [e.t_us for e in slots] == [k * dc.t_csat_us for k in range(4)]
+    assert level_1.t_us == 4 * dc.t_csat_us
 
 
 def test_power_measurement_piggyback_defers_the_feedback():
-    dc = DutyCycleConfig(duty=0.2)
-    tl = simulate_power_measurement(8, dc, BackhaulConfig(), SIM, piggyback=True)
-    assert tl.count("ctc_send") == 0
-    assert tl.total_delay_us == tl.power_cycles * dc.t_csat_us
+    for duty in (0.2, 0.05):
+        tl = corrected_protocol(DutyCycleConfig(duty=duty))
+        slots, _ = sounding_phase(tl)
+        assert {e.kind for e in slots} == {"test_slot"}
+        sends = [e.label for e in tl.events if e.kind == "ctc_send"]
+        assert sends[0] == "level 1 feedback + power report"
+        assert len(sends) == len(tl.level_cycles)
 
 
 def test_power_measurement_antenna_count():
-    simulate_power_measurement(1, DutyCycleConfig(), BackhaulConfig(), SIM)
-    with pytest.raises(ValueError):
-        simulate_power_measurement(0, DutyCycleConfig(), BackhaulConfig(), SIM)
+    for k in (3, 4, 8):
+        slots, _ = sounding_phase(corrected_protocol(DutyCycleConfig(), k_antennas=k))
+        assert [e.label for e in slots] == [f"antenna:{j}" for j in range(k)]
 
 
 def test_tree_timeline_with_correction(tree8):
@@ -215,7 +237,7 @@ def test_delay_monotone_in_duty_backhaul_and_depth(tree4):
 def test_linear_timeline_has_one_feedback(tree8):
     dc, bh = DutyCycleConfig(duty=0.05), BackhaulConfig(delay_ms=5.0)
     geom = tree8.geometry
-    tl, best, tested = simulate_linear_search(
+    tl, state = simulate_linear_search(
         default_linear_grid(), geom, dc, bh, SIM,
         flat_ray_evaluator(geom, -20.0), beam_angle_deg=21.4,
     )
@@ -223,7 +245,7 @@ def test_linear_timeline_has_one_feedback(tree8):
     assert tl.count("ctc_send") == 1
     assert tl.identity_total_us() == tl.total_delay_us
     assert tl.total_delay_us == 165 * dc.t_csat_us + bh.delay_us
-    assert best.null_angles_deg == (-20.0,)
+    assert state.best_config.null_angles_deg == (-20.0,)
 
 
 @lru_cache(maxsize=None)
@@ -253,14 +275,14 @@ def test_one_user_parallel_timing_equals_the_plain_descent(
     # few distinct scores make ties, which both searches break toward the lower index
     scores = {n: float(rng.integers(distinct_scores)) + 0.5 for n in sorted(tree.nodes)}
 
-    def evaluate(cfg, w):
-        return report(scores[cfg.node_id])
+    def evaluate(cfgs, w):
+        return [report(scores[cfg.node_id]) for cfg in cfgs]
 
     tl_tree, state = simulate_tree_search(
         tree, dc, bh, sim, evaluate, power_correction=False
     )
     tl_mu, plan = simulate_multi_user(
-        [start_search(tree)], tree, dc, bh, sim, lambda u, cfg, w: evaluate(cfg, w)
+        [start_search(tree)], tree, dc, bh, sim, [evaluate]
     )
     assert [(e.t_us, e.kind) for e in tl_mu.events] == [
         (e.t_us, e.kind) for e in tl_tree.events
@@ -350,3 +372,6 @@ def test_protocol_keeps_the_baseline_when_nulling_cannot_help():
     assert user.delta_inr_db == 0.0
     assert user.nulls_used == 0
     assert user.best_config.null_angles_deg == ()
+    # the timeline applies what was deployed, not the search's best
+    (apply,) = [e for e in result.timeline.events if e.kind == "apply"]
+    assert apply.label == "apply nulls:"

@@ -9,7 +9,6 @@ replaces, and leave every random stream where they left it.
 
 import hashlib
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +35,7 @@ from nullsim.channel import (
     two_ray_channel,
 )
 from nullsim.coexsim import run_full_protocol
-from nullsim.nullsearch import (
-    FrontierEvaluator,
-    NullConfig,
-    default_linear_grid,
-    linear_search,
-    measure,
-)
+from nullsim.nullsearch import default_linear_grid, linear_search
 from nullsim.scenario import (
     Scenario,
     ScenarioError,
@@ -342,25 +335,6 @@ def _report(value: float) -> InrReport:
     return InrReport(per_sc=np.array([value]), aggregate=value)
 
 
-def test_measure_maps_a_per_config_stub_and_passes_a_frontier_whole():
-    cfgs = [NullConfig((i,), 0.0, (10.0 * i,), (-90.0, 90.0)) for i in range(3)]
-    weights = np.eye(3, dtype=complex)
-    seen, frontiers = [], []
-
-    def stub(cfg, w):
-        seen.append((cfg.node_id, w.tolist()))
-        return _report(cfg.node_id[0])
-
-    def whole(user, cfgs, w):
-        frontiers.append((user, len(cfgs), w.shape))
-        return [_report(1.0)] * len(cfgs)
-
-    assert [r.aggregate for r in measure(stub, cfgs, weights)] == [0, 1, 2]
-    assert seen == [((i,), weights[i].tolist()) for i in range(3)]
-    assert len(measure(FrontierEvaluator(partial(whole, 7)), cfgs, weights)) == 3
-    assert frontiers == [(7, 3, (3, 3))]
-
-
 def test_linear_search_measures_its_grid_as_one_frontier(geom8):
     frontiers = []
 
@@ -368,12 +342,10 @@ def test_linear_search_measures_its_grid_as_one_frontier(geom8):
         frontiers.append(w.shape)
         return [_report(abs(cfg.null_angles_deg[0] + 20.0)) for cfg in cfgs]
 
-    best, _, tested = linear_search(
-        geom8, default_linear_grid(), 21.4, FrontierEvaluator(distance_to_victim)
-    )
+    state = linear_search(geom8, default_linear_grid(), 21.4, distance_to_victim)
     assert frontiers == [(165, 8)]
-    assert best.null_angles_deg == (-20.0,)
-    assert len(tested) == 165
+    assert state.best_config.null_angles_deg == (-20.0,)
+    assert len(state.tested) == 165
 
 
 def _count_calls(monkeypatch, module, name):

@@ -54,9 +54,9 @@ def scripted_evaluator(tree, seed: int):
     scores = {n: float(rng.uniform(0.1, 100.0)) for n in sorted(tree.nodes)}
     calls: list = []
 
-    def evaluate(cfg, w):
-        calls.append(cfg.node_id)
-        return report(scores[cfg.node_id], cfg.label)
+    def evaluate(cfgs, w):
+        calls.extend(cfg.node_id for cfg in cfgs)
+        return [report(scores[cfg.node_id], cfg.label) for cfg in cfgs]
 
     return evaluate, scores, calls
 
@@ -232,9 +232,9 @@ def test_descent_depends_only_on_score_ranking(seed):
     ev_raw, scores, calls_raw = scripted_evaluator(tree, seed)
     calls_mapped: list = []
 
-    def ev_mapped(cfg, w):
-        calls_mapped.append(cfg.node_id)
-        return report(float(np.exp(scores[cfg.node_id] / 50.0)))
+    def ev_mapped(cfgs, w):
+        calls_mapped.extend(cfg.node_id for cfg in cfgs)
+        return [report(float(np.exp(scores[cfg.node_id] / 50.0))) for cfg in cfgs]
 
     raw = run_descent(tree, ev_raw)
     mapped = run_descent(tree, ev_mapped)
@@ -287,17 +287,20 @@ def test_default_grid_shape():
 def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
     sv = steering_vector(geom, victim_deg)
 
-    def evaluate(cfg, w):
-        p = abs(np.vdot(normalize(w), sv)) ** 2
-        return report((p + noise) / noise, cfg.label)
+    def evaluate(cfgs, weights):
+        return [
+            report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise, cfg.label)
+            for cfg, w in zip(cfgs, weights)
+        ]
 
     return evaluate
 
 
 def test_linear_scan_lands_on_the_victim(geom8):
-    best, rep, tested = linear_search(
+    state = linear_search(
         geom8, default_linear_grid(), 21.4, flat_ray_evaluator(geom8, -20.0)
     )
+    (best, rep), tested = state.best, state.tested
     assert len(tested) == LINEAR_GRID_SIZE
     assert best.null_angles_deg == (-20.0,)
     assert best.node_id == (82 - 20,)
@@ -305,9 +308,8 @@ def test_linear_scan_lands_on_the_victim(geom8):
 
 
 def test_linear_scan_single_angle(geom8):
-    best, rep, tested = linear_search(
-        geom8, (15.0,), 21.4, flat_ray_evaluator(geom8, -20.0)
-    )
+    state = linear_search(geom8, (15.0,), 21.4, flat_ray_evaluator(geom8, -20.0))
+    best, tested = state.best_config, state.tested
     assert best.null_angles_deg == (15.0,)
     assert len(tested) == 1
 
@@ -322,13 +324,8 @@ def test_linear_scan_rejects_empty_grid(geom8):
 
 
 def multi_flat_evaluator(geom, victims, noise=1e-9):
-    svs = [steering_vector(geom, v) for v in victims]
-
-    def evaluate(u, cfg, w):
-        p = abs(np.vdot(normalize(w), svs[u])) ** 2
-        return report((p + noise) / noise, cfg.label)
-
-    return evaluate
+    """One flat-ray evaluator per user."""
+    return [flat_ray_evaluator(geom, v, noise) for v in victims]
 
 
 def test_colocated_users_share_every_slot(tree8):
@@ -337,7 +334,7 @@ def test_colocated_users_share_every_slot(tree8):
     plan = multi_user_search(states, tree8, multi_flat_evaluator(tree8.geometry, victims))
     assert plan.visited_count == 12
     assert [len(v) for v in plan.visited_per_level] == [3, 3, 3, 3]
-    assert plan.joint_null_angles == plan.per_user_best[0][0].null_angles_deg
+    assert plan.joint_null_angles == plan.states[0].best_config.null_angles_deg
 
 
 def test_users_in_different_sectors_fork_after_level_one(tree8):
@@ -373,4 +370,6 @@ def test_joint_nulls_run_out_of_freedom(tree4):
 
 def test_multi_user_needs_users(tree8):
     with pytest.raises(ValueError):
-        multi_user_search([], tree8, lambda u, cfg, w: report(1.0))
+        multi_user_search([], tree8, [])
+    with pytest.raises(ValueError):
+        multi_user_search([start_search(tree8)] * 2, tree8, [lambda cfgs, w: []])

@@ -290,7 +290,7 @@ def test_any_json_scenario_passes_or_breaks_a_named_rule(raw, tmp_path_factory):
         expected = cli.EXIT_OK
     except ScenarioError:
         expected = cli.EXIT_VALIDATION
-    path = tmp_path_factory.getbasetemp() / "fuzzed_scenario.json"
+    path = tmp_path_factory.mktemp("fuzzed") / "fuzzed_scenario.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["validate", str(path)]) == expected
 
@@ -344,7 +344,7 @@ def test_non_finite_numbers_exit_2_under_a_named_rule(case, tmp_path_factory):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(raw)
     assert rule_of(err) in rules
-    path = tmp_path_factory.getbasetemp() / "non_finite_scenario.json"
+    path = tmp_path_factory.mktemp("non_finite") / "non_finite_scenario.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
 
