@@ -15,13 +15,8 @@ import argparse
 import csv
 from dataclasses import replace
 
-import numpy as np
-
-from nullsim.beamforming import ArrayGeometry, build_weight_matrix, lcmv_weights
-from nullsim.channel import channel_response, flat_channel, rx_power
+from nullsim.beamforming import ArrayGeometry
 from nullsim.coexsim import run_full_protocol
-from nullsim.nullsearch import build_tree
-from nullsim.phy_grid import LteGrid, WifiGrid, build_sc_rb_map
 from nullsim.scenario import Scenario
 
 
@@ -46,26 +41,24 @@ def main() -> None:
     ap.add_argument("--out", default=None, help="write the per-angle table as CSV")
     args = ap.parse_args()
 
-    geom = ArrayGeometry(k_antennas=args.k_antennas)
-    tree = build_tree(geom, args.beam)
-    lte, wifi = LteGrid(), WifiGrid()
-    sc_rb = build_sc_rb_map(lte, wifi)
-    w0m = build_weight_matrix(
-        geom, args.beam, [], lte.n_rrb, base=lcmv_weights(geom, args.beam, [])
+    base = Scenario(
+        ue_angle_deg=args.beam,
+        geometry=ArrayGeometry(k_antennas=args.k_antennas),
+        duty=replace(Scenario().duty, duty=args.duty),
+        search=replace(Scenario().search, power_correction=False),
+    )
+    tree = base.search_tree()
+    # the exhaustive check is the protocol's linear scan over the leaf nulls,
+    # noiseless: its trace holds every leaf's INR, in leaf order
+    leaf_scan = replace(
+        base.search,
+        mode="linear",
+        linear_grid=tuple(tree.nodes[n].null_angles_deg[0] for n in tree.leaf_ids),
     )
 
-    def exhaustive_argmin(angle: float) -> tuple:
-        h = channel_response(flat_channel(angle), geom, wifi)
-        noise = float(np.mean(rx_power(h, w0m, sc_rb))) / (10.0**3 - 1.0)
-        inr = []
-        for leaf in tree.leaf_ids:
-            cfg = tree.nodes[leaf]
-            wm = build_weight_matrix(
-                geom, args.beam, cfg.null_angles_deg, lte.n_rrb,
-                base=tree.weights[leaf],
-            )
-            inr.append((float(np.mean(rx_power(h, wm, sc_rb))) + noise) / noise)
-        best = min(range(len(inr)), key=lambda i: (inr[i], i))
+    def exhaustive_argmin(scn: Scenario) -> tuple:
+        trace = run_full_protocol(replace(scn, search=leaf_scan)).users[0].trace
+        best = min(range(len(trace)), key=lambda i: (trace[i][1].aggregate, i))
         return tree.leaf_ids[best]
 
     centers = [sum(tree.nodes[n].sector) / 2 for n in tree.leaf_ids]
@@ -74,12 +67,6 @@ def main() -> None:
         if (args.all or in_safe_fov(c, args.beam)) and c != args.beam
     ]
 
-    base = Scenario(
-        ue_angle_deg=args.beam,
-        geometry=geom,
-        duty=replace(Scenario().duty, duty=args.duty),
-        search=replace(Scenario().search, power_correction=False),
-    )
     rows = []
     for angle in angles:
         scn = replace(base, user_angles_deg=(angle,))
@@ -87,7 +74,7 @@ def main() -> None:
         user = result.users[0]
         leaf_rows = [(c, r) for c, r in user.trace if c.level == tree.depth]
         chosen = min(range(len(leaf_rows)), key=lambda i: (leaf_rows[i][1].aggregate, i))
-        agrees = leaf_rows[chosen][0].node_id == exhaustive_argmin(angle)
+        agrees = leaf_rows[chosen][0].node_id == exhaustive_argmin(scn)
         rows.append(
             {
                 "victim_deg": round(angle, 4),

@@ -165,22 +165,6 @@ def run_scenarios(scenarios: list[Scenario], repeats: int = 1) -> list[ResultsRe
     return records
 
 
-def run_campaign(
-    scenario: Scenario, mode: str | None = None, repeats: int = 1
-) -> list[ResultsRecord]:
-    """Execute a scenario, a sweep over its declared grids, or repeats.
-
-    ``mode`` overrides the scenario's search mode; ``"sweep"`` runs the
-    :func:`sweep_points` of the declared backhaul and duty grids with the
-    scenario's own mode.
-    """
-    if mode == "sweep":
-        return run_scenarios(sweep_points(scenario), repeats)
-    if mode is not None:
-        scenario = replace(scenario, search=replace(scenario.search, mode=mode))
-    return run_scenarios([scenario], repeats)
-
-
 # ---------------------------------------------------------------------------
 # export / import
 

@@ -67,30 +67,15 @@ class ChannelModel:
             raise ValueError("antenna gains must be positive")
 
 
-def _check_inr(per_sc: np.ndarray, aggregate: float | np.ndarray) -> None:
-    """Reject negative INRs; arrays of profiles and aggregates are checked at once."""
-    # the methods, not np.any: this runs once per report or frontier
-    if np.less(aggregate, 0).any() or np.less(per_sc, 0).any():
-        raise ValueError("INR is a ratio of powers and cannot be negative")
-
-
 @dataclass
 class InrReport:
-    """One interference-to-noise measurement: per subcarrier and band aggregate."""
+    """One interference-to-noise measurement: the band aggregate, linear."""
 
-    per_sc: np.ndarray
     aggregate: float
-    config_id: str = ""
 
     def __post_init__(self) -> None:
-        _check_inr(self.per_sc, self.aggregate)
-
-    @classmethod
-    def _checked(cls, per_sc: np.ndarray, aggregate: float, config_id: str) -> InrReport:
-        """A report whose values :func:`_check_inr` has already passed."""
-        report = cls.__new__(cls)
-        report.per_sc, report.aggregate, report.config_id = per_sc, aggregate, config_id
-        return report
+        if self.aggregate < 0:
+            raise ValueError("INR is a ratio of powers and cannot be negative")
 
     @property
     def aggregate_db(self) -> float:
@@ -174,7 +159,6 @@ def sampled_inr(
     sample_count: int = 100,
     noise_jitter: float = 0.0,
     rng: np.random.Generator | None = None,
-    config_id: str | Sequence[str] = "",
 ) -> InrReport | list[InrReport]:
     """Average ``sample_count`` noisy INR draws into one report.
 
@@ -182,13 +166,10 @@ def sampled_inr(
     of standard deviation ``noise_jitter * noise_power``; the off-phase
     measurement is the noise floor itself.  With zero jitter the average
     equals the single-shot value exactly.  The draws are turned into INRs
-    and averaged as one array, in the order ``rng`` produced them.  The
-    per-subcarrier profile is the noiseless diagnostic; feedback decisions
-    use the aggregate.
+    and averaged as one array, in the order ``rng`` produced them.
 
     A stack of weight matrices (n, K, n_rrb) measures a whole frontier and
-    returns n reports; ``config_id`` is then one id for all of them or a
-    sequence of one id per config.  The draws for all n come from one
+    returns n reports.  The draws for all n come from one
     ``rng.standard_normal((n, sample_count))`` call, the same numbers (and
     the same next draw) as n calls in config order, so every report has
     the bits of its own 2-D call.
@@ -199,28 +180,18 @@ def sampled_inr(
         raise ValueError("noise jitter cannot be negative")
     stacked = np.ndim(weight_matrix) == 3
     p_sc = np.atleast_2d(rx_power(h, weight_matrix, sc_to_rrb, tx_power))
-    n = len(p_sc)
-    ids = [config_id] * n if isinstance(config_id, str) else list(config_id)
-    if len(ids) != n:
-        raise ValueError("one config id per weight matrix required")
     noise = model.noise_power
-    per_sc = (p_sc + noise) / noise
     p_on = np.mean(p_sc, axis=1) + noise
     if noise_jitter == 0.0:
         agg = measure_inr(p_on, noise)
     else:
         if rng is None:
             raise ValueError("jittered measurements need an rng")
-        z = rng.standard_normal((n, sample_count))
+        z = rng.standard_normal((len(p_sc), sample_count))
         draws = p_on[:, None] + noise_jitter * noise * z
         np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
         agg = np.mean(measure_inr(draws, noise), axis=1)
-    _check_inr(per_sc, agg)
-    # each report owns its profile: a row view would keep the whole
-    # frontier's stack alive for as long as any one report is kept
-    reports = [
-        InrReport._checked(per_sc[i].copy(), float(agg[i]), ids[i]) for i in range(n)
-    ]
+    reports = [InrReport(a) for a in agg.tolist()]
     return reports if stacked else reports[0]
 
 

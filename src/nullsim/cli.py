@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .campaign import export_results, run_campaign
+from .campaign import export_results, run_scenarios, sweep_points
 from .presets import PRESET_NAMES, run_repro
 from .scenario import ScenarioError, load_scenario, with_overrides
 
@@ -91,9 +91,9 @@ def main(argv: list[str] | None = None) -> int:
                         file=sys.stderr,
                     )
                     return EXIT_VALIDATION
-                records = run_campaign(scenario, mode="sweep")
+                records = run_scenarios(sweep_points(scenario))
             else:
-                records = run_campaign(scenario, repeats=args.repeats)
+                records = run_scenarios([scenario], args.repeats)
             print(_summarize(records))
             if args.out:
                 for f in export_results(records, args.format, args.out):

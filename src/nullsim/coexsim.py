@@ -41,8 +41,6 @@ from .nullsearch import (
     NullConfig,
     SearchState,
     SearchTree,
-    build_tree,
-    default_linear_grid,
     descend,
     linear_search,
     multi_user_search,
@@ -410,7 +408,6 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             sim.sample_count,
             sim.noise_jitter,
             meas_rngs[u],
-            config_id=[cfg.label for cfg in cfgs],
         )
 
     base_cfg = NullConfig((), scenario.ue_angle_deg, (), scenario.tree_root_sector)
@@ -418,17 +415,8 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
         measure_frontier(u, [base_cfg], w0[None])[0] for u in range(len(models))
     ]
 
-    if search.mode in ("tree", "multiuser"):
-        tree = build_tree(
-            geom,
-            scenario.ue_angle_deg,
-            fanout=search.fanout,
-            depth=search.depth,
-            nulls_per_level=search.nulls_per_level,
-            root_sector=scenario.tree_root_sector,
-        )
-
     if search.mode == "multiuser":
+        tree = scenario.search_tree()
         timeline, plan = simulate_multi_user(
             [start_search(tree) for _ in models], tree, dc, backhaul, sim,
             [partial(measure_frontier, u) for u in range(len(models))],
@@ -456,13 +444,13 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             # calibration already computed
             report = np.abs(responses[0]) ** 2 if search.power_correction else None
             timeline, state = simulate_tree_search(
-                tree, dc, backhaul, sim,
+                scenario.search_tree(), dc, backhaul, sim,
                 partial(measure_frontier, 0, report=report),
                 power_correction=search.power_correction,
             )
         elif search.mode == "linear":
             timeline, state = simulate_linear_search(
-                search.linear_grid or default_linear_grid(), geom, dc, backhaul, sim,
+                scenario.scan_angles, geom, dc, backhaul, sim,
                 partial(measure_frontier, 0), scenario.ue_angle_deg,
             )
         else:

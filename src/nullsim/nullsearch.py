@@ -47,6 +47,14 @@ TREE_CACHE_SIZE = 32
 MAX_TREE_NODES = 2000
 
 
+class TreeShapeError(ValueError):
+    """A search tree its arguments cannot build; ``rule`` names the broken rule."""
+
+    def __init__(self, rule: str, message: str):
+        self.rule = rule
+        super().__init__(message)
+
+
 class DofExhaustedError(RuntimeError):
     """Joint null set would exceed the array's degrees of freedom."""
 
@@ -97,7 +105,9 @@ def default_null_schedule(k_antennas: int, depth: int = 4) -> tuple[int, ...]:
         raise ValueError("tree depth must be at least 1")
     cap = k_antennas - 2
     if cap < 1:
-        raise ValueError(f"{k_antennas} antennas leave no freedom for nulls")
+        raise TreeShapeError(
+            "nulls_exceed_dof", f"{k_antennas} antennas leave no freedom for nulls"
+        )
     counts = [min(cap, 2 * (depth - 1 - lev)) for lev in range(depth - 1)]
     return tuple(counts) + (1,)
 
@@ -237,6 +247,43 @@ def _check_constraints(
         raise DegenerateConstraintsError(failing[min(failing)])
 
 
+def null_schedule(
+    k_antennas: int, depth: int, nulls_per_level: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """Nulls per level: the default schedule, or ``nulls_per_level`` checked.
+
+    The rules, in order: the array has freedom for the default schedule;
+    one count per level; at most K-2 nulls per level (one degree of
+    freedom stays with the beam); exactly one leaf null; at least one null
+    per level.  A broken rule raises a :class:`TreeShapeError`.
+    """
+    if nulls_per_level is None:
+        return default_null_schedule(k_antennas, depth)
+    schedule = tuple(int(n) for n in nulls_per_level)
+    if len(schedule) != depth:
+        raise TreeShapeError(
+            "schedule_depth_mismatch",
+            f"nulls_per_level {schedule} does not match depth {depth}",
+        )
+    if max(schedule) > k_antennas - 2:
+        raise TreeShapeError(
+            "nulls_exceed_dof",
+            f"schedule {schedule} exceeds K-2 = {k_antennas - 2} nulls "
+            f"(one degree of freedom stays with the beam)",
+        )
+    if schedule[-1] != 1:
+        raise TreeShapeError(
+            "leaf_level_not_single_null",
+            f"nulls_per_level {schedule} must end with exactly one leaf null",
+        )
+    if min(schedule) < 1:
+        raise TreeShapeError(
+            "level_without_nulls",
+            f"nulls_per_level {schedule} leaves a level without nulls",
+        )
+    return schedule
+
+
 def build_tree(
     geom: ArrayGeometry,
     beam_angle_deg: float,
@@ -246,6 +293,11 @@ def build_tree(
     root_sector: tuple[float, float] = ROOT_SECTOR,
 ) -> SearchTree:
     """The search tree for these arguments, its every node's constraints checked.
+
+    A tree of more than :data:`MAX_TREE_NODES` nodes, checked first so no
+    depth is ever expanded, or a schedule :func:`null_schedule` rejects
+    raises a :class:`TreeShapeError` naming the rule; these are the only
+    checks of a tree's shape.
 
     No weights are solved here: ``tree.weights`` solves a node the first
     time it is read.  A node whose constraints are degenerate (a beam
@@ -263,25 +315,11 @@ def build_tree(
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
     if tree_node_count(fanout, depth) > MAX_TREE_NODES:
-        raise ValueError(
-            f"fanout {fanout} and depth {depth} exceed {MAX_TREE_NODES} tree nodes"
+        raise TreeShapeError(
+            "tree_too_large",
+            f"fanout {fanout} and depth {depth} exceed {MAX_TREE_NODES} tree nodes",
         )
-    schedule = (
-        default_null_schedule(geom.k_antennas, depth)
-        if nulls_per_level is None
-        else tuple(int(n) for n in nulls_per_level)
-    )
-    if len(schedule) != depth:
-        raise ValueError("null schedule length must equal tree depth")
-    if schedule[-1] != 1:
-        raise ValueError("leaf level must place exactly one null")
-    if any(n < 1 for n in schedule):
-        raise ValueError("every level needs at least one null")
-    if max(schedule) > geom.k_antennas - 2:
-        raise ValueError(
-            f"schedule {schedule} exceeds the {geom.k_antennas - 2} nulls "
-            f"available with a beam constraint"
-        )
+    schedule = null_schedule(geom.k_antennas, depth, nulls_per_level)
     lo, hi = root_sector
     if not (-90.0 <= lo < hi <= 90.0):
         raise ValueError("root sector must be a nonempty range inside [-90, 90]")

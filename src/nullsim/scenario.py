@@ -31,12 +31,12 @@ from .coexsim import (
     configs_per_cycle,
 )
 from .nullsearch import (
-    MAX_TREE_NODES,
     ROOT_SECTOR,
+    SearchTree,
+    TreeShapeError,
     build_tree,
     default_linear_grid,
-    default_null_schedule,
-    tree_node_count,
+    null_schedule,
 )
 from .phy_grid import LteGrid, WifiGrid
 
@@ -130,6 +130,22 @@ class Scenario:
     @property
     def tree_root_sector(self) -> tuple[float, float]:
         return ROOT_SECTOR
+
+    @property
+    def scan_angles(self) -> tuple[float, ...]:
+        """The linear scan's grid: the declared one, or the default."""
+        return self.search.linear_grid or default_linear_grid()
+
+    def search_tree(self) -> SearchTree:
+        """The tree a tree or multi-user run descends; see :func:`build_tree`."""
+        return build_tree(
+            self.geometry,
+            self.ue_angle_deg,
+            fanout=self.search.fanout,
+            depth=self.search.depth,
+            nulls_per_level=self.search.nulls_per_level,
+            root_sector=self.tree_root_sector,
+        )
 
     def build_channels(self) -> list[ChannelModel]:
         """Per-user channel draws; deterministic in the scenario seed."""
@@ -383,53 +399,26 @@ def validate_scenario(s: Scenario) -> None:
             f"got {len(s.user_angles_deg)}",
         )
 
-    # the test slot must fit the usable on-phase
+    _check_test_slot(s.duty, s.sim)
+
+    # the search-space rules are nullsearch's; a linear scan builds no tree
+    # but still holds a declared schedule to them
     try:
-        configs_per_cycle(s.duty, s.sim)
-    except ValueError as exc:
-        raise ScenarioError("test_slot_exceeds_on_phase", str(exc)) from exc
-
-    tree_mode = s.search.mode in ("tree", "multiuser")
-    # checked before the schedule, whose default has ``depth`` entries
-    if tree_mode and tree_node_count(s.search.fanout, s.search.depth) > MAX_TREE_NODES:
-        raise ScenarioError(
-            "tree_too_large",
-            f"fanout {s.search.fanout} and depth {s.search.depth} give more than "
-            f"{MAX_TREE_NODES} tree nodes",
-        )
-    schedule = s.search.nulls_per_level
-    if schedule is None and tree_mode:
-        try:
-            schedule = default_null_schedule(s.geometry.k_antennas, s.search.depth)
-        except ValueError as exc:
-            raise ScenarioError("nulls_exceed_dof", str(exc)) from exc
-    if schedule is not None:
-        if len(schedule) != s.search.depth:
-            raise ScenarioError(
-                "schedule_depth_mismatch",
-                f"nulls_per_level {schedule} does not match depth {s.search.depth}",
-            )
-        if max(schedule) > s.geometry.k_antennas - 2:
-            raise ScenarioError(
-                "nulls_exceed_dof",
-                f"schedule {schedule} exceeds K-2 = {s.geometry.k_antennas - 2} "
-                f"nulls (one degree of freedom stays with the beam)",
-            )
-
-    if tree_mode:
-        _check_tree(s, schedule)
+        if s.search.mode != "linear":
+            s.search_tree()
+        elif s.search.nulls_per_level is not None:
+            null_schedule(s.geometry.k_antennas, s.search.depth, s.search.nulls_per_level)
+    except TreeShapeError as exc:
+        raise ScenarioError(exc.rule, str(exc)) from exc
+    except DegenerateConstraintsError as exc:
+        raise ScenarioError("beam_on_candidate_null", str(exc)) from exc
     if s.search.mode == "linear":
-        grid = s.search.linear_grid or default_linear_grid()
-        if any(g == s.ue_angle_deg for g in grid):
-            raise ScenarioError(
-                "beam_on_candidate_null",
-                f"ue_angle_deg {s.ue_angle_deg} sits exactly on a scan angle",
-            )
+        grid = s.scan_angles
         if any(not -90.0 <= g <= 90.0 for g in grid):
             raise ScenarioError(
                 "scan_angle_out_of_range", "linear_grid angles must be in [-90, 90]"
             )
-        # an angle aliased with the beam makes its single-null solve degenerate
+        # a scan angle on, or aliased with, the beam makes its solve degenerate
         failing = degenerate_rows(s.geometry, s.ue_angle_deg, [(g,) for g in grid])
         if failing:
             i = min(failing)
@@ -440,39 +429,18 @@ def validate_scenario(s: Scenario) -> None:
     for d in s.sweep_duty:
         if not 0.0 < d <= 1.0:
             raise ScenarioError("duty_out_of_range", f"sweep duty {d} outside (0, 1]")
+        _check_test_slot(replace(s.duty, duty=d), s.sim)
     for b in s.sweep_backhaul_ms:
         if b < 0:
             raise ScenarioError("backhaul_negative", f"sweep backhaul {b} ms < 0")
 
 
-def _check_tree(s: Scenario, schedule: tuple[int, ...]) -> None:
-    """Tree rules: the schedule's shape, then every node's constraints.
-
-    A beam on (or aliased with) a candidate null makes that node's
-    constraints degenerate; building the tree checks every node without
-    solving any.
-    """
-    if schedule[-1] != 1:
-        raise ScenarioError(
-            "leaf_level_not_single_null",
-            f"nulls_per_level {schedule} must end with exactly one leaf null",
-        )
-    if min(schedule) < 1:
-        raise ScenarioError(
-            "level_without_nulls",
-            f"nulls_per_level {schedule} leaves a level without nulls",
-        )
+def _check_test_slot(duty: DutyCycleConfig, sim: SimConfig) -> None:
+    """The test slot must fit the usable on-phase."""
     try:
-        build_tree(
-            s.geometry,
-            s.ue_angle_deg,
-            fanout=s.search.fanout,
-            depth=s.search.depth,
-            nulls_per_level=s.search.nulls_per_level,
-            root_sector=s.tree_root_sector,
-        )
-    except DegenerateConstraintsError as exc:
-        raise ScenarioError("beam_on_candidate_null", str(exc)) from exc
+        configs_per_cycle(duty, sim)
+    except ValueError as exc:
+        raise ScenarioError("test_slot_exceeds_on_phase", f"duty {duty.duty}: {exc}") from exc
 
 
 def load_scenario(path: str) -> Scenario:

@@ -28,7 +28,7 @@ from nullsim.coexsim import (
     simulate_multi_user,
     simulate_tree_search,
 )
-from nullsim.campaign import export_results, run_campaign
+from nullsim.campaign import export_results, run_scenarios, sweep_points
 from nullsim.nullsearch import build_tree, start_search
 from nullsim.phy_grid import LteGrid, WifiGrid, build_sc_rb_map
 from nullsim.presets import (
@@ -247,10 +247,7 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
 
     def stub(i):
         return lambda cfgs, w: [
-            InrReport(
-                per_sc=np.array([scores[i][cfg.node_id]]),
-                aggregate=scores[i][cfg.node_id],
-            )
+            InrReport(aggregate=scores[i][cfg.node_id])
             for cfg in cfgs
         ]
 
@@ -271,10 +268,7 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
                 bh,
                 sim,
                 lambda cfgs, w: [
-                    InrReport(
-                        per_sc=np.array([1.0 + cfg.node_id[0]]),
-                        aggregate=1.0 + cfg.node_id[0],
-                    )
+                    InrReport(aggregate=1.0 + cfg.node_id[0])
                     for cfg in cfgs
                 ],
                 beam_angle_deg=21.4,
@@ -290,10 +284,7 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
                 sim,
                 [
                     lambda cfgs, w, u=u: [
-                        InrReport(
-                            per_sc=np.array([scores[i][cfg.node_id] + shift[u]]),
-                            aggregate=scores[i][cfg.node_id] + shift[u],
-                        )
+                        InrReport(aggregate=scores[i][cfg.node_id] + shift[u])
                         for cfg in cfgs
                     ]
                     for u in range(2)
@@ -321,7 +312,7 @@ def test_criterion_8_reruns_produce_byte_identical_files(tmp_path):
     for name, (scn, mode) in scenarios.items():
         files = {}
         for tag in ("first", "second"):
-            records = run_campaign(scn, mode=mode)
+            records = run_scenarios(sweep_points(scn) if mode == "sweep" else [scn])
             files[tag] = [
                 f
                 for fmt in ("json", "csv")

@@ -13,8 +13,8 @@ from nullsim.campaign import (
     ResultsRecord,
     export_results,
     load_results,
-    run_campaign,
     run_scenarios,
+    sweep_points,
 )
 from nullsim import campaign
 from nullsim.presets import PRESET_NAMES, run_repro, scenario_fig9_delay, scenario_fig10_multiuser
@@ -23,7 +23,11 @@ from nullsim.scenario import Scenario, with_overrides
 
 @pytest.fixture(scope="module")
 def default_records():
-    return run_campaign(Scenario())
+    return run_scenarios([Scenario()])
+
+
+def _linear(s):
+    return dataclasses.replace(s, search=dataclasses.replace(s.search, mode="linear"))
 
 
 def test_one_run_one_record(default_records):
@@ -34,7 +38,7 @@ def test_one_run_one_record(default_records):
 
 
 def test_repeats_reproduce_identical_rows():
-    rows = [r.summary_row() for r in run_campaign(Scenario(), repeats=3)]
+    rows = [r.summary_row() for r in run_scenarios([Scenario()], repeats=3)]
     assert [r["run_id"] for r in rows] == [0, 1, 2]
     for row in rows:
         row.pop("run_id")
@@ -43,11 +47,11 @@ def test_repeats_reproduce_identical_rows():
 
 def test_repeats_must_be_positive():
     with pytest.raises(ValueError):
-        run_campaign(Scenario(), repeats=0)
+        run_scenarios([Scenario()], repeats=0)
 
 
 def test_linear_override_tests_the_whole_grid():
-    (rec,) = run_campaign(Scenario(), mode="linear")
+    (rec,) = run_scenarios([_linear(Scenario())])
     assert rec.mode == "linear"
     assert rec.configs_tested == 165
     assert rec.power_phase_ms == 0.0
@@ -63,7 +67,7 @@ def test_sweep_iterates_duty_major():
     s = with_overrides(
         Scenario(), sweep_duty=(0.2, 1.0), sweep_backhaul_ms=(5.0, 50.0, 105.0)
     )
-    records = run_campaign(s, mode="sweep")
+    records = run_scenarios(sweep_points(s))
     assert [r.run_id for r in records] == list(range(6))
     assert [(r.duty, r.backhaul_ms) for r in records] == [
         (0.2, 5.0),
@@ -79,7 +83,7 @@ def test_sweep_iterates_duty_major():
 
 def test_sweep_needs_grids():
     with pytest.raises(ValueError):
-        run_campaign(Scenario(), mode="sweep")
+        sweep_points(Scenario())
 
 
 def _positions(records):
@@ -97,7 +101,7 @@ def test_run_id_plus_user_is_the_record_position_in_every_repro_table(figure):
 
 
 def test_multi_user_repeats_number_runs_by_record_offset():
-    records = run_campaign(scenario_fig10_multiuser(), repeats=2)
+    records = run_scenarios([scenario_fig10_multiuser()], repeats=2)
     assert [r.run_id for r in records] == [0] * 4 + [4] * 4
     assert _positions(records) == list(range(8))
     rows = _rows_without_run_id(records)
@@ -106,7 +110,7 @@ def test_multi_user_repeats_number_runs_by_record_offset():
 
 def test_multi_user_sweep_numbers_runs_by_record_offset():
     s = with_overrides(scenario_fig10_multiuser(), sweep_duty=(0.05, 0.2))
-    records = run_campaign(s, mode="sweep")
+    records = run_scenarios(sweep_points(s))
     assert [(r.run_id, r.duty) for r in records[::4]] == [(0, 0.05), (4, 0.2)]
     assert _positions(records) == list(range(8))
 
@@ -128,9 +132,10 @@ def test_fig9_is_the_campaign_sweep_of_the_tree_then_the_linear_variant():
     swept = [
         r
         for mode in ("tree", "linear")
-        for r in run_campaign(
-            dataclasses.replace(base, search=dataclasses.replace(base.search, mode=mode)),
-            mode="sweep",
+        for r in run_scenarios(
+            sweep_points(
+                dataclasses.replace(base, search=dataclasses.replace(base.search, mode=mode))
+            )
         )
     ]
     assert [r.mode for r in records] == ["tree"] * 6 + ["linear"] * 6
@@ -164,7 +169,7 @@ def test_trace_rows_mirror_the_visited_nodes(tmp_path, default_records):
 def test_exports_are_byte_identical_across_reruns(tmp_path):
     paths = []
     for tag in ("a", "b"):
-        records = run_campaign(Scenario())
+        records = run_scenarios([Scenario()])
         paths.append(
             {
                 fmt: export_results(records, fmt, str(tmp_path / f"{tag}.{fmt}"))
@@ -226,7 +231,7 @@ def test_a_linear_run_exports_without_the_pure_python_encoder(tmp_path, monkeypa
         raise AssertionError("the pure-Python JSON encoder was used")
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-    records = run_campaign(Scenario(), mode="linear")
+    records = run_scenarios([_linear(Scenario())])
     (path,) = export_results(records, "json", str(tmp_path / "linear.json"))
     assert load_results(path) == [r.summary_row() for r in records]
     with pytest.raises(AssertionError):

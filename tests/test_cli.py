@@ -57,6 +57,21 @@ def test_validate_rejects_what_the_run_could_not_finish(text, rule, tmp_path, ca
     assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
 
 
+def test_a_sweep_duty_without_a_test_slot_fails_validate_and_sweep_up_front(
+    tmp_path, capsys
+):
+    path = tmp_path / "sweep.json"
+    path.write_text(
+        '{"sim": {"test_slot_ms": 4.0}, "duty_cycle": {"duty": 0.2}, '
+        '"sweep": {"duty": [0.05, 0.2]}}'
+    )
+    for verb in ("validate", "sweep"):
+        assert cli.main([verb, str(path)]) == cli.EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert "scenario error: test_slot_exceeds_on_phase" in out.err
+        assert out.out == ""
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "nope.json")]) == cli.EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
@@ -133,7 +148,7 @@ def test_runtime_failures_get_their_own_exit_code(scenario_file, capsys, monkeyp
     def boom(*args, **kwargs):
         raise RuntimeError("deliberate")
 
-    monkeypatch.setattr(cli, "run_campaign", boom)
+    monkeypatch.setattr(cli, "run_scenarios", boom)
     assert cli.main(["run", scenario_file]) == cli.EXIT_RUNTIME
     assert "runtime error: RuntimeError: deliberate" in capsys.readouterr().err
 

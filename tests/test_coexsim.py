@@ -40,7 +40,7 @@ def tree4():
 
 
 def report(value: float) -> InrReport:
-    return InrReport(per_sc=np.array([value]), aggregate=value)
+    return InrReport(aggregate=value)
 
 
 def scripted_evaluator(tree, seed: int):

@@ -25,7 +25,7 @@ from nullsim.beamforming import (
     degenerate_rows,
     lcmv_weights,
 )
-from nullsim.campaign import export_results, run_campaign
+from nullsim.campaign import export_results, run_scenarios
 from nullsim.channel import (
     InrReport,
     channel_response,
@@ -260,7 +260,6 @@ def test_frontier_measurement_matches_per_config_calls(
     block_map = rb_map if corrected else None
     model = orbit_like_channel(rng, k) if seed % 2 else two_ray_channel(10.0)
     h = channel_response(model, geom, wifi)
-    ids = [f"c{i}" for i in range(n)]
 
     stack = build_weight_matrix(
         geom, 0.0, ((),) * n, lte.n_rrb, report=report, rb_sc_map=block_map, base=weights
@@ -282,16 +281,10 @@ def test_frontier_measurement_matches_per_config_calls(
         assert np.array_equal(row, rx_power_reference(h, wm, sc_rb, 2.0))
 
     rng_stack, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
-    reports = sampled_inr(
-        h, stack, sc_rb, model, 2.0, 50, jitter, rng_stack, config_id=ids
-    )
-    for rep, wm, cid in zip(reports, singles, ids):
-        one = sampled_inr(
-            h, wm, sc_rb, model, 2.0, 50, jitter, rng_single, config_id=cid
-        )
+    reports = sampled_inr(h, stack, sc_rb, model, 2.0, 50, jitter, rng_stack)
+    for rep, wm in zip(reports, singles):
+        one = sampled_inr(h, wm, sc_rb, model, 2.0, 50, jitter, rng_single)
         assert rep.aggregate == one.aggregate
-        assert np.array_equal(rep.per_sc, one.per_sc)
-        assert rep.config_id == one.config_id
     assert rng_stack.random() == rng_single.random()
 
 
@@ -301,38 +294,12 @@ def test_plain_matrix_is_a_read_only_broadcast(geom4, lte):
     assert not m.flags.writeable
 
 
-def test_frontier_ids_must_match_the_stack(geom4, lte, wifi, sc_rb):
-    model = two_ray_channel()
-    h = channel_response(model, geom4, wifi)
-    stack = build_weight_matrix(geom4, 0.0, ((30.0,), (50.0,)), lte.n_rrb)
-    assert [r.config_id for r in sampled_inr(h, stack, sc_rb, model)] == ["", ""]
-    with pytest.raises(ValueError):
-        sampled_inr(h, stack, sc_rb, model, config_id=["only one"])
-
-
-def test_a_stacked_measurement_still_rejects_a_negative_profile(
-    geom4, lte, wifi, sc_rb, monkeypatch
-):
-    model = two_ray_channel()
-    h = channel_response(model, geom4, wifi)
-    stack = build_weight_matrix(geom4, 0.0, ((30.0,), (50.0,), (-40.0,)), lte.n_rrb)
-
-    def dented(*args, **kwargs):
-        p = rx_power(*args, **kwargs).copy()
-        p[1, 7] = -2.0 * model.noise_power  # a profile entry of INR -1
-        return p
-
-    monkeypatch.setattr(channel, "rx_power", dented)
-    with pytest.raises(ValueError, match="INR is a ratio of powers and cannot be negative"):
-        sampled_inr(h, stack, sc_rb, model)
-
-
 # ---------------------------------------------------------------------------
 # one evaluator call per frontier
 
 
 def _report(value: float) -> InrReport:
-    return InrReport(per_sc=np.array([value]), aggregate=value)
+    return InrReport(aggregate=value)
 
 
 def test_linear_search_measures_its_grid_as_one_frontier(geom8):
@@ -442,7 +409,9 @@ JITTERED_JSON_SHA256 = {
 def test_jittered_export_matches_its_golden_digest(name, mode, tmp_path):
     s = load_scenario(str(SCENARIOS / name))
     s = with_overrides(s, sim=replace(s.sim, noise_jitter=0.5))
-    records = run_campaign(s, mode=mode)
+    if mode is not None:
+        s = replace(s, search=replace(s.search, mode=mode))
+    records = run_scenarios([s])
     (path,) = export_results(records, "json", str(tmp_path / "out.json"))
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     assert digest == JITTERED_JSON_SHA256[(name, mode)]

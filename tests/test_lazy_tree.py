@@ -195,19 +195,9 @@ def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch, fre
 # scenario validation accepts and rejects what it did with eager trees
 
 
-def _check_tree_eagerly(s, schedule):
-    """The former tree rule: the eager build's own checks and solves, any
-    ``ValueError`` reported as a beam collision."""
-    try:
-        if schedule[-1] != 1 or min(schedule) < 1:
-            raise ValueError("schedule rejected by the tree build")
-        eager_weights(
-            s.geometry,
-            s.ue_angle_deg,
-            node_nulls(s.search.fanout, s.search.depth, schedule, s.tree_root_sector),
-        )
-    except ValueError as exc:
-        raise ScenarioError("beam_on_candidate_null", str(exc)) from exc
+def _check_constraints_eagerly(geom, beam, nodes):
+    """The former tree check: every node solved, depth first."""
+    eager_weights(geom, beam, {n: cfg.null_angles_deg for n, cfg in nodes.items()})
 
 
 @st.composite
@@ -251,14 +241,13 @@ def _rule(raw):
 @settings(max_examples=80, deadline=None)
 @given(raw=tree_scenario_dicts())
 def test_validation_accepts_and_rejects_as_with_eager_trees(raw):
+    # a cached tree skips the check, so each side builds its tree anew
+    nullsearch._shared_tree.cache_clear()
     rule = _rule(raw)
-    with patch.object(scenario_mod, "_check_tree", _check_tree_eagerly):
+    nullsearch._shared_tree.cache_clear()
+    with patch.object(nullsearch, "_check_constraints", _check_constraints_eagerly):
         rule_before = _rule(raw)
-    assert (rule is None) == (rule_before is None)
-    if rule != rule_before:
-        # the schedule rules used to surface as a beam collision
-        assert rule_before == "beam_on_candidate_null"
-        assert rule in ("leaf_level_not_single_null", "level_without_nulls")
+    assert rule == rule_before
 
 
 def test_validation_checks_the_tree_the_run_builds(monkeypatch):

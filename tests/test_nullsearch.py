@@ -19,6 +19,7 @@ from nullsim.nullsearch import (
     DofExhaustedError,
     NullConfig,
     SearchState,
+    TreeShapeError,
     advance,
     build_tree,
     default_linear_grid,
@@ -44,8 +45,8 @@ def tree4():
     return build_tree(ArrayGeometry(k_antennas=4), beam_angle_deg=21.4)
 
 
-def report(value: float, config_id: str = "") -> InrReport:
-    return InrReport(per_sc=np.array([value]), aggregate=value, config_id=config_id)
+def report(value: float) -> InrReport:
+    return InrReport(aggregate=value)
 
 
 def scripted_evaluator(tree, seed: int):
@@ -56,7 +57,7 @@ def scripted_evaluator(tree, seed: int):
 
     def evaluate(cfgs, w):
         calls.extend(cfg.node_id for cfg in cfgs)
-        return [report(scores[cfg.node_id], cfg.label) for cfg in cfgs]
+        return [report(scores[cfg.node_id]) for cfg in cfgs]
 
     return evaluate, scores, calls
 
@@ -168,6 +169,23 @@ def test_build_tree_validation():
         build_tree(geom, 21.4, root_sector=(-91.0, 90.0))
     with pytest.raises(ValueError):
         build_tree(geom, 21.4, root_sector=(30.0, 30.0))
+
+
+@pytest.mark.parametrize(
+    "k,kwargs,rule",
+    [
+        (8, {"fanout": 10, "depth": 8}, "tree_too_large"),
+        (2, {}, "nulls_exceed_dof"),
+        (8, {"nulls_per_level": (6, 4, 1)}, "schedule_depth_mismatch"),
+        (8, {"nulls_per_level": (7, 4, 2, 1)}, "nulls_exceed_dof"),
+        (8, {"nulls_per_level": (6, 4, 2, 2)}, "leaf_level_not_single_null"),
+        (8, {"nulls_per_level": (6, 0, 2, 1)}, "level_without_nulls"),
+    ],
+)
+def test_build_tree_names_the_shape_rule_it_refuses(k, kwargs, rule):
+    with pytest.raises(TreeShapeError) as err:
+        build_tree(ArrayGeometry(k_antennas=k), 21.4, **kwargs)
+    assert err.value.rule == rule
 
 
 def test_beam_on_a_candidate_null_is_rejected():
@@ -289,7 +307,7 @@ def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
 
     def evaluate(cfgs, weights):
         return [
-            report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise, cfg.label)
+            report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise)
             for cfg, w in zip(cfgs, weights)
         ]
 

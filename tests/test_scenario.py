@@ -195,6 +195,34 @@ def test_spec_dataclasses_name_their_own_rules():
         ({"channel": {"baseline_inr_db": 1e-10}, "sim": {"noise_jitter": 1e300}}, "jitter_out_of_range"),
         # numpy's default_rng takes non-negative seeds only
         ({"seed": -1}, "seed_negative"),
+        # schedules that break several rules name the first in build_tree's
+        # order: node cap, length, K-2, leaf, at least one per level
+        (
+            {"geometry": {"k_antennas": 8}, "search": {"depth": 3, "nulls_per_level": [7, 0, 1]}},
+            "nulls_exceed_dof",
+        ),
+        (
+            {"geometry": {"k_antennas": 8}, "search": {"depth": 3, "nulls_per_level": [7, 2]}},
+            "schedule_depth_mismatch",
+        ),
+        (
+            {"geometry": {"k_antennas": 8}, "search": {"depth": 3, "nulls_per_level": [2, 0, 2]}},
+            "leaf_level_not_single_null",
+        ),
+        ({"geometry": {"k_antennas": 4}, "search": {"nulls_per_level": [3, 0, 2, 2]}}, "nulls_exceed_dof"),
+        ({"search": {"fanout": 10, "depth": 8, "nulls_per_level": [7, 0, 1]}}, "tree_too_large"),
+        (
+            {"geometry": {"k_antennas": 2}, "search": {"depth": 2, "nulls_per_level": [0, 1]}},
+            "nulls_exceed_dof",
+        ),
+        # a declared schedule meets the same rules in linear mode
+        ({"search": {"mode": "linear", "nulls_per_level": [2, 2, 2, 2]}}, "leaf_level_not_single_null"),
+        ({"search": {"mode": "linear", "nulls_per_level": [2, 0, 2, 1]}}, "level_without_nulls"),
+        # every swept duty must hold a test slot, not only the scenario's own
+        (
+            {"sim": {"test_slot_ms": 4.0}, "duty_cycle": {"duty": 0.2}, "sweep": {"duty": [0.05, 0.2]}},
+            "test_slot_exceeds_on_phase",
+        ),
     ],
 )
 def test_validation_rules(raw, rule):
