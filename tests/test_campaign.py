@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +190,48 @@ def test_empty_export(tmp_path):
     cpath, tpath = export_results([], "csv", str(tmp_path / "empty.csv"))
     assert load_results(cpath) == []
     assert open(tpath).read().strip() == ",".join(TRACE_COLUMNS)
+
+
+def _export_bytes(records, fmt, path):
+    return [Path(f).read_bytes() for f in export_results(records, fmt, str(path))]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_shorter_export_rewrites_a_longer_file_in_place(fmt, tmp_path, default_records):
+    fresh = _export_bytes(default_records, fmt, tmp_path / f"fresh.{fmt}")
+    path = tmp_path / f"out.{fmt}"
+    files = export_results(default_records * 3, fmt, str(path))
+    for f in files:
+        os.chmod(f, 0o640)
+    before = [os.stat(f) for f in files]
+    assert [Path(f).read_bytes() for f in files] != fresh
+    assert _export_bytes(default_records, fmt, path) == fresh  # no stale tail
+    after = [os.stat(f) for f in files]
+    assert [(s.st_ino, s.st_mode) for s in after] == [(s.st_ino, s.st_mode) for s in before]
+    assert all(stat.S_IMODE(s.st_mode) == 0o640 for s in after)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_export_through_a_symlink_rewrites_its_target(fmt, tmp_path, default_records):
+    fresh = _export_bytes(default_records, fmt, tmp_path / f"fresh.{fmt}")
+    target = tmp_path / f"target.{fmt}"
+    export_results(default_records * 3, fmt, str(target))
+    link = tmp_path / f"link.{fmt}"
+    link.symlink_to(target)
+    export_results(default_records, fmt, str(link))
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh[0]
+
+
+def test_a_failed_csv_export_leaves_the_old_files_alone(tmp_path, default_records):
+    files = export_results(default_records * 3, "csv", str(tmp_path / "out.csv"))
+    old = [Path(f).read_bytes() for f in files]
+    (rec,) = default_records
+    bad = dataclasses.replace(rec, trace=[dict(row, extra=1) for row in rec.trace])
+    with pytest.raises(ValueError, match="extra"):
+        export_results([bad], "csv", str(tmp_path / "out.csv"))
+    assert [Path(f).read_bytes() for f in files] == old
 
 
 def test_unknown_format(tmp_path, default_records):
