@@ -12,10 +12,10 @@ partners.
 """
 
 import argparse
-import csv
 from dataclasses import replace
 
 from nullsim.beamforming import ArrayGeometry
+from nullsim.campaign import _csv_text, _write_text
 from nullsim.coexsim import run_full_protocol
 from nullsim.scenario import Scenario
 
@@ -99,10 +99,8 @@ def main() -> None:
     )
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            w.writeheader()
-            w.writerows(rows)
+        # written in place, like every result export
+        _write_text(args.out, _csv_text(list(rows[0]), rows), "")
         print(f"wrote {args.out}")
 
 

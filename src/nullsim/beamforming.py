@@ -195,8 +195,8 @@ def lcmv_weights(
     bits of its own 1-D call.  The stack raises exactly when one of its
     rows would, and the first such row raises its own error.  A row's
     checks run in this order: angles in range, beam on a null, null count,
-    beam angle in range, rank.  All rows are checked and solved by two
-    stacked SVDs: the rank test, then the solve.
+    beam angle in range, rank.  All rows are checked by one stacked rank
+    test, then solved by one :func:`min_norm_weights` call.
     """
     nulls = np.asarray(null_degs, dtype=float)
     stacked = nulls.ndim == 2
@@ -225,12 +225,21 @@ def lcmv_weights(
             )
         _check_angle(beam_deg)
         raise DegenerateConstraintsError(failing[i])
-    # minimum-norm solutions of the underdetermined systems c^H w = e1,
-    # from the SVD c^H = U S Vh: w = Vh^H (U^H e1 / s); the sum over the
-    # singular directions runs along a non-last axis, in order
-    u, s, vh = np.linalg.svd(c.conj().transpose(0, 2, 1), full_matrices=False)
-    w = (vh.conj() * (u[:, 0, :].conj() / s)[:, :, None]).sum(axis=1)
+    w = min_norm_weights(c)
     return w if stacked else w[0]
+
+
+def min_norm_weights(c: np.ndarray) -> np.ndarray:
+    """The solve of :func:`lcmv_weights`, on constraint matrices already checked.
+
+    ``c`` is a (n, K, 1 + m) stack from :func:`constraint_matrices` none of
+    whose rows :func:`degenerate_rows` rejects; nothing is checked here.  Returns the (n, K) minimum-norm solutions of
+    the underdetermined systems c^H w = e1, from the SVD c^H = U S Vh:
+    w = Vh^H (U^H e1 / s).  The sum over the singular directions runs along
+    a non-last axis, in order, so each row has the bits of its own call.
+    """
+    u, s, vh = np.linalg.svd(c.conj().transpose(0, 2, 1), full_matrices=False)
+    return (vh.conj() * (u[:, 0, :].conj() / s)[:, :, None]).sum(axis=1)
 
 
 def normalize(w: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .beamforming import ArrayGeometry
-from .phy_grid import WifiGrid, sc_center_freq
+from .phy_grid import WifiGrid, _grid_centers
 
 MIN_MEASURABLE_POWER = 1e-30
 
@@ -87,7 +87,8 @@ def channel_response(
 ) -> np.ndarray:
     """Complex response h of shape (antennas, subcarriers)."""
     k = np.arange(geom.k_antennas)[:, None]
-    freqs = np.array([sc_center_freq(wifi, s) for s in range(wifi.n_sc)], dtype=float)
+    # every subcarrier's center, the integers of sc_center_freq, as floats
+    freqs = _grid_centers(wifi.center_freq_hz, wifi.n_sc, wifi.sc_bandwidth_hz).astype(float)
     h = np.zeros((geom.k_antennas, wifi.n_sc), dtype=complex)
     for p in model.paths:
         spatial = np.exp(

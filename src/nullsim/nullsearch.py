@@ -26,8 +26,9 @@ import numpy as np
 from .beamforming import (
     ArrayGeometry,
     DegenerateConstraintsError,
+    constraint_matrices,
     degenerate_rows,
-    lcmv_weights,
+    min_norm_weights,
 )
 from .channel import InrReport
 
@@ -36,7 +37,8 @@ NodeId = tuple[int, ...]
 ROOT_SECTOR = (-90.0, 90.0)
 
 # distinct search trees kept per process, with their solved weights; an
-# ensemble or a sweep on one array and beam shares a single tree
+# ensemble or a sweep on one array and beam shares a single tree.  As many
+# node layouts are kept, one per tree shape, shared by every beam and array.
 TREE_CACHE_SIZE = 32
 
 # the most nodes a search tree may have.  The presets use 120 (fanout 3,
@@ -121,10 +123,13 @@ class _NodeWeights(Mapping[NodeId, np.ndarray]):
     """Read-only node weights, each solved on first use.
 
     ``solve(node_ids)`` solves the nodes not yet solved with one stacked
-    :func:`lcmv_weights` call (a frontier's nodes share a null count);
-    ``weights[node_id]`` is the one-node case.  Vectors are kept for the
-    tree's lifetime, read-only, so a descent pays for the nodes it tests and
-    no others, and every run sharing the tree reuses them.
+    :func:`min_norm_weights` call on their constraint matrices (a
+    frontier's nodes share a null count); ``weights[node_id]`` is the
+    one-node case.  The rank test is not run again: the tree checked every
+    node when it was made.  Vectors are kept for the tree's lifetime,
+    read-only, so a descent pays for the nodes it tests and no others, and
+    every run sharing the tree reuses them; the constraint matrices are not
+    kept.
     """
 
     def __init__(
@@ -140,7 +145,8 @@ class _NodeWeights(Mapping[NodeId, np.ndarray]):
         todo = [n for n in node_ids if n not in self._solved]
         if todo:
             null_sets = [self._nodes[n].null_angles_deg for n in todo]
-            rows = lcmv_weights(self._geom, self._beam, null_sets)
+            c = constraint_matrices(self._geom, self._beam, null_sets)
+            rows = min_norm_weights(c)
             rows.flags.writeable = False
             self._solved.update(zip(todo, rows))
         return np.array([self._solved[n] for n in node_ids])
@@ -167,6 +173,11 @@ class SearchTree:
     reads 12 of a default tree's 120 nodes.  A linear scan is a depth-1
     tree whose nodes are the grid angles.
 
+    A tree is checked when it is made: a node whose constraints
+    :func:`~nullsim.beamforming.lcmv_weights` would reject raises its
+    :class:`DegenerateConstraintsError` here (see :func:`_check_constraints`),
+    so no node's solve runs the rank test again.
+
     A tree is read-only: ``nodes`` is a read-only copy of the table it is
     given and solved weight rows reject writes, so :func:`build_tree` can
     hand one tree to every caller with the same key.
@@ -183,6 +194,7 @@ class SearchTree:
 
     def __post_init__(self) -> None:
         nodes = MappingProxyType(dict(self.nodes))
+        _check_constraints(self.geometry, self.beam_angle_deg, nodes)
         object.__setattr__(self, "nodes", nodes)
         weights = _NodeWeights(self.geometry, self.beam_angle_deg, nodes)
         object.__setattr__(self, "weights", weights)
@@ -227,11 +239,11 @@ def tree_node_count(fanout: int, depth: int) -> int:
 def _check_constraints(
     geom: ArrayGeometry, beam_angle_deg: float, nodes: Mapping[NodeId, NullConfig]
 ) -> None:
-    """Raise what :func:`lcmv_weights` would raise on some node, without solving.
+    """Raise what ``lcmv_weights`` would raise on some node, without solving.
 
     Nodes are grouped by null count (so per level, or fewer groups) and
-    each group is checked by :func:`degenerate_rows`: one stacked SVD over
-    the matrices ``lcmv_weights`` builds, with the same tolerance.  Of the
+    each group is checked by :func:`degenerate_rows`: one stacked rank test
+    over the matrices ``lcmv_weights`` builds, with the same tolerance.  Of the
     failing nodes, the first in depth-first order raises, with the message
     its own solve would give.
     """
@@ -310,7 +322,9 @@ def build_tree(
     the same read-only tree, whose solved weights serve every later run.
     Numbers are keyed by type and sign too, so ``0``, ``0.0`` and ``-0.0``
     never share a tree.  The last :data:`TREE_CACHE_SIZE` distinct trees
-    are kept; a key that raises is not kept and raises again.
+    are kept; a key that raises is not kept and raises again.  A new beam
+    or array on a known shape reuses the shape's node layout, so a cold
+    tree costs only its beam's configs and their check.
     """
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
@@ -333,6 +347,34 @@ def _exact(x: float) -> tuple:
     return x, type(x), math.copysign(1.0, x)
 
 
+# one node of a tree shape: its id, null angles and sector
+_LaidOutNode = tuple[NodeId, tuple[float, ...], tuple[float, float]]
+
+
+@lru_cache(maxsize=TREE_CACHE_SIZE)
+def _layout(
+    fanout: int, depth: int, schedule: tuple[int, ...], sector_key: tuple[tuple, tuple]
+) -> tuple[_LaidOutNode, ...]:
+    """The nodes of one tree shape, depth first, shared by every beam and array.
+
+    Its root sector is keyed by :func:`_exact`, as trees are, so a root
+    edge of ``-0.0`` never shares a layout with one of ``0.0``.
+    """
+    out: list[_LaidOutNode] = []
+
+    def grow(node_id: NodeId, a: float, b: float) -> None:
+        level = len(node_id)
+        if level > 0:
+            out.append((node_id, _evenly_inset(a, b, schedule[level - 1]), (a, b)))
+        if level < depth:
+            w = (b - a) / fanout
+            for i in range(fanout):
+                grow(node_id + (i,), a + i * w, a + (i + 1) * w)
+
+    grow((), sector_key[0][0], sector_key[1][0])
+    return tuple(out)
+
+
 @lru_cache(maxsize=TREE_CACHE_SIZE)
 def _shared_tree(
     geom: ArrayGeometry,
@@ -342,27 +384,13 @@ def _shared_tree(
     schedule: tuple[int, ...],
     sector_key: tuple[tuple, tuple],
 ) -> SearchTree:
-    """Build and check the node table of one :func:`build_tree` key."""
+    """The checked tree of one :func:`build_tree` key: its shape's layout
+    with the beam stamped onto every node."""
     beam_angle_deg = beam_key[0]
-    root_sector = (sector_key[0][0], sector_key[1][0])
-    nodes: dict[NodeId, NullConfig] = {}
-
-    def grow(node_id: NodeId, a: float, b: float) -> None:
-        level = len(node_id)
-        if level > 0:
-            nodes[node_id] = NullConfig(
-                node_id=node_id,
-                beam_angle_deg=beam_angle_deg,
-                null_angles_deg=_evenly_inset(a, b, schedule[level - 1]),
-                sector=(a, b),
-            )
-        if level < depth:
-            w = (b - a) / fanout
-            for i in range(fanout):
-                grow(node_id + (i,), a + i * w, a + (i + 1) * w)
-
-    grow((), *root_sector)
-    _check_constraints(geom, beam_angle_deg, nodes)
+    nodes = {
+        node_id: NullConfig(node_id, beam_angle_deg, nulls, sector)
+        for node_id, nulls, sector in _layout(fanout, depth, schedule, sector_key)
+    }
     return SearchTree(
         geometry=geom,
         beam_angle_deg=beam_angle_deg,
@@ -370,7 +398,7 @@ def _shared_tree(
         depth=depth,
         nulls_per_level=schedule,
         nodes=nodes,
-        root_sector=root_sector,
+        root_sector=(sector_key[0][0], sector_key[1][0]),
     )
 
 
@@ -516,9 +544,9 @@ def linear_search(
     """Exhaustive single-null scan over ``grid_angles``; the finished state.
 
     The baseline the tree is measured against: a depth-1 tree whose nodes
-    are the grid angles, so the whole grid is one frontier, solved by one
-    stacked :func:`lcmv_weights` call and summarized by one feedback.
-    Ties break toward the lower grid index.
+    are the grid angles, so the whole grid is one frontier, checked by one
+    stacked rank test when the tree is made, solved by one stacked call
+    and summarized by one feedback.  Ties break toward the lower grid index.
     """
     if not grid_angles:
         raise ValueError("linear search needs a nonempty grid")

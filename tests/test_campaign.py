@@ -181,7 +181,7 @@ def test_exports_are_byte_identical_across_reruns(tmp_path):
         )
     for fmt in ("json", "csv"):
         for fa, fb in zip(paths[0][fmt], paths[1][fmt]):
-            assert open(fa, "rb").read() == open(fb, "rb").read()
+            assert Path(fa).read_bytes() == Path(fb).read_bytes()
 
 
 def test_empty_export(tmp_path):
@@ -189,7 +189,7 @@ def test_empty_export(tmp_path):
     assert load_results(jpath) == []
     cpath, tpath = export_results([], "csv", str(tmp_path / "empty.csv"))
     assert load_results(cpath) == []
-    assert open(tpath).read().strip() == ",".join(TRACE_COLUMNS)
+    assert Path(tpath).read_text().strip() == ",".join(TRACE_COLUMNS)
 
 
 def _export_bytes(records, fmt, path):

@@ -70,6 +70,20 @@ def test_two_path_closed_form(geom4, wifi):
         assert h[0, s] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [WifiGrid(), WifiGrid(center_freq_hz=5_180_000_001, n_sc=7, sc_bandwidth_hz=2)],
+)
+def test_spectral_phase_uses_the_integer_subcarrier_centers(geom4, grid):
+    """One delayed path at broadside: antenna 0 sees exp(-j*2*pi*f*tau) with
+    each f the float of the subcarrier's integer center, bit for bit."""
+    tau = 150e-9
+    model = ChannelModel(mode="geometric", paths=(Path(0.0, excess_delay_s=tau),))
+    h = channel_response(model, geom4, grid)
+    centers = np.array([float(sc_center_freq(grid, s)) for s in range(grid.n_sc)])
+    assert np.array_equal(h[0], np.exp(-2j * np.pi * centers * tau))
+
+
 def test_two_ray_preset_is_strongly_frequency_selective(geom4, wifi):
     # what a single-antenna node sees on one unprecoded antenna path
     h = channel_response(two_ray_channel(0.0), geom4, wifi)

@@ -1,7 +1,7 @@
 """Frontier measurement: stacked solves and stacked measurements.
 
 A frontier (the configs one feedback round compares) is solved by one
-stacked ``lcmv_weights`` call where the search allows it, built into one
+stacked ``min_norm_weights`` call where the search allows it, built into one
 stacked weight matrix and measured by one stacked ``sampled_inr`` call.
 Every stacked result must carry the bits of the per-config calls it
 replaces, and leave every random stream where they left it.
@@ -24,6 +24,7 @@ from nullsim.beamforming import (
     constraint_matrices,
     degenerate_rows,
     lcmv_weights,
+    min_norm_weights,
 )
 from nullsim.campaign import export_results, run_scenarios
 from nullsim.channel import (
@@ -215,18 +216,18 @@ def test_the_gram_screen_keeps_every_rank_decision_and_message(case):
 def test_linear_run_solves_the_beam_and_the_grid_once_each(monkeypatch):
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return lcmv_weights(*args, **kwargs)
+    def counted(c):
+        calls.append(c.shape)
+        return min_norm_weights(c)
 
-    for module in (beamforming, nullsearch, coexsim):
-        monkeypatch.setattr(module, "lcmv_weights", counted)
+    for module in (beamforming, nullsearch):
+        monkeypatch.setattr(module, "min_norm_weights", counted)
     s = Scenario()
     result = run_full_protocol(replace(s, search=replace(s.search, mode="linear")))
     assert len(result.users[0].trace) == len(default_linear_grid())
-    assert len(calls) == 2
-    assert list(calls[0][2]) == []
-    assert len(calls[1][2]) == len(default_linear_grid())
+    # the beam alone, then every grid angle as one null: (rows, K, 1 + nulls)
+    k = s.geometry.k_antennas
+    assert calls == [(1, k, 1), (len(default_linear_grid()), k, 2)]
 
 
 # ---------------------------------------------------------------------------

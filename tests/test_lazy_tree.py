@@ -4,6 +4,8 @@ The oracle is the former eager build: one ``lcmv_weights`` solve per
 node, depth first, before the tree is used.  A tree built without solving
 must raise exactly when that loop raises, with the same message, hand out
 the same bits otherwise, and a run must solve only the nodes it tests.
+Solves are counted at ``min_norm_weights``, the kernel that ``lcmv_weights``
+and a tree's node solves share.
 """
 
 import math
@@ -15,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullsim import beamforming, coexsim, nullsearch, scenario as scenario_mod
+from nullsim import beamforming, nullsearch, scenario as scenario_mod
 from nullsim.beamforming import (
     ArrayGeometry,
     DegenerateConstraintsError,
     lcmv_weights,
+    min_norm_weights,
     steering_vector,
     steering_vectors,
 )
@@ -103,9 +106,13 @@ def tree_cases(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=tree_cases())
-def test_tree_matches_the_eager_solve(case):
+@given(case=tree_cases(), cold=st.booleans())
+def test_tree_matches_the_eager_solve(case, cold):
     geom, beam, fanout, depth, schedule, nulls = case
+    if cold:
+        # no shared layout either: the tree's shape is laid out anew
+        nullsearch._layout.cache_clear()
+        nullsearch._shared_tree.cache_clear()
     try:
         eager = eager_weights(geom, beam, nulls)
     except DegenerateConstraintsError as exc:
@@ -155,7 +162,7 @@ def test_weights_are_read_only_and_solved_once(monkeypatch, fresh_trees):
     tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
     calls = []
     monkeypatch.setattr(
-        nullsearch, "lcmv_weights", lambda *a: calls.append(a) or lcmv_weights(*a)
+        nullsearch, "min_norm_weights", lambda c: calls.append(c) or min_norm_weights(c)
     )
     leaf = tree.leaf_ids[5]
     assert tree.weights[leaf] is tree.weights[leaf]
@@ -173,7 +180,7 @@ def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch, fre
     tree = build_tree(geom, 21.4)
     calls = []
     monkeypatch.setattr(
-        nullsearch, "lcmv_weights", lambda *a: calls.append(a) or lcmv_weights(*a)
+        nullsearch, "min_norm_weights", lambda c: calls.append(c) or min_norm_weights(c)
     )
     level = tree.level_ids(2)
     first = tree.weights[level[4]]
@@ -181,7 +188,7 @@ def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch, fre
     assert [c.node_id for c in cfgs] == level
     assert weights.shape == (len(level), 8)
     # the node read first is solved alone, the other eight in one stacked call
-    assert [len(np.atleast_2d(a[2])) for a in calls] == [1, len(level) - 1]
+    assert [len(c) for c in calls] == [1, len(level) - 1]
     assert tree.weights[level[4]] is first
     for node_id, w in zip(level, weights):
         expected = lcmv_weights(geom, 21.4, tree.nodes[node_id].null_angles_deg)
@@ -268,16 +275,16 @@ def test_validation_checks_the_tree_the_run_builds(monkeypatch):
 
 @pytest.fixture
 def solves(monkeypatch, fresh_trees):
-    """The rows each ``lcmv_weights`` call solves, one entry per call."""
+    """The rows each solve kernel call solves, one entry per call, whether
+    ``lcmv_weights`` or a tree's node solve made it."""
     rows = []
 
-    def counted(*args, **kwargs):
-        nulls = args[2]
-        rows.append(len(nulls) if np.ndim(nulls) == 2 else 1)
-        return lcmv_weights(*args, **kwargs)
+    def counted(c):
+        rows.append(len(c))
+        return min_norm_weights(c)
 
-    for module in (beamforming, nullsearch, coexsim):
-        monkeypatch.setattr(module, "lcmv_weights", counted)
+    for module in (beamforming, nullsearch):
+        monkeypatch.setattr(module, "min_norm_weights", counted)
     return rows
 
 
@@ -393,6 +400,47 @@ def test_loading_then_running_fig8_checks_its_tree_once(monkeypatch, fresh_trees
     s = scenario_from_dict(scenario_to_dict(scenario_fig8_powercorr()))
     run_full_protocol(s)
     assert len(checks) == 1
+
+
+def test_a_cold_tree_runs_the_rank_test_per_null_count_when_built_only(
+    monkeypatch, fresh_trees
+):
+    nullsearch._layout.cache_clear()
+    checked = []
+    real = beamforming._degenerate
+    monkeypatch.setattr(
+        beamforming, "_degenerate", lambda c, *a: checked.append(len(c)) or real(c, *a)
+    )
+    tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
+    # one stacked test per null count (6, 4, 2 and 1), over every node
+    assert len(checked) == len(set(tree.nulls_per_level)) == 4
+    assert sum(checked) == len(tree.nodes)
+    # solving every frontier a descent can test runs no rank test again
+    for level in range(1, tree.depth + 1):
+        tree.stack(tree.level_ids(level))
+    assert len(checked) == 4
+
+
+def test_trees_of_one_shape_share_its_layout_and_signed_zero_sectors_do_not(
+    fresh_trees,
+):
+    layouts = nullsearch._layout.cache_info
+    nullsearch._layout.cache_clear()
+    # two beams and two arrays of one shape: K=16 resolves to K=8's schedule
+    trees = [
+        build_tree(ArrayGeometry(k_antennas=8), 21.4),
+        build_tree(ArrayGeometry(k_antennas=8), -33.3),
+        build_tree(ArrayGeometry(k_antennas=16), 21.4),
+    ]
+    assert (layouts().misses, layouts().hits) == (1, 2)
+    for tree in trees[1:]:
+        for node_id, cfg in trees[0].nodes.items():
+            assert tree.nodes[node_id].null_angles_deg is cfg.null_angles_deg
+            assert tree.nodes[node_id].sector is cfg.sector
+    geom = ArrayGeometry(k_antennas=4)
+    signed = [build_tree(geom, 21.4, fanout=2, root_sector=(z, 90.0)) for z in (0.0, -0.0)]
+    assert layouts().misses == 3
+    assert [math.copysign(1.0, t.root_sector[0]) for t in signed] == [1.0, -1.0]
 
 
 def test_a_fig8_ensemble_solves_each_visited_node_once(solves, union_visited):
