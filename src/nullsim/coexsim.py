@@ -316,7 +316,6 @@ class UserOutcome:
     user: int
     baseline: InrReport
     final: InrReport
-    best_config: NullConfig
     nulls_used: int
     trace: list[tuple[NullConfig, InrReport]]
 
@@ -330,7 +329,7 @@ class ProtocolResult:
     mode: str
     timeline: SimTimeline
     users: list[UserOutcome]
-    joint_null_angles: tuple[float, ...] | None = None
+    joint_null_angles: tuple[float, ...]
 
 
 def _calibrated_channels(scenario: "Scenario", geom, wifi, w0_matrix, sc_rb):
@@ -421,24 +420,17 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             [start_search(tree) for _ in models], tree, dc, backhaul, sim,
             [partial(measure_frontier, u) for u in range(len(models))],
         )
-        deployed = joint = plan.joint_null_angles
+        states, joint = plan.states, plan.joint_null_angles
+        # every user measures the joint nulls afresh
         joint_cfg = NullConfig(
             (), scenario.ue_angle_deg, joint, scenario.tree_root_sector
         )
         w_joint = lcmv_weights(geom, scenario.ue_angle_deg, joint)
-        outcomes = [
-            UserOutcome(
-                user=u,
-                baseline=baselines[u],
-                final=measure_frontier(u, [joint_cfg], w_joint[None])[0],
-                best_config=st.best_config,
-                nulls_used=len(joint),
-                trace=st.tested,
-            )
-            for u, st in enumerate(plan.states)
+        finals = [
+            measure_frontier(u, [joint_cfg], w_joint[None])[0]
+            for u in range(len(models))
         ]
     else:
-        joint = None
         if search.mode == "tree":
             # the measurement phase's power report, |h|**2 of the response
             # calibration already computed
@@ -448,31 +440,23 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
                 partial(measure_frontier, 0, report=report),
                 power_correction=search.power_correction,
             )
-        elif search.mode == "linear":
+        else:
             timeline, state = simulate_linear_search(
                 scenario.scan_angles, geom, dc, backhaul, sim,
                 partial(measure_frontier, 0), scenario.ue_angle_deg,
             )
-        else:
-            raise ValueError(f"unknown search mode {search.mode!r}")
         cfg, rep = state.best
-        if rep.aggregate >= baselines[0].aggregate:
-            # never deploy a config that measures worse than not nulling at all
-            cfg, rep = base_cfg, baselines[0]
-        outcomes = [
-            UserOutcome(
-                user=0,
-                baseline=baselines[0],
-                final=rep,
-                best_config=cfg,
-                nulls_used=len(cfg.null_angles_deg),
-                trace=state.tested,
-            )
-        ]
-        deployed = cfg.null_angles_deg
+        states, joint, finals = [state], cfg.null_angles_deg, [rep]
+    if any(f.aggregate >= b.aggregate for f, b in zip(finals, baselines)):
+        # never deploy a config that measures worse than not nulling at all
+        joint, finals = (), baselines
+    outcomes = [
+        UserOutcome(u, baselines[u], finals[u], len(joint), st.tested)
+        for u, st in enumerate(states)
+    ]
     timeline.emit(
         timeline.total_delay_us,
         "apply",
-        "apply nulls:" + ";".join(f"{a:.2f}" for a in deployed),
+        "apply nulls:" + ";".join(f"{a:.2f}" for a in joint),
     )
-    return ProtocolResult(search.mode, timeline, outcomes, joint_null_angles=joint)
+    return ProtocolResult(search.mode, timeline, outcomes, joint)

@@ -8,6 +8,7 @@ reported for comparison only.
 
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,4 +322,4 @@ def test_criterion_8_reruns_produce_byte_identical_files(tmp_path):
                 )
             ]
         for fa, fb in zip(files["first"], files["second"]):
-            assert open(fa, "rb").read() == open(fb, "rb").read()
+            assert Path(fa).read_bytes() == Path(fb).read_bytes()

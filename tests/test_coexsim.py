@@ -1,5 +1,6 @@
 """Duty-cycle timing, reconfiguration delay, and the full protocol driver."""
 
+import traceback
 from dataclasses import replace
 from functools import lru_cache
 
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nullsim.beamforming import ArrayGeometry, normalize, steering_vector
+from nullsim.beamforming import (
+    ArrayGeometry,
+    DegenerateConstraintsError,
+    normalize,
+    steering_vector,
+)
 from nullsim.channel import InrReport
 from nullsim.coexsim import (
     PUNCTURE_WINDOW_US,
@@ -23,8 +29,13 @@ from nullsim.coexsim import (
     simulate_tree_search,
     slot_offsets_in_cycle,
 )
-from nullsim.nullsearch import build_tree, default_linear_grid, start_search
-from nullsim.scenario import Scenario
+from nullsim.nullsearch import (
+    DofExhaustedError,
+    build_tree,
+    default_linear_grid,
+    start_search,
+)
+from nullsim.scenario import CHANNEL_PRESETS, Scenario, ScenarioError, scenario_from_dict
 
 SIM = SimConfig()
 
@@ -371,7 +382,81 @@ def test_protocol_keeps_the_baseline_when_nulling_cannot_help():
     assert user.final.aggregate == user.baseline.aggregate
     assert user.delta_inr_db == 0.0
     assert user.nulls_used == 0
-    assert user.best_config.null_angles_deg == ()
+    assert result.joint_null_angles == ()
     # the timeline applies what was deployed, not the search's best
     (apply,) = [e for e in result.timeline.events if e.kind == "apply"]
     assert apply.label == "apply nulls:"
+
+
+def valid_scenario(raw: dict) -> Scenario:
+    """``raw`` as a scenario; a file the loader rejects is not drawn."""
+    try:
+        return scenario_from_dict(raw)
+    except ScenarioError:
+        assume(False)
+
+
+@st.composite
+def multiuser_scenarios(draw):
+    angles = st.floats(-45.0, 45.0, allow_nan=False)
+    return valid_scenario({
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "ue_angle_deg": draw(st.floats(-60.0, 60.0, allow_nan=False)),
+        "user_angles_deg": draw(st.lists(angles, min_size=2, max_size=4)),
+        "geometry": {"k_antennas": draw(st.sampled_from([4, 8]))},
+        "channel": {"preset": draw(st.sampled_from(CHANNEL_PRESETS))},
+        "sim": {"noise_jitter": draw(st.sampled_from([0.0, 0.5]))},
+        "search": {"mode": "multiuser", "power_correction": False},
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=multiuser_scenarios())
+def test_multiuser_runs_never_deploy_nulls_that_leave_a_user_worse(scenario):
+    try:
+        result = run_full_protocol(scenario)
+    except DofExhaustedError:
+        # the per-user nulls do not fit the array together; the run aborts
+        return
+    except DegenerateConstraintsError as exc:
+        # the joint solve alone can meet a rank-deficient union: a beam a
+        # hair off a tree null passes with that one null, not with several
+        frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+        assert frames[-2:] == ["run_full_protocol", "lcmv_weights"]
+        return
+    joint = result.joint_null_angles
+    assert len(joint) <= scenario.geometry.k_antennas - 2
+    users = result.users
+    assert [u.nulls_used for u in users] == [len(joint)] * len(users)
+    below = all(u.final.aggregate < u.baseline.aggregate for u in users)
+    kept = joint == () and all(u.final == u.baseline for u in users)
+    assert below or kept
+    (apply,) = [e for e in result.timeline.events if e.kind == "apply"]
+    assert apply.label == "apply nulls:" + ";".join(f"{a:.2f}" for a in joint)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    beam=st.floats(-60.0, 60.0, allow_nan=False),
+    user=st.floats(-45.0, 45.0, allow_nan=False),
+    k=st.sampled_from([4, 8]),
+    preset=st.sampled_from(CHANNEL_PRESETS),
+)
+def test_one_user_multiuser_run_deploys_what_the_plain_tree_deploys(
+    seed, beam, user, k, preset
+):
+    tree_run = valid_scenario({
+        "seed": seed,
+        "ue_angle_deg": beam,
+        "user_angles_deg": [user],
+        "geometry": {"k_antennas": k},
+        "channel": {"preset": preset},
+        "sim": {"noise_jitter": 0.0},
+        "search": {"mode": "tree", "power_correction": False},
+    })
+    multi_run = replace(tree_run, search=replace(tree_run.search, mode="multiuser"))
+    assert (
+        run_full_protocol(multi_run).joint_null_angles
+        == run_full_protocol(tree_run).joint_null_angles
+    )
