@@ -103,8 +103,13 @@ def constraint_matrices(
     return steering_vectors(geom, angles).transpose(0, 2, 1)
 
 
-def _gram_clears(c: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Which matrices of a constraint stack the rank SVD could not reject.
+def _gram(c: np.ndarray) -> np.ndarray:
+    """The Gram matrices c^H c of a constraint stack, one product per row."""
+    return c.conj().swapaxes(-1, -2) @ c
+
+
+def _gram_clears(g: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Which constraint matrices the rank SVD could not reject, from their Grams.
 
     The eigenvalues of the Gram matrix G = c^H c are the squared singular
     values of c, and by Gershgorin each lies in some [G_ii - R_i, G_ii + R_i]
@@ -116,7 +121,7 @@ def _gram_clears(c: np.ndarray, rank_tol: float) -> np.ndarray:
     about K * eps * sigma_max, so the SVD ratio of a cleared matrix stays far
     above rank_tol.
     """
-    g = np.abs(c.conj().swapaxes(-1, -2) @ c)
+    g = np.abs(g)
     rows = g.sum(axis=-1)  # G_ii + R_i
     lo = (2.0 * g.diagonal(0, -2, -1) - rows).min(axis=-1)  # min_i(G_ii - R_i)
     return lo >= (GRAM_SCREEN_MARGIN * rank_tol) ** 2 * rows.max(axis=-1)
@@ -131,14 +136,18 @@ def _degenerate(
     steering matrix is rank deficient (aliased or near-coincident
     directions).  The rank test is one stacked SVD; for a beam and one null
     it runs only on the matrices that :func:`_gram_clears` does not clear,
-    every failing one among them.
+    every failing one among them.  A beam alone needs no rank test.
     """
-    # For two columns of equal norm the Gram bound is exact, and it clears
-    # all but near-aliased rows.  With more columns the off-diagonal terms
-    # add up: on multi-user trees it clears under a sixth of the rows, so
-    # there the screen would only add its cost to the SVD.
-    if c.shape[-1] == 2:
-        check = np.flatnonzero(~_gram_clears(c, rank_tol))
+    if c.shape[-1] == 1:
+        # one steering column has norm sqrt(K), so it always has full rank
+        sv = np.ones((len(c), 1))
+    elif c.shape[-1] == 2:
+        # For two columns of equal norm the Gram bound is exact, and it
+        # clears all but near-aliased rows.  With more columns the
+        # off-diagonal terms add up: on multi-user trees it clears under a
+        # sixth of the rows, so there the screen would only add its cost to
+        # the SVD.
+        check = np.flatnonzero(~_gram_clears(_gram(c), rank_tol))
         # a cleared row keeps NaN singular values, which no test below flags
         sv = np.full((len(c), 2), np.nan)
         if check.size:
@@ -233,10 +242,54 @@ def min_norm_weights(c: np.ndarray) -> np.ndarray:
     """The solve of :func:`lcmv_weights`, on constraint matrices already checked.
 
     ``c`` is a (n, K, 1 + m) stack from :func:`constraint_matrices` none of
-    whose rows :func:`degenerate_rows` rejects; nothing is checked here.  Returns the (n, K) minimum-norm solutions of
-    the underdetermined systems c^H w = e1, from the SVD c^H = U S Vh:
-    w = Vh^H (U^H e1 / s).  The sum over the singular directions runs along
-    a non-last axis, in order, so each row has the bits of its own call.
+    whose rows :func:`degenerate_rows` rejects; nothing is checked here.
+    Returns the (n, K) minimum-norm solutions of the underdetermined
+    systems c^H w = e1, each row with the bits of its own call.
+
+    The two common shapes have closed forms.  A beam a alone gives
+    w = a / (a^H a).  For a beam a and one null b, each row that
+    :func:`_gram_clears` clears on the stack's Gram matrices is a projected
+    off b, p = a - b (b^H a / b^H b), and w = p / (p^H p).  Every other row,
+    and every stack with more nulls, takes :func:`_svd_min_norm`.
+    """
+    if c.shape[-1] == 1:
+        a = c[..., 0]
+        return a / _sq_norms(a)[:, None]
+    if c.shape[-1] > 2:
+        return _svd_min_norm(c)
+    g = _gram(c)
+    cleared = _gram_clears(g, RANK_TOL)
+    if cleared.all():
+        return _project_off_null(c, g)
+    w = np.empty(c.shape[:2], dtype=complex)
+    w[cleared] = _project_off_null(c[cleared], g[cleared])
+    w[~cleared] = _svd_min_norm(c[~cleared])
+    return w
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """x^H x of every row of an (n, K) stack, summed along its own row."""
+    return (x.real**2 + x.imag**2).sum(axis=-1)
+
+
+def _project_off_null(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Beam-plus-one-null solves of rows the Gram screen clears.
+
+    Near a rank loss, a - b (b^H a / b^H b) cancels most of a, and what is
+    left of b in p puts up to 1e-10 on the null constraint; a second
+    projection takes it off, leaving constraint residuals below 1e-13.
+    """
+    a, b = c[..., 0], c[..., 1]
+    p = a - b * (g[:, 1, 0] / g[:, 1, 1])[:, None]
+    p = p - b * ((b.conj() * p).sum(axis=-1) / g[:, 1, 1])[:, None]
+    return p / _sq_norms(p)[:, None]
+
+
+def _svd_min_norm(c: np.ndarray) -> np.ndarray:
+    """Minimum-norm solves from the SVD c^H = U S Vh: w = Vh^H (U^H e1 / s).
+
+    The sum over the singular directions runs along a non-last axis, in
+    order, so each row has the bits of its own call.
     """
     u, s, vh = np.linalg.svd(c.conj().transpose(0, 2, 1), full_matrices=False)
     return (vh.conj() * (u[:, 0, :].conj() / s)[:, :, None]).sum(axis=1)

@@ -528,11 +528,10 @@ def descend(
 
 LINEAR_GRID_SIZE = 165
 LINEAR_GRID_RANGE = (-82.0, 82.0)
-
-
-def default_linear_grid() -> tuple[float, ...]:
-    lo, hi = LINEAR_GRID_RANGE
-    return tuple(np.linspace(lo, hi, LINEAR_GRID_SIZE))
+# the scan grid of a scenario that declares none, built once
+DEFAULT_LINEAR_GRID: tuple[float, ...] = tuple(
+    np.linspace(*LINEAR_GRID_RANGE, LINEAR_GRID_SIZE).tolist()
+)
 
 
 def linear_search(

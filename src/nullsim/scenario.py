@@ -31,11 +31,11 @@ from .coexsim import (
     configs_per_cycle,
 )
 from .nullsearch import (
+    DEFAULT_LINEAR_GRID,
     ROOT_SECTOR,
     SearchTree,
     TreeShapeError,
     build_tree,
-    default_linear_grid,
     null_schedule,
 )
 from .phy_grid import LteGrid, WifiGrid
@@ -134,7 +134,7 @@ class Scenario:
     @property
     def scan_angles(self) -> tuple[float, ...]:
         """The linear scan's grid: the declared one, or the default."""
-        return self.search.linear_grid or default_linear_grid()
+        return self.search.linear_grid or DEFAULT_LINEAR_GRID
 
     def search_tree(self) -> SearchTree:
         """The tree a tree or multi-user run descends; see :func:`build_tree`."""

@@ -30,9 +30,9 @@ from nullsim.coexsim import (
     slot_offsets_in_cycle,
 )
 from nullsim.nullsearch import (
+    DEFAULT_LINEAR_GRID,
     DofExhaustedError,
     build_tree,
-    default_linear_grid,
     start_search,
 )
 from nullsim.scenario import CHANNEL_PRESETS, Scenario, ScenarioError, scenario_from_dict
@@ -249,7 +249,7 @@ def test_linear_timeline_has_one_feedback(tree8):
     dc, bh = DutyCycleConfig(duty=0.05), BackhaulConfig(delay_ms=5.0)
     geom = tree8.geometry
     tl, state = simulate_linear_search(
-        default_linear_grid(), geom, dc, bh, SIM,
+        DEFAULT_LINEAR_GRID, geom, dc, bh, SIM,
         flat_ray_evaluator(geom, -20.0), beam_angle_deg=21.4,
     )
     assert tl.count("test_slot") == 165

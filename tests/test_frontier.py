@@ -36,7 +36,7 @@ from nullsim.channel import (
     two_ray_channel,
 )
 from nullsim.coexsim import run_full_protocol
-from nullsim.nullsearch import default_linear_grid, linear_search
+from nullsim.nullsearch import DEFAULT_LINEAR_GRID, linear_search
 from nullsim.scenario import (
     Scenario,
     ScenarioError,
@@ -213,6 +213,91 @@ def test_the_gram_screen_keeps_every_rank_decision_and_message(case):
         assert solved.shape == (len(rows), geom.k_antennas)
 
 
+def _svd_solve(c):
+    """The reference solve: minimum-norm weights from one SVD per row."""
+    u, s, vh = np.linalg.svd(c.conj().transpose(0, 2, 1), full_matrices=False)
+    return (vh.conj() * (u[:, 0, :].conj() / s)[:, :, None]).sum(axis=1)
+
+
+def _check_kernel(geom, beam, rows):
+    """``min_norm_weights`` on the rows of a stack that ``lcmv_weights`` accepts.
+
+    Rows with a closed form (a beam alone, or a beam and one null that the
+    Gram screen clears) match the reference solve and meet their
+    constraints to 1e-12; every other row has the reference's bits.  Each
+    row has the bits of its own call.
+    """
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    rows = np.delete(rows, list(degenerate_rows(geom, beam, rows)), axis=0)
+    if not len(rows):
+        return
+    c = constraint_matrices(geom, beam, rows)
+    w, ref = min_norm_weights(c), _svd_solve(c)
+    if c.shape[-1] == 1:
+        closed = np.ones(len(c), dtype=bool)
+    elif c.shape[-1] == 2:
+        gram = c.conj().swapaxes(-1, -2) @ c
+        closed = beamforming._gram_clears(gram, beamforming.RANK_TOL)
+    else:
+        closed = np.zeros(len(c), dtype=bool)
+    assert np.array_equal(w[~closed], ref[~closed])
+    rel = np.linalg.norm(w - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    residual = np.abs(np.einsum("nkm,nk->nm", c.conj(), w) - np.eye(c.shape[-1])[0])
+    assert (rel[closed] <= 1e-12).all()
+    assert (residual[closed] <= 1e-12).all()
+    for i, row in enumerate(rows):
+        single = min_norm_weights(constraint_matrices(geom, beam, row[None]))
+        assert np.array_equal(single[0], w[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(screened_stacks())
+def test_the_closed_form_solves_match_the_svd_solve(case):
+    _check_kernel(*case)
+
+
+@st.composite
+def grid_beams(draw):
+    """An array size and a beam for the default scan grid.
+
+    The beam is free, or within 1e-9 to 1e-2 deg of the grating-lobe alias
+    of a grid angle, which puts that row on either side of the rank
+    tolerance and of the Gram screen.
+    """
+    k = draw(st.sampled_from([2, 4, 8, 16, 64]))
+    geom = ArrayGeometry(k_antennas=k)
+    beam = draw(st.floats(min_value=-89.0, max_value=89.0))
+    if draw(st.booleans()):
+        null = draw(st.sampled_from(DEFAULT_LINEAR_GRID))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        sine = np.sin(np.radians(null)) + sign / geom.spacing_wavelengths
+        if abs(sine) <= 1.0:
+            offset = draw(st.sampled_from([0.0, 1e-9, -1e-8, 1e-7, -1e-5, 1e-3, -1e-2]))
+            beam = min(90.0, max(-90.0, float(np.degrees(np.arcsin(sine))) + offset))
+    return geom, beam
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_beams())
+def test_the_default_grid_solve_matches_the_svd_solve(case):
+    geom, beam = case
+    _check_kernel(geom, beam, [(g,) for g in DEFAULT_LINEAR_GRID])
+
+
+def test_a_near_alias_row_the_screen_passes_on_keeps_the_svd_solve():
+    # sigma ratio 2e-9: the rank test accepts it, but its Gram determinant
+    # is rounding noise, so only an SVD solves it
+    geom, beam = ArrayGeometry(k_antennas=4), 59.88976702816812
+    assert degenerate_rows(geom, beam, [(-60.0,)]) == {}
+    c = constraint_matrices(geom, beam, [(-60.0,)])
+    gram = c.conj().swapaxes(-1, -2) @ c
+    assert not beamforming._gram_clears(gram, beamforming.RANK_TOL).any()
+    w = min_norm_weights(c)
+    assert np.isfinite(w).all()
+    assert np.array_equal(w, _svd_solve(c))
+    _check_kernel(geom, beam, [(g,) for g in DEFAULT_LINEAR_GRID])
+
+
 def test_linear_run_solves_the_beam_and_the_grid_once_each(monkeypatch):
     calls = []
 
@@ -224,10 +309,10 @@ def test_linear_run_solves_the_beam_and_the_grid_once_each(monkeypatch):
         monkeypatch.setattr(module, "min_norm_weights", counted)
     s = Scenario()
     result = run_full_protocol(replace(s, search=replace(s.search, mode="linear")))
-    assert len(result.users[0].trace) == len(default_linear_grid())
+    assert len(result.users[0].trace) == len(DEFAULT_LINEAR_GRID)
     # the beam alone, then every grid angle as one null: (rows, K, 1 + nulls)
     k = s.geometry.k_antennas
-    assert calls == [(1, k, 1), (len(default_linear_grid()), k, 2)]
+    assert calls == [(1, k, 1), (len(DEFAULT_LINEAR_GRID), k, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +395,7 @@ def test_linear_search_measures_its_grid_as_one_frontier(geom8):
         frontiers.append(w.shape)
         return [_report(abs(cfg.null_angles_deg[0] + 20.0)) for cfg in cfgs]
 
-    state = linear_search(geom8, default_linear_grid(), 21.4, distance_to_victim)
+    state = linear_search(geom8, DEFAULT_LINEAR_GRID, 21.4, distance_to_victim)
     assert frontiers == [(165, 8)]
     assert state.best_config.null_angles_deg == (-20.0,)
     assert len(state.tested) == 165

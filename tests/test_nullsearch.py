@@ -13,6 +13,7 @@ from nullsim.beamforming import (
 )
 from nullsim.channel import InrReport
 from nullsim.nullsearch import (
+    DEFAULT_LINEAR_GRID,
     LINEAR_GRID_RANGE,
     LINEAR_GRID_SIZE,
     ROOT_SECTOR,
@@ -22,7 +23,6 @@ from nullsim.nullsearch import (
     TreeShapeError,
     advance,
     build_tree,
-    default_linear_grid,
     default_null_schedule,
     descend,
     linear_search,
@@ -295,7 +295,9 @@ def test_state_transition_guards(tree8):
 
 
 def test_default_grid_shape():
-    grid = default_linear_grid()
+    grid = DEFAULT_LINEAR_GRID
+    assert all(type(g) is float for g in grid)
+    assert grid == tuple(np.linspace(*LINEAR_GRID_RANGE, LINEAR_GRID_SIZE))
     assert len(grid) == LINEAR_GRID_SIZE
     assert (grid[0], grid[-1]) == LINEAR_GRID_RANGE
     steps = np.diff(grid)
@@ -316,7 +318,7 @@ def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
 
 def test_linear_scan_lands_on_the_victim(geom8):
     state = linear_search(
-        geom8, default_linear_grid(), 21.4, flat_ray_evaluator(geom8, -20.0)
+        geom8, DEFAULT_LINEAR_GRID, 21.4, flat_ray_evaluator(geom8, -20.0)
     )
     (best, rep), tested = state.best, state.tested
     assert len(tested) == LINEAR_GRID_SIZE

@@ -12,6 +12,7 @@ from nullsim import cli
 from nullsim import scenario as scenario_mod
 from nullsim.channel import orbit_like_channel
 from nullsim.coexsim import run_full_protocol
+from nullsim.nullsearch import DEFAULT_LINEAR_GRID
 from nullsim.scenario import (
     MAX_ANTENNAS,
     ChannelSpec,
@@ -229,6 +230,32 @@ def test_validation_rules(raw, rule):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(raw)
     assert rule_of(err) == rule
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (
+            {"ue_angle_deg": 21.0},
+            "scan angle 21.0: null at 21.0 deg coincides with the beam direction",
+        ),
+        (
+            {"ue_angle_deg": 59.88976691395693, "geometry": {"k_antennas": 8}},
+            "scan angle -60.0: constraint directions are rank deficient "
+            "(sigma ratio 1.07e-15)",
+        ),
+    ],
+)
+def test_the_default_scan_grid_names_its_failing_angle(raw, message):
+    raw = {**raw, "search": {"mode": "linear"}}
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(raw)
+    assert str(err.value) == f"beam_on_candidate_null: {message}"
+
+
+def test_a_scenario_without_a_grid_scans_the_shared_default_grid():
+    s = Scenario(search=SearchSpec(mode="linear"))
+    assert s.scan_angles is DEFAULT_LINEAR_GRID
 
 
 def test_the_antenna_cap_admits_its_own_value():
