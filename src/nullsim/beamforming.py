@@ -108,28 +108,26 @@ def _gram(c: np.ndarray) -> np.ndarray:
     return c.conj().swapaxes(-1, -2) @ c
 
 
-def _gram_clears(g: np.ndarray, rank_tol: float) -> np.ndarray:
+def _gram_clears(g: np.ndarray) -> np.ndarray:
     """Which constraint matrices the rank SVD could not reject, from their Grams.
 
     The eigenvalues of the Gram matrix G = c^H c are the squared singular
     values of c, and by Gershgorin each lies in some [G_ii - R_i, G_ii + R_i]
     with R_i = sum over j != i of |G_ij|, so
         sigma_min**2 / sigma_max**2 >= min_i(G_ii - R_i) / max_i(G_ii + R_i).
-    A matrix whose bound clears (GRAM_SCREEN_MARGIN * rank_tol)**2 has a
-    sigma ratio of at least 1e-3 at the default tolerance.  Rounding moves
-    the bound by about K * eps, and the SVD's singular values are off by
-    about K * eps * sigma_max, so the SVD ratio of a cleared matrix stays far
-    above rank_tol.
+    A matrix whose bound clears (GRAM_SCREEN_MARGIN * RANK_TOL)**2 has a
+    sigma ratio of at least 1e-3.  Rounding moves the bound by about
+    K * eps, and the SVD's singular values are off by about
+    K * eps * sigma_max, so the SVD ratio of a cleared matrix stays far
+    above RANK_TOL.
     """
     g = np.abs(g)
     rows = g.sum(axis=-1)  # G_ii + R_i
     lo = (2.0 * g.diagonal(0, -2, -1) - rows).min(axis=-1)  # min_i(G_ii - R_i)
-    return lo >= (GRAM_SCREEN_MARGIN * rank_tol) ** 2 * rows.max(axis=-1)
+    return lo >= (GRAM_SCREEN_MARGIN * RANK_TOL) ** 2 * rows.max(axis=-1)
 
 
-def _degenerate(
-    c: np.ndarray, null_sets: np.ndarray, beam_deg: float, rank_tol: float
-) -> dict[int, str]:
+def _degenerate(c: np.ndarray, null_sets: np.ndarray, beam_deg: float) -> dict[int, str]:
     """Rows of a constraint stack whose solve is rejected, with its message.
 
     A row fails when its beam sits exactly on one of its nulls, or when its
@@ -147,7 +145,7 @@ def _degenerate(
         # off-diagonal terms add up: on multi-user trees it clears under a
         # sixth of the rows, so there the screen would only add its cost to
         # the SVD.
-        check = np.flatnonzero(~_gram_clears(_gram(c), rank_tol))
+        check = np.flatnonzero(~_gram_clears(_gram(c)))
         # a cleared row keeps NaN singular values, which no test below flags
         sv = np.full((len(c), 2), np.nan)
         if check.size:
@@ -155,7 +153,7 @@ def _degenerate(
     else:
         sv = np.linalg.svd(c, compute_uv=False)
     on_beam = null_sets == beam_deg
-    rank_low = sv[:, -1] < rank_tol * sv[:, 0]
+    rank_low = sv[:, -1] < RANK_TOL * sv[:, 0]
     failing: dict[int, str] = {}
     for i in np.flatnonzero(on_beam.any(axis=1) | rank_low):
         if on_beam[i].any():
@@ -170,27 +168,21 @@ def _degenerate(
 
 
 def degenerate_rows(
-    geom: ArrayGeometry,
-    beam_deg: float,
-    null_sets: np.ndarray,
-    rank_tol: float = RANK_TOL,
+    geom: ArrayGeometry, beam_deg: float, null_sets: np.ndarray
 ) -> dict[int, str]:
     """Which rows of an (n, m) stack of null sets :func:`lcmv_weights` rejects.
 
     Every angle must lie inside [-90, 90].  Maps each failing row to the
-    message of the :class:`DegenerateConstraintsError` its solve raises,
-    without solving anything.
+    message of the :class:`DegenerateConstraintsError` its own
+    :func:`lcmv_weights` call raises, without solving anything.
     """
     null_sets = np.asarray(null_sets, dtype=float)
     c = constraint_matrices(geom, beam_deg, null_sets)
-    return _degenerate(c, null_sets, beam_deg, rank_tol)
+    return _degenerate(c, null_sets, beam_deg)
 
 
 def lcmv_weights(
-    geom: ArrayGeometry,
-    beam_deg: float,
-    null_degs: Sequence[float] | Sequence[Sequence[float]],
-    rank_tol: float = RANK_TOL,
+    geom: ArrayGeometry, beam_deg: float, null_degs: Sequence[float]
 ) -> np.ndarray:
     """Minimum-norm weights with unit gain at ``beam_deg``, zeros at ``null_degs``.
 
@@ -199,43 +191,28 @@ def lcmv_weights(
     sounding-free protocol can actually compute.  Requires at most K-1
     nulls so the constraint matrix can have full column rank.
 
-    ``null_degs`` may also be a stack of null sets of shape (n, m); the
-    result is then one weight vector per row, shape (n, K), each with the
-    bits of its own 1-D call.  The stack raises exactly when one of its
-    rows would, and the first such row raises its own error.  A row's
-    checks run in this order: angles in range, beam on a null, null count,
-    beam angle in range, rank.  All rows are checked by one stacked rank
-    test, then solved by one :func:`min_norm_weights` call.
+    The checks run in this order: angles in range, beam on a null, null
+    count, beam angle in range, rank.  Stacks of null sets are checked by
+    :func:`degenerate_rows` and solved by :func:`min_norm_weights`, each
+    row with the bits of its own call here.
     """
-    nulls = np.asarray(null_degs, dtype=float)
-    stacked = nulls.ndim == 2
-    rows = nulls if stacked else nulls.reshape(1, -1)
-    in_range = ((rows >= -90.0) & (rows <= 90.0)).all(axis=1)
-    fits = 1 + rows.shape[1] <= geom.k_antennas and -90.0 <= beam_deg <= 90.0
-    if fits:
-        # out-of-range rows fail on their angles; 0 only keeps the SVD defined
-        safe = np.where(in_range[:, None], rows, 0.0)
-        c = constraint_matrices(geom, beam_deg, safe)
-        failing = _degenerate(c, safe, beam_deg, rank_tol)
-        failing.update((int(i), "") for i in np.flatnonzero(~in_range))
-    else:
-        failing = {0: ""}  # every row fails on its count or on the beam
-    if failing:
-        i = min(failing)
-        nulls_i = [_check_angle(a) for a in (null_degs[i] if stacked else null_degs)]
-        for a in nulls_i:
-            if a == beam_deg:
-                raise DegenerateConstraintsError(
-                    f"null at {a} deg coincides with the beam direction"
-                )
-        if 1 + len(nulls_i) > geom.k_antennas:
-            raise ValueError(
-                f"{len(nulls_i)} nulls plus one beam exceed {geom.k_antennas} antennas"
+    nulls = [_check_angle(a) for a in null_degs]
+    for a in nulls:
+        if a == beam_deg:
+            raise DegenerateConstraintsError(
+                f"null at {a} deg coincides with the beam direction"
             )
-        _check_angle(beam_deg)
-        raise DegenerateConstraintsError(failing[i])
-    w = min_norm_weights(c)
-    return w if stacked else w[0]
+    if 1 + len(nulls) > geom.k_antennas:
+        raise ValueError(
+            f"{len(nulls)} nulls plus one beam exceed {geom.k_antennas} antennas"
+        )
+    _check_angle(beam_deg)
+    rows = np.array([nulls], dtype=float)
+    c = constraint_matrices(geom, beam_deg, rows)
+    failing = _degenerate(c, rows, beam_deg)
+    if failing:
+        raise DegenerateConstraintsError(failing[0])
+    return min_norm_weights(c)[0]
 
 
 def min_norm_weights(c: np.ndarray) -> np.ndarray:
@@ -258,7 +235,7 @@ def min_norm_weights(c: np.ndarray) -> np.ndarray:
     if c.shape[-1] > 2:
         return _svd_min_norm(c)
     g = _gram(c)
-    cleared = _gram_clears(g, RANK_TOL)
+    cleared = _gram_clears(g)
     if cleared.all():
         return _project_off_null(c, g)
     w = np.empty(c.shape[:2], dtype=complex)
@@ -377,9 +354,10 @@ def build_weight_matrix(
     skips the LCMV solve when the constraint-domain vector is already known
     (the search tree solves each node once).
 
-    A stack of null sets (shape (n, m), passed as a tuple of tuples) or a
-    stacked ``base`` of shape (n, antennas) gives a stack of matrices,
-    (n, antennas, n_rrb), each with the bits of its own call.
+    A stacked ``base`` of shape (n, antennas), such as the weights of a
+    tree frontier, gives a stack of matrices, (n, antennas, n_rrb), each
+    with the bits of its own call; ``null_degs`` then only names the
+    stack's null sets.  Without ``base``, ``null_degs`` is one null set.
     """
     if n_rrb < 1:
         raise ValueError("need at least one resource block")

@@ -87,7 +87,7 @@ def channel_response(
 ) -> np.ndarray:
     """Complex response h of shape (antennas, subcarriers)."""
     k = np.arange(geom.k_antennas)[:, None]
-    # every subcarrier's center, the integers of sc_center_freq, as floats
+    # every subcarrier's center in integer hertz, as floats
     freqs = _grid_centers(wifi.center_freq_hz, wifi.n_sc, wifi.sc_bandwidth_hz).astype(float)
     h = np.zeros((geom.k_antennas, wifi.n_sc), dtype=complex)
     for p in model.paths:

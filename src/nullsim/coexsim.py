@@ -148,10 +148,15 @@ def slot_offsets_in_cycle(dc: DutyCycleConfig, sim: SimConfig) -> list[int]:
 
 def configs_per_cycle(dc: DutyCycleConfig, sim: SimConfig) -> int:
     """How many configs one CSAT cycle can test."""
-    n = len(slot_offsets_in_cycle(dc, sim))
-    if n < 1:
+    return len(_cycle_slots(dc, sim))
+
+
+def _cycle_slots(dc: DutyCycleConfig, sim: SimConfig) -> list[int]:
+    """:func:`slot_offsets_in_cycle`, refusing a cycle with no test slot."""
+    offsets = slot_offsets_in_cycle(dc, sim)
+    if not offsets:
         raise ValueError("test slot does not fit the usable on-phase")
-    return n
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -191,20 +196,14 @@ class SimTimeline:
 
 
 def _emit_test_cycles(
-    tl: SimTimeline,
-    start_us: int,
-    labels: Sequence[str],
-    dc: DutyCycleConfig,
-    sim: SimConfig,
-    per_cycle: int,
+    tl: SimTimeline, start_us: int, labels: Sequence[str], offsets: Sequence[int]
 ) -> int:
-    """Lay test slots into consecutive cycles; returns the phase end time."""
-    offsets = slot_offsets_in_cycle(dc, sim)
-    cycles = math.ceil(len(labels) / per_cycle)
+    """Lay test slots into consecutive cycles of slots at ``offsets``; returns
+    the phase's cycle count."""
     for i, label in enumerate(labels):
-        cycle, slot = divmod(i, per_cycle)
-        tl.emit(start_us + cycle * dc.t_csat_us + offsets[slot], "test_slot", label)
-    return start_us + cycles * dc.t_csat_us
+        cycle, slot = divmod(i, len(offsets))
+        tl.emit(start_us + cycle * tl.t_csat_us + offsets[slot], "test_slot", label)
+    return math.ceil(len(labels) / len(offsets))
 
 
 def _emit_search(
@@ -225,17 +224,17 @@ def _emit_search(
     tl = SimTimeline(t_csat_us=dc.t_csat_us, delta_b_us=backhaul.delay_us)
     t = 0
     tl.emit(t, "phase", "protocol_start")
-    per_cycle = configs_per_cycle(dc, sim)
+    offsets = _cycle_slots(dc, sim)
     if sounded_antennas:
         tl.emit(t, "phase", "power_measurement")
         labels = [f"antenna:{k}" for k in range(sounded_antennas)]
-        t = _emit_test_cycles(tl, t, labels, dc, sim, per_cycle)
-        tl.power_cycles = math.ceil(sounded_antennas / per_cycle)
+        tl.power_cycles = _emit_test_cycles(tl, t, labels, offsets)
+        t += tl.power_cycles * dc.t_csat_us
     for level, cfgs in enumerate(levels, start=1):
         tl.emit(t, "phase", f"tree_level_{level}")
         labels = [f"config:{cfg.label}" for cfg in cfgs]
-        end = _emit_test_cycles(tl, t, labels, dc, sim, per_cycle)
-        tl.level_cycles.append(math.ceil(len(labels) / per_cycle))
+        tl.level_cycles.append(_emit_test_cycles(tl, t, labels, offsets))
+        end = t + tl.level_cycles[-1] * dc.t_csat_us
         note = f"level {level} feedback"
         if sounded_antennas and level == 1:
             note += " + power report"

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -119,50 +119,6 @@ def _evenly_inset(a: float, b: float, n: int) -> tuple[float, ...]:
     return tuple(a + step * (i + 0.5) for i in range(n))
 
 
-class _NodeWeights(Mapping[NodeId, np.ndarray]):
-    """Read-only node weights, each solved on first use.
-
-    ``solve(node_ids)`` solves the nodes not yet solved with one stacked
-    :func:`min_norm_weights` call on their constraint matrices (a
-    frontier's nodes share a null count); ``weights[node_id]`` is the
-    one-node case.  The rank test is not run again: the tree checked every
-    node when it was made.  Vectors are kept for the tree's lifetime,
-    read-only, so a descent pays for the nodes it tests and no others, and
-    every run sharing the tree reuses them; the constraint matrices are not
-    kept.
-    """
-
-    def __init__(
-        self, geom: ArrayGeometry, beam_angle_deg: float, nodes: Mapping[NodeId, NullConfig]
-    ):
-        self._geom = geom
-        self._beam = beam_angle_deg
-        self._nodes = nodes
-        self._solved: dict[NodeId, np.ndarray] = {}
-
-    def solve(self, node_ids: Sequence[NodeId]) -> np.ndarray:
-        """The weights of ``node_ids``, one row per node."""
-        todo = [n for n in node_ids if n not in self._solved]
-        if todo:
-            null_sets = [self._nodes[n].null_angles_deg for n in todo]
-            c = constraint_matrices(self._geom, self._beam, null_sets)
-            rows = min_norm_weights(c)
-            rows.flags.writeable = False
-            self._solved.update(zip(todo, rows))
-        return np.array([self._solved[n] for n in node_ids])
-
-    def __getitem__(self, node_id: NodeId) -> np.ndarray:
-        if node_id not in self._solved:
-            self.solve([node_id])
-        return self._solved[node_id]
-
-    def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-
 @dataclass(frozen=True)
 class SearchTree:
     """Candidate configs for every node of the search tree.
@@ -179,8 +135,9 @@ class SearchTree:
     so no node's solve runs the rank test again.
 
     A tree is read-only: ``nodes`` is a read-only copy of the table it is
-    given and solved weight rows reject writes, so :func:`build_tree` can
-    hand one tree to every caller with the same key.
+    given, and :meth:`stack`, the only way weights leave a tree, hands out
+    copies of its solved rows, so :func:`build_tree` can hand one tree to
+    every caller with the same key.
     """
 
     geometry: ArrayGeometry
@@ -190,21 +147,32 @@ class SearchTree:
     nulls_per_level: tuple[int, ...]
     nodes: Mapping[NodeId, NullConfig] = field(repr=False)
     root_sector: tuple[float, float] = ROOT_SECTOR
-    weights: _NodeWeights = field(init=False, repr=False, compare=False)
+    # each solved node's weights, kept for the tree's lifetime, so a descent
+    # pays for the nodes it tests and every run sharing the tree reuses them
+    _solved: dict[NodeId, np.ndarray] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         nodes = MappingProxyType(dict(self.nodes))
         _check_constraints(self.geometry, self.beam_angle_deg, nodes)
         object.__setattr__(self, "nodes", nodes)
-        weights = _NodeWeights(self.geometry, self.beam_angle_deg, nodes)
-        object.__setattr__(self, "weights", weights)
 
     def stack(self, node_ids: Sequence[NodeId]) -> tuple[list[NullConfig], np.ndarray]:
         """The configs of ``node_ids`` and their weights, one row per node.
 
-        The nodes not yet solved are solved by one stacked call.
+        The nodes not yet solved are solved by one stacked
+        :func:`min_norm_weights` call on their constraint matrices (a
+        frontier's nodes share a null count); the rank test is not run
+        again.
         """
-        return [self.nodes[n] for n in node_ids], self.weights.solve(node_ids)
+        todo = [n for n in node_ids if n not in self._solved]
+        if todo:
+            null_sets = [self.nodes[n].null_angles_deg for n in todo]
+            c = constraint_matrices(self.geometry, self.beam_angle_deg, null_sets)
+            self._solved.update(zip(todo, min_norm_weights(c)))
+        cfgs = [self.nodes[n] for n in node_ids]
+        return cfgs, np.array([self._solved[n] for n in node_ids])
 
     def children(self, node_id: NodeId) -> list[NodeId]:
         if len(node_id) >= self.depth:
@@ -311,8 +279,8 @@ def build_tree(
     raises a :class:`TreeShapeError` naming the rule; these are the only
     checks of a tree's shape.
 
-    No weights are solved here: ``tree.weights`` solves a node the first
-    time it is read.  A node whose constraints are degenerate (a beam
+    No weights are solved here: ``tree.stack`` solves a node the first
+    time it is asked for.  A node whose constraints are degenerate (a beam
     exactly on a candidate null, or aliased directions) raises the same
     :class:`DegenerateConstraintsError` its solve would, before any node
     is used.
@@ -421,22 +389,15 @@ class SearchState:
     """
 
     frontier: list[NodeId]
-    level: int
     pending: bool = True
     tested: list[tuple[NullConfig, InrReport]] = field(default_factory=list)
     best: tuple[NullConfig, InrReport] | None = None
     done: bool = False
     last_winner: NodeId | None = None
 
-    @property
-    def best_config(self) -> NullConfig:
-        if self.best is None:
-            raise RuntimeError("nothing tested yet")
-        return self.best[0]
-
 
 def start_search(tree: SearchTree) -> SearchState:
-    return SearchState(frontier=tree.level_ids(1), level=1)
+    return SearchState(frontier=tree.level_ids(1))
 
 
 def record_results(
@@ -476,13 +437,7 @@ def advance(state: SearchState, tree: SearchTree, feedback: int) -> SearchState:
     children = tree.children(winner)
     if not children:
         return replace(state, done=True, last_winner=winner, frontier=[])
-    return replace(
-        state,
-        frontier=children,
-        level=state.level + 1,
-        pending=True,
-        last_winner=winner,
-    )
+    return replace(state, frontier=children, pending=True, last_winner=winner)
 
 
 def min_inr_index(reports: Sequence[InrReport]) -> int:
@@ -580,10 +535,6 @@ class MultiUserPlan:
     states: list[SearchState]
     visited_per_level: list[list[NodeId]]
     joint_null_angles: tuple[float, ...]
-
-    @property
-    def visited_count(self) -> int:
-        return sum(len(v) for v in self.visited_per_level)
 
 
 def _join_nulls(

@@ -77,20 +77,6 @@ class WifiGrid:
         return self.center_freq_hz - half, self.center_freq_hz + half
 
 
-def rrb_center_freq(grid: LteGrid, r: int) -> int:
-    """Center frequency of resource block ``r`` in integer hertz."""
-    if not 0 <= r < grid.n_rrb:
-        raise IndexError(f"resource block {r} out of range 0..{grid.n_rrb - 1}")
-    return grid.center_freq_hz + (2 * r - (grid.n_rrb - 1)) * grid.rrb_bandwidth_hz // 2
-
-
-def sc_center_freq(grid: WifiGrid, s: int) -> int:
-    """Center frequency of subcarrier ``s`` in integer hertz."""
-    if not 0 <= s < grid.n_sc:
-        raise IndexError(f"subcarrier {s} out of range 0..{grid.n_sc - 1}")
-    return grid.center_freq_hz + (2 * s - (grid.n_sc - 1)) * grid.sc_bandwidth_hz // 2
-
-
 @dataclass(frozen=True)
 class RbScMap:
     """Per resource block, the index of the nearest usable subcarrier."""
@@ -136,15 +122,6 @@ def build_rb_sc_map(lte: LteGrid, wifi: WifiGrid) -> RbScMap:
     sc_freqs = _grid_centers(wifi.center_freq_hz, wifi.n_sc, wifi.sc_bandwidth_hz)
     nearest = usable[_nearest(rb_freqs, sc_freqs[usable])]
     return RbScMap(tuple(int(s) for s in nearest))
-
-
-def nearest_rrb(lte: LteGrid, freq_hz: int) -> int:
-    """Index of the resource block whose center is nearest ``freq_hz``.
-
-    Ties break toward the lower index.
-    """
-    rb_freqs = _grid_centers(lte.center_freq_hz, lte.n_rrb, lte.rrb_bandwidth_hz)
-    return int(_nearest(np.array([freq_hz]), rb_freqs)[0])
 
 
 @lru_cache(maxsize=MAP_CACHE_SIZE)

@@ -118,7 +118,7 @@ def test_criterion_3_tree_agrees_with_the_exhaustive_leaf_argmin():
         for leaf in tree.leaf_ids:
             cfg = tree.nodes[leaf]
             wm = build_weight_matrix(
-                geom, beam, cfg.null_angles_deg, lte.n_rrb, base=tree.weights[leaf]
+                geom, beam, cfg.null_angles_deg, lte.n_rrb, base=tree.stack([leaf])[1][0]
             )
             p = float(np.mean(rx_power(h, wm, sc_rb)))
             out.append(10 * np.log10((p + noise) / noise))

@@ -23,7 +23,13 @@ from nullsim.channel import (
     two_ray_channel,
     with_noise_power,
 )
-from nullsim.phy_grid import WifiGrid, sc_center_freq
+from nullsim.phy_grid import WifiGrid
+
+
+def sc_center_freq(grid: WifiGrid, s: int) -> int:
+    """Center frequency of subcarrier ``s`` in integer hertz, from the grid's
+    definition: an oracle independent of the channel's vectorized centers."""
+    return grid.center_freq_hz + (2 * s - (grid.n_sc - 1)) * grid.sc_bandwidth_hz // 2
 
 
 def test_path_validation():

@@ -3,12 +3,14 @@
 import traceback
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nullsim
 from nullsim.beamforming import (
     ArrayGeometry,
     DegenerateConstraintsError,
@@ -256,7 +258,7 @@ def test_linear_timeline_has_one_feedback(tree8):
     assert tl.count("ctc_send") == 1
     assert tl.identity_total_us() == tl.total_delay_us
     assert tl.total_delay_us == 165 * dc.t_csat_us + bh.delay_us
-    assert state.best_config.null_angles_deg == (-20.0,)
+    assert state.best[0].null_angles_deg == (-20.0,)
 
 
 @lru_cache(maxsize=None)
@@ -433,6 +435,38 @@ def test_multiuser_runs_never_deploy_nulls_that_leave_a_user_worse(scenario):
     assert below or kept
     (apply,) = [e for e in result.timeline.events if e.kind == "apply"]
     assert apply.label == "apply nulls:" + ";".join(f"{a:.2f}" for a in joint)
+
+
+def test_a_rank_deficient_joint_union_raises_in_the_joint_solve_itself():
+    """The one multi-user ``DegenerateConstraintsError`` that
+    ``raised_by_joint_solve`` in ``perfbench/run.py`` lets through: its
+    package frames are exactly ``run_full_protocol`` -> ``lcmv_weights``.
+
+    The beam sits 5e-8 deg off the tree's 0 deg null, so every node passes
+    the tree's check with that one null, but the two users' joint nulls do
+    not.  A helper raising on the solve's behalf would add a frame.
+    """
+    s = scenario_from_dict({
+        "seed": 5291,
+        "ue_angle_deg": 5e-08,
+        "user_angles_deg": [-0.4, -9.6],
+        "geometry": {"k_antennas": 8},
+        "channel": {"preset": "orbit-like"},
+        "search": {"mode": "multiuser", "power_correction": False},
+    })
+    with pytest.raises(DegenerateConstraintsError) as err:
+        run_full_protocol(s)
+    assert type(err.value) is DegenerateConstraintsError
+    assert str(err.value) == (
+        "constraint directions are rank deficient (sigma ratio 4.60e-10)"
+    )
+    package = Path(nullsim.__file__).resolve().parent
+    frames = [
+        (Path(f.filename).name, f.name)
+        for f in traceback.extract_tb(err.value.__traceback__)
+        if Path(f.filename).resolve().parent == package
+    ]
+    assert frames == [("coexsim.py", "run_full_protocol"), ("beamforming.py", "lcmv_weights")]
 
 
 @settings(max_examples=40, deadline=None)

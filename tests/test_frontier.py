@@ -89,19 +89,50 @@ def null_stacks(draw):
     return ArrayGeometry(k_antennas=k), beam, tuple(rows)
 
 
+def _unchecked_outcome(geom, beam, row):
+    """What a one-row solve raises before its rank test, in the solve's
+    order: an angle out of range, a null on the beam, too many nulls."""
+    for a in row:
+        if not -90.0 <= a <= 90.0:
+            return ValueError, f"angle {a} outside [-90, 90] degrees"
+    for a in row:
+        if a == beam:
+            return (
+                DegenerateConstraintsError,
+                f"null at {a} deg coincides with the beam direction",
+            )
+    return ValueError, f"{len(row)} nulls plus one beam exceed {geom.k_antennas} antennas"
+
+
 @settings(max_examples=200, deadline=None)
 @given(null_stacks())
 def test_stacked_solve_equals_single_solves(case):
+    """The stacked check and solve give each row the outcome of its own call.
+
+    Rows in range that fit the array are checked by one ``degenerate_rows``
+    call and the rest solved by one ``min_norm_weights`` call: each row's
+    one-row ``lcmv_weights`` raises exactly the message ``degenerate_rows``
+    gives for it, or returns the bits of its stacked row.
+    """
     geom, beam, rows = case
     singles = [_outcome(lambda r=r: lcmv_weights(geom, beam, r)) for r in rows]
-    stacked = _outcome(lambda: lcmv_weights(geom, beam, rows))
-    raised = [s for s in singles if isinstance(s, tuple)]
-    if raised:
-        # the first row that raises alone raises the stack, with its message
-        assert stacked == raised[0]
-    else:
-        assert stacked.shape == (len(rows), geom.k_antennas)
-        assert np.array_equal(stacked, np.array(singles))
+    fits = 1 + len(rows[0]) <= geom.k_antennas
+    checked = [
+        i for i, row in enumerate(rows) if fits and all(-90.0 <= a <= 90.0 for a in row)
+    ]
+    for i, row in enumerate(rows):
+        if i not in checked:
+            assert singles[i] == _unchecked_outcome(geom, beam, row)
+    if not checked:
+        return
+    null_sets = np.array([rows[i] for i in checked]).reshape(len(checked), -1)
+    failing = degenerate_rows(geom, beam, null_sets)
+    solvable = [j for j in range(len(checked)) if j not in failing]
+    stacked = min_norm_weights(constraint_matrices(geom, beam, null_sets[solvable]))
+    for j, message in failing.items():
+        assert singles[checked[j]] == (DegenerateConstraintsError, message)
+    for j, w in zip(solvable, stacked):
+        assert np.array_equal(singles[checked[j]], w)
 
 
 @st.composite
@@ -131,8 +162,7 @@ def test_stacked_solve_meets_its_constraints_and_matches_lstsq(case):
     keep = sv[:, -1] >= 1e-2 * sv[:, 0]
     if not keep.any():
         return
-    rows = tuple(r for r, k in zip(rows, keep) if k)
-    w = lcmv_weights(geom, beam, rows)
+    w = min_norm_weights(c[keep])
     e1 = np.zeros(c.shape[2])
     e1[0] = 1.0
     for ci, wi in zip(c[keep], w):
@@ -206,11 +236,12 @@ def test_the_gram_screen_keeps_every_rank_decision_and_message(case):
     geom, beam, rows = case
     expected = _unscreened_failures(geom, beam, rows)
     assert degenerate_rows(geom, beam, np.array(rows).reshape(len(rows), -1)) == expected
-    solved = _outcome(lambda: lcmv_weights(geom, beam, rows))
-    if expected:
-        assert solved == (DegenerateConstraintsError, expected[min(expected)])
-    else:
-        assert solved.shape == (len(rows), geom.k_antennas)
+    for i, row in enumerate(rows):
+        solved = _outcome(lambda: lcmv_weights(geom, beam, row))
+        if i in expected:
+            assert solved == (DegenerateConstraintsError, expected[i])
+        else:
+            assert solved.shape == (geom.k_antennas,)
 
 
 def _svd_solve(c):
@@ -237,7 +268,7 @@ def _check_kernel(geom, beam, rows):
         closed = np.ones(len(c), dtype=bool)
     elif c.shape[-1] == 2:
         gram = c.conj().swapaxes(-1, -2) @ c
-        closed = beamforming._gram_clears(gram, beamforming.RANK_TOL)
+        closed = beamforming._gram_clears(gram)
     else:
         closed = np.zeros(len(c), dtype=bool)
     assert np.array_equal(w[~closed], ref[~closed])
@@ -291,7 +322,7 @@ def test_a_near_alias_row_the_screen_passes_on_keeps_the_svd_solve():
     assert degenerate_rows(geom, beam, [(-60.0,)]) == {}
     c = constraint_matrices(geom, beam, [(-60.0,)])
     gram = c.conj().swapaxes(-1, -2) @ c
-    assert not beamforming._gram_clears(gram, beamforming.RANK_TOL).any()
+    assert not beamforming._gram_clears(gram).any()
     w = min_norm_weights(c)
     assert np.isfinite(w).all()
     assert np.array_equal(w, _svd_solve(c))
@@ -397,7 +428,7 @@ def test_linear_search_measures_its_grid_as_one_frontier(geom8):
 
     state = linear_search(geom8, DEFAULT_LINEAR_GRID, 21.4, distance_to_victim)
     assert frontiers == [(165, 8)]
-    assert state.best_config.null_angles_deg == (-20.0,)
+    assert state.best[0].null_angles_deg == (-20.0,)
     assert len(state.tested) == 165
 
 
@@ -467,8 +498,11 @@ def test_a_valid_linear_scenario_never_degenerates(beam, grid):
         s = scenario_from_dict(raw)
     except ScenarioError as exc:
         assert exc.rule == "beam_on_candidate_null"
-        with pytest.raises(DegenerateConstraintsError):
-            lcmv_weights(ArrayGeometry(k_antennas=8), beam, [(g,) for g in grid])
+        geom = ArrayGeometry(k_antennas=8)
+        solved = [_outcome(lambda g=g: lcmv_weights(geom, beam, [g])) for g in grid]
+        assert any(
+            isinstance(o, tuple) and o[0] is DegenerateConstraintsError for o in solved
+        )
         return
     run_full_protocol(s)
 

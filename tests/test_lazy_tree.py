@@ -123,9 +123,11 @@ def test_tree_matches_the_eager_solve(case, cold):
     tree = build_tree(geom, beam, fanout=fanout, depth=depth, nulls_per_level=schedule)
     assert list(tree.nodes) == list(nulls)
     assert {n: cfg.null_angles_deg for n, cfg in tree.nodes.items()} == nulls
-    assert list(tree.weights) == list(nulls)
-    for node_id, w in eager.items():
-        assert np.array_equal(tree.weights[node_id], w)
+    for level in range(1, depth + 1):
+        ids = [n for n in nulls if len(n) == level]
+        cfgs, weights = tree.stack(ids)
+        assert [cfg.node_id for cfg in cfgs] == ids
+        assert np.array_equal(weights, np.array([eager[n] for n in ids]))
 
 
 def test_known_degenerate_beams_raise_the_solve_message():
@@ -159,19 +161,22 @@ def fresh_trees():
 
 
 def test_weights_are_read_only_and_solved_once(monkeypatch, fresh_trees):
+    """Writing into an array that ``stack`` returned never changes what a
+    later ``stack`` returns, and a node is solved once."""
     tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
     calls = []
     monkeypatch.setattr(
         nullsearch, "min_norm_weights", lambda c: calls.append(c) or min_norm_weights(c)
     )
     leaf = tree.leaf_ids[5]
-    assert tree.weights[leaf] is tree.weights[leaf]
+    _, first = tree.stack([leaf])
+    solved = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(tree.stack([leaf])[1], solved)
     assert len(calls) == 1
-    assert len(tree.weights) == len(tree.nodes) == 120
-    with pytest.raises(TypeError):
-        tree.weights[leaf] = np.zeros(8)
+    assert len(tree.nodes) == 120
     with pytest.raises(KeyError):
-        tree.weights[(9,)]
+        tree.stack([(9,)])
     assert len(calls) == 1
 
 
@@ -183,17 +188,16 @@ def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch, fre
         nullsearch, "min_norm_weights", lambda c: calls.append(c) or min_norm_weights(c)
     )
     level = tree.level_ids(2)
-    first = tree.weights[level[4]]
+    _, first = tree.stack([level[4]])
     cfgs, weights = tree.stack(level)
     assert [c.node_id for c in cfgs] == level
     assert weights.shape == (len(level), 8)
     # the node read first is solved alone, the other eight in one stacked call
     assert [len(c) for c in calls] == [1, len(level) - 1]
-    assert tree.weights[level[4]] is first
+    assert np.array_equal(weights[4], first[0])
     for node_id, w in zip(level, weights):
         expected = lcmv_weights(geom, 21.4, tree.nodes[node_id].null_angles_deg)
         assert np.array_equal(w, expected)
-        assert np.array_equal(tree.weights[node_id], expected)
     tree.stack(level)
     assert len(calls) == 2
 
@@ -365,8 +369,10 @@ def test_the_shared_tree_is_read_only():
         tree.nodes[leaf] = tree.nodes[tree.leaf_ids[1]]
     with pytest.raises(TypeError):
         del tree.nodes[leaf]
-    with pytest.raises(ValueError, match="read-only"):
-        tree.weights[leaf][0] = 0.0
+    # every stack is a fresh array, so no caller writes into another's rows
+    _, mine = tree.stack([leaf])
+    _, theirs = tree.stack([leaf])
+    assert not np.shares_memory(mine, theirs)
     with pytest.raises(AttributeError):
         tree.beam_angle_deg = 0.0
 

@@ -140,7 +140,9 @@ def test_leaf_count_and_centered_leaf_nulls(tree8):
 def test_null_counts_follow_the_schedule(tree8):
     for node_id, cfg in tree8.nodes.items():
         assert len(cfg.null_angles_deg) == tree8.nulls_per_level[len(node_id) - 1]
-        assert tree8.weights[node_id].shape == (8,)
+    for level in range(1, tree8.depth + 1):
+        cfgs, weights = tree8.stack(tree8.level_ids(level))
+        assert weights.shape == (len(cfgs), 8)
 
 
 def test_single_level_tree():
@@ -281,13 +283,12 @@ def test_state_transition_guards(tree8):
         advance(state, tree8, 3)
     state = advance(state, tree8, 1)
     assert state.frontier == [(1, 0), (1, 1), (1, 2)]
-    done = SearchState(frontier=[], level=4, pending=False, done=True)
+    done = SearchState(frontier=[], pending=False, done=True)
     with pytest.raises(RuntimeError):
         record_results(done, tree8, [])
     with pytest.raises(RuntimeError):
         advance(done, tree8, 0)
-    with pytest.raises(RuntimeError):
-        done.best_config
+    assert done.best is None
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,7 @@ def test_linear_scan_lands_on_the_victim(geom8):
 
 def test_linear_scan_single_angle(geom8):
     state = linear_search(geom8, (15.0,), 21.4, flat_ray_evaluator(geom8, -20.0))
-    best, tested = state.best_config, state.tested
+    (best, _), tested = state.best, state.tested
     assert best.null_angles_deg == (15.0,)
     assert len(tested) == 1
 
@@ -352,9 +353,9 @@ def test_colocated_users_share_every_slot(tree8):
     victims = [-20.0] * 4
     states = [start_search(tree8) for _ in victims]
     plan = multi_user_search(states, tree8, multi_flat_evaluator(tree8.geometry, victims))
-    assert plan.visited_count == 12
+    assert sum(map(len, plan.visited_per_level)) == 12
     assert [len(v) for v in plan.visited_per_level] == [3, 3, 3, 3]
-    assert plan.joint_null_angles == plan.states[0].best_config.null_angles_deg
+    assert plan.joint_null_angles == plan.states[0].best[0].null_angles_deg
 
 
 def test_users_in_different_sectors_fork_after_level_one(tree8):
@@ -362,7 +363,7 @@ def test_users_in_different_sectors_fork_after_level_one(tree8):
     states = [start_search(tree8) for _ in victims]
     plan = multi_user_search(states, tree8, multi_flat_evaluator(tree8.geometry, victims))
     assert [len(v) for v in plan.visited_per_level] == [3, 6, 6, 6]
-    assert plan.visited_count == 21
+    assert sum(map(len, plan.visited_per_level)) == 21
     winners = [st.last_winner for st in plan.states]
     assert winners[0][0] != winners[1][0]
     assert len(plan.joint_null_angles) == 2
@@ -373,7 +374,7 @@ def test_parallel_search_never_exceeds_sequential(tree8):
     victims = [-90.0 + 30.5 * w, -90.0 + 30.5 * w, -90.0 + 31.5 * w, -90.0 + 56.5 * w]
     states = [start_search(tree8) for _ in victims]
     plan = multi_user_search(states, tree8, multi_flat_evaluator(tree8.geometry, victims))
-    assert plan.visited_count < 4 * 12
+    assert sum(map(len, plan.visited_per_level)) < 4 * 12
     for st in plan.states:
         assert st.done
 

@@ -12,10 +12,31 @@ from nullsim.phy_grid import (
     WifiGrid,
     build_rb_sc_map,
     build_sc_rb_map,
-    nearest_rrb,
-    rrb_center_freq,
-    sc_center_freq,
 )
+
+
+# Independent oracles for the maps and the channel's subcarrier phases: each
+# slot's center from the grid's definition, one slot at a time, and a plain
+# nearest scan over those centers.
+
+
+def rrb_center_freq(grid: LteGrid, r: int) -> int:
+    """Center frequency of resource block ``r`` in integer hertz."""
+    if not 0 <= r < grid.n_rrb:
+        raise IndexError(f"resource block {r} out of range 0..{grid.n_rrb - 1}")
+    return grid.center_freq_hz + (2 * r - (grid.n_rrb - 1)) * grid.rrb_bandwidth_hz // 2
+
+
+def sc_center_freq(grid: WifiGrid, s: int) -> int:
+    """Center frequency of subcarrier ``s`` in integer hertz."""
+    if not 0 <= s < grid.n_sc:
+        raise IndexError(f"subcarrier {s} out of range 0..{grid.n_sc - 1}")
+    return grid.center_freq_hz + (2 * s - (grid.n_sc - 1)) * grid.sc_bandwidth_hz // 2
+
+
+def nearest_rrb(lte: LteGrid, freq_hz: int) -> int:
+    """Index of the block whose center is nearest ``freq_hz``; ties go low."""
+    return min(range(lte.n_rrb), key=lambda r: (abs(freq_hz - rrb_center_freq(lte, r)), r))
 
 
 def test_middle_rrb_of_odd_grid_is_band_center():
@@ -197,9 +218,13 @@ def test_inverse_map_is_nearest_rrb(lte, wifi, sc_rb):
         fs = sc_center_freq(wifi, s)
         dists = [abs(fs - rrb_center_freq(lte, r)) for r in range(lte.n_rrb)]
         assert dists[sc_rb[s]] == min(dists)
+        assert sc_rb[s] == nearest_rrb(lte, fs)
 
 
 def test_nearest_rrb_tie_breaks_low(lte):
     # exactly between blocks r and r+1: 90 kHz from each center
     midpoint = rrb_center_freq(lte, 40) + 90_000
     assert nearest_rrb(lte, midpoint) == 40
+    # a one-subcarrier grid centered there maps to the lower block too
+    wifi = WifiGrid(center_freq_hz=midpoint, n_sc=1, sc_bandwidth_hz=2)
+    assert build_sc_rb_map(lte, wifi) == (40,)
