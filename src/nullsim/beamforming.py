@@ -281,7 +281,7 @@ def normalize(w: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(w)
     n = np.linalg.norm(w) if w.ndim == 1 else _row_norms(w)[..., None]
-    if np.any(n == 0):
+    if (n == 0).any():
         raise ValueError("cannot normalize an all-zero weight vector")
     return w / n
 
@@ -303,7 +303,7 @@ def floor_power_report(report: np.ndarray, floor: float = POWER_REPORT_FLOOR) ->
     report = np.asarray(report, dtype=float)
     if report.ndim != 2:
         raise ValueError("power report must be (antennas, subcarriers)")
-    if np.any(report < 0):
+    if (report < 0).any():
         raise ValueError("power report entries must be non-negative")
     return np.maximum(report, floor)
 
@@ -325,7 +325,7 @@ def power_correct(
     if np.shape(w)[-1] != report.shape[0]:
         raise ValueError("weight length and report antenna count differ")
     s = np.asarray(rb_sc_map.rb_to_sc)[r]
-    if np.any(s < 0) or np.any(s >= report.shape[1]):
+    if (s < 0).any() or (s >= report.shape[1]).any():
         raise IndexError(
             f"mapped subcarriers {np.min(s)}..{np.max(s)} outside the power report"
         )

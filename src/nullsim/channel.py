@@ -115,38 +115,44 @@ def rx_power(
     power[s] = tx_power * |sum_k W[k, rrb(s)] * h[k, s]|^2.
 
     ``weight_matrix`` may be a stack of matrices, (n, K, n_rrb), one per
-    config of a frontier; the result is then (n, subcarriers), each row
-    with the bits of its own 2-D call.  The sum over K runs along a
-    non-last axis of a C-ordered product, so it adds antennas in order
-    whatever the stack size.  A broadcast matrix (last stride 0, as
-    :func:`~nullsim.beamforming.build_weight_matrix` returns without a
-    power report) has one column for every block and is used as that
-    column, with no per-subcarrier gather.
+    config of a frontier, and ``h`` a stack of users' responses,
+    (U, K, subcarriers); the result has the users' axis, then the configs'
+    axis, then subcarriers, each row with the bits of its own 2-D call.
+    The sum over K runs along a non-last axis of a C-ordered product, so
+    it adds antennas in order whatever the stack sizes.  A broadcast matrix
+    (last stride 0, as :func:`~nullsim.beamforming.build_weight_matrix`
+    returns without a power report) has one column for every block and is
+    used as that column, with no per-subcarrier gather.
     """
     if tx_power <= 0:
         raise ValueError("tx power must be positive")
     h = np.asarray(h)
     w = np.asarray(weight_matrix)
-    if h.shape[0] != w.shape[-2]:
+    if h.shape[-2] != w.shape[-2]:
         raise ValueError("antenna counts of response and weights differ")
     idx = np.asarray(sc_to_rrb, dtype=int)
-    if len(idx) != h.shape[1]:
+    if len(idx) != h.shape[-1]:
         raise ValueError("sc_to_rrb length must match the subcarrier count")
-    if np.any(idx < 0) or np.any(idx >= w.shape[-1]):
+    if (idx < 0).any() or (idx >= w.shape[-1]).any():
         raise IndexError("sc_to_rrb references a resource block outside the matrix")
     cols = w[..., :1] if w.strides[-1] == 0 else w[..., idx]
+    if w.ndim == 3:
+        h = h[..., None, :, :]  # every user against every config
     summed = np.multiply(cols, h, order="C").sum(axis=-2)
     return tx_power * np.abs(summed) ** 2
 
 
-def measure_inr(p_on: float | np.ndarray, p_off: float) -> float | np.ndarray:
+def measure_inr(
+    p_on: float | np.ndarray, p_off: float | np.ndarray
+) -> float | np.ndarray:
     """Interference-to-noise ratio of on/off power pairs (linear).
 
-    ``p_on`` may be an array of on-phase draws against one off-phase power.
+    ``p_on`` may be an array of on-phase draws against one off-phase power,
+    or against an array of them that broadcasts, one per user.
     """
-    if p_off <= 0:
+    if np.less_equal(p_off, 0).any():
         raise ValueError("off-phase power must be positive")
-    if np.any(np.less(p_on, 0)):
+    if np.less(p_on, 0).any():
         raise ValueError("on-phase power cannot be negative")
     return p_on / p_off
 
@@ -155,45 +161,57 @@ def sampled_inr(
     h: np.ndarray,
     weight_matrix: np.ndarray,
     sc_to_rrb: Sequence[int],
-    model: ChannelModel,
+    models: Sequence[ChannelModel],
     tx_power: float = 1.0,
     sample_count: int = 100,
     noise_jitter: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> InrReport | list[InrReport]:
-    """Average ``sample_count`` noisy INR draws into one report.
+    rngs: Sequence[np.random.Generator] | None = None,
+) -> list[list[InrReport]]:
+    """Every user's reports on a stack of transmissions, each the average
+    of ``sample_count`` noisy INR draws.
+
+    ``h`` stacks the users' responses, (U, K, subcarriers), with one
+    channel model (and, when jittered, one rng) per user in ``models`` and
+    ``rngs``; ``weight_matrix`` stacks the configs' matrices,
+    (n, K, n_rrb).  The result holds one list per user, each with one
+    report per config, in order.
 
     Each draw perturbs the measured on-phase power by a zero-mean Gaussian
     of standard deviation ``noise_jitter * noise_power``; the off-phase
     measurement is the noise floor itself.  With zero jitter the average
     equals the single-shot value exactly.  The draws are turned into INRs
-    and averaged as one array, in the order ``rng`` produced them.
+    and averaged as one array, in the order the rngs produced them.
 
-    A stack of weight matrices (n, K, n_rrb) measures a whole frontier and
-    returns n reports.  The draws for all n come from one
-    ``rng.standard_normal((n, sample_count))`` call, the same numbers (and
-    the same next draw) as n calls in config order, so every report has
-    the bits of its own 2-D call.
+    Every user measures the same transmissions: the users' powers come from
+    one product and their INRs from one average.  Each user's draws come
+    from one call of its own rng that fills an (n, sample_count) array, the
+    same numbers (and the same next draw) as n calls in config order, users
+    in order.  So every report has the bits of a measurement of that user
+    and config alone, and every rng ends where those measurements leave it.
     """
     if sample_count < 1:
         raise ValueError("need at least one measurement sample")
     if noise_jitter < 0:
         raise ValueError("noise jitter cannot be negative")
-    stacked = np.ndim(weight_matrix) == 3
-    p_sc = np.atleast_2d(rx_power(h, weight_matrix, sc_to_rrb, tx_power))
-    noise = model.noise_power
-    p_on = np.mean(p_sc, axis=1) + noise
+    if np.ndim(h) != 3 or np.ndim(weight_matrix) != 3:
+        raise ValueError("need stacks of responses and of weight matrices")
+    if len(models) != len(h):
+        raise ValueError("need one channel model per user")
+    p_sc = rx_power(h, weight_matrix, sc_to_rrb, tx_power)  # (users, configs, subcarriers)
+    noise = np.array([m.noise_power for m in models])[:, None, None]
+    p_on = np.mean(p_sc, axis=-1, keepdims=True) + noise
     if noise_jitter == 0.0:
-        agg = measure_inr(p_on, noise)
+        agg = measure_inr(p_on, noise)[..., 0]
     else:
-        if rng is None:
-            raise ValueError("jittered measurements need an rng")
-        z = rng.standard_normal((len(p_sc), sample_count))
-        draws = p_on[:, None] + noise_jitter * noise * z
+        if rngs is None or len(rngs) != len(models) or None in rngs:
+            raise ValueError("jittered measurements need an rng per user")
+        z = np.empty(p_sc.shape[:2] + (sample_count,))
+        for rng, z_u in zip(rngs, z):
+            rng.standard_normal(out=z_u)
+        draws = p_on + noise_jitter * noise * z
         np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
-        agg = np.mean(measure_inr(draws, noise), axis=1)
-    reports = [InrReport(a) for a in agg.tolist()]
-    return reports if stacked else reports[0]
+        agg = np.mean(measure_inr(draws, noise), axis=-1)
+    return [[InrReport(a) for a in row] for row in agg.tolist()]
 
 
 def power_report(model: ChannelModel, geom: ArrayGeometry, wifi: WifiGrid) -> np.ndarray:

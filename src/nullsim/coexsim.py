@@ -257,10 +257,11 @@ def simulate_tree_search(
 
     The power-measurement phase is present exactly when power correction
     is on (the report exists for no other reason); its feedback rides with
-    the level-1 feedback.  The evaluator is expected to match: corrected
-    weights when ``power_correction`` is set, plain ones otherwise.
+    the level-1 feedback.  The evaluator measures the one user and is
+    expected to match: corrected weights when ``power_correction`` is set,
+    plain ones otherwise.
     """
-    (state,), visited = descend([start_search(tree)], tree, [evaluate])
+    (state,), visited = descend([start_search(tree)], tree, evaluate)
     tl = _emit_search(
         [[tree.nodes[n] for n in nodes] for nodes in visited],
         dc, backhaul, sim,
@@ -290,15 +291,15 @@ def simulate_multi_user(
     dc: DutyCycleConfig,
     backhaul: BackhaulConfig,
     sim: SimConfig,
-    evaluators: Sequence[Evaluator],
+    evaluate: Evaluator,
 ) -> tuple[SimTimeline, MultiUserPlan]:
     """Parallel multi-user descent with shared test slots.
 
     All users measure the same transmissions, so a level costs the union
-    of the users' frontiers, not their sum, and one aggregated feedback.
-    No power correction exists in this mode.
+    of the users' frontiers, not their sum, one measurement of every user
+    and one aggregated feedback.  No power correction exists in this mode.
     """
-    plan = multi_user_search(states, tree, evaluators)
+    plan = multi_user_search(states, tree, evaluate)
     tl = _emit_search(
         [[tree.nodes[n] for n in nodes] for nodes in plan.visited_per_level],
         dc, backhaul, sim,
@@ -334,26 +335,29 @@ class ProtocolResult:
 def _calibrated_channels(scenario: "Scenario", geom, wifi, w0_matrix, sc_rb):
     """Per-user channels with noise set so the no-null INR hits the target.
 
-    Returns the models and their responses; noise does not enter the
-    response, so calibration reuses the one it measured with.
+    Returns the models and their responses, stacked (users, antennas,
+    subcarriers); noise does not enter the response, so calibration reuses
+    the one it measured with.
     """
     models = scenario.build_channels()
-    out = []
-    responses = []
-    for model in models:
-        h = channel_response(model, geom, wifi)
-        responses.append(h)
-        if scenario.channel.baseline_inr_db is not None:
-            target = 10.0 ** (scenario.channel.baseline_inr_db / 10.0)
-            base = float(np.mean(rx_power(h, w0_matrix, sc_rb, scenario.tx_power)))
-            if base <= 0:
-                raise ValueError(
-                    "beam-only pattern has no power toward this user; "
-                    "cannot calibrate a baseline INR"
-                )
-            model = with_noise_power(model, base / (target - 1.0))
-        out.append(model)
-    return out, responses
+    responses = np.empty((len(models), geom.k_antennas, wifi.n_sc), dtype=complex)
+    for u, model in enumerate(models):
+        responses[u] = channel_response(model, geom, wifi)
+    if scenario.channel.baseline_inr_db is None:
+        return models, responses
+    target = 10.0 ** (scenario.channel.baseline_inr_db / 10.0)
+    p_sc = rx_power(responses, w0_matrix, sc_rb, scenario.tx_power)
+    bases = np.mean(p_sc, axis=-1).tolist()
+    if min(bases) <= 0:
+        raise ValueError(
+            "beam-only pattern has no power toward this user; "
+            "cannot calibrate a baseline INR"
+        )
+    models = [
+        with_noise_power(model, base / (target - 1.0))
+        for model, base in zip(models, bases)
+    ]
+    return models, responses
 
 
 def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
@@ -380,14 +384,14 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     sim = scenario.sim
     dc, backhaul = scenario.duty, scenario.backhaul
 
-    def measure_frontier(
-        u: int,
+    def measure(
         cfgs: Sequence[NullConfig],
         weights: np.ndarray,
         report: np.ndarray | None = None,
-    ) -> list[InrReport]:
-        """User ``u``'s reports for a frontier: one stacked weight-matrix
-        build and one stacked measurement, draws from the user's own rng."""
+    ) -> list[list[InrReport]]:
+        """Every user's reports for a frontier: one stacked weight-matrix
+        build and one measurement of all users, each user's draws from its
+        own rng."""
         wm = build_weight_matrix(
             geom,
             scenario.ue_angle_deg,
@@ -398,26 +402,23 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             base=weights,
         )
         return sampled_inr(
-            responses[u],
+            responses,
             wm,
             sc_rb,
-            models[u],
+            models,
             scenario.tx_power,
             sim.sample_count,
             sim.noise_jitter,
-            meas_rngs[u],
+            meas_rngs,
         )
 
     base_cfg = NullConfig((), scenario.ue_angle_deg, (), scenario.tree_root_sector)
-    baselines = [
-        measure_frontier(u, [base_cfg], w0[None])[0] for u in range(len(models))
-    ]
+    baselines = [reps[0] for reps in measure([base_cfg], w0[None])]
 
     if search.mode == "multiuser":
         tree = scenario.search_tree()
         timeline, plan = simulate_multi_user(
-            [start_search(tree) for _ in models], tree, dc, backhaul, sim,
-            [partial(measure_frontier, u) for u in range(len(models))],
+            [start_search(tree) for _ in models], tree, dc, backhaul, sim, measure
         )
         states, joint = plan.states, plan.joint_null_angles
         # every user measures the joint nulls afresh
@@ -425,10 +426,7 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             (), scenario.ue_angle_deg, joint, scenario.tree_root_sector
         )
         w_joint = lcmv_weights(geom, scenario.ue_angle_deg, joint)
-        finals = [
-            measure_frontier(u, [joint_cfg], w_joint[None])[0]
-            for u in range(len(models))
-        ]
+        finals = [reps[0] for reps in measure([joint_cfg], w_joint[None])]
     else:
         if search.mode == "tree":
             # the measurement phase's power report, |h|**2 of the response
@@ -436,13 +434,13 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             report = np.abs(responses[0]) ** 2 if search.power_correction else None
             timeline, state = simulate_tree_search(
                 scenario.search_tree(), dc, backhaul, sim,
-                partial(measure_frontier, 0, report=report),
+                partial(measure, report=report),
                 power_correction=search.power_correction,
             )
         else:
             timeline, state = simulate_linear_search(
                 scenario.scan_angles, geom, dc, backhaul, sim,
-                partial(measure_frontier, 0), scenario.ue_angle_deg,
+                measure, scenario.ue_angle_deg,
             )
         cfg, rep = state.best
         states, joint, finals = [state], cfg.null_angles_deg, [rep]

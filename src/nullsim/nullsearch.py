@@ -161,17 +161,22 @@ class SearchTree:
     def stack(self, node_ids: Sequence[NodeId]) -> tuple[list[NullConfig], np.ndarray]:
         """The configs of ``node_ids`` and their weights, one row per node.
 
-        The nodes not yet solved are solved by one stacked
-        :func:`min_norm_weights` call on their constraint matrices (a
-        frontier's nodes share a null count); the rank test is not run
-        again.
+        The nodes must share a null count, as a frontier's nodes do; the
+        ones not yet solved are solved by one stacked
+        :func:`min_norm_weights` call on their constraint matrices, and the
+        rank test is not run again.
         """
+        cfgs = [self.nodes[n] for n in node_ids]
+        if len({len(cfg.null_angles_deg) for cfg in cfgs}) > 1:
+            counts = ", ".join(f"{cfg.node_id}: {len(cfg.null_angles_deg)}" for cfg in cfgs)
+            raise ValueError(
+                f"a stack's nodes must share one null count; nulls per node {counts}"
+            )
         todo = [n for n in node_ids if n not in self._solved]
         if todo:
             null_sets = [self.nodes[n].null_angles_deg for n in todo]
             c = constraint_matrices(self.geometry, self.beam_angle_deg, null_sets)
             self._solved.update(zip(todo, min_norm_weights(c)))
-        cfgs = [self.nodes[n] for n in node_ids]
         return cfgs, np.array([self._solved[n] for n in node_ids])
 
     def children(self, node_id: NodeId) -> list[NodeId]:
@@ -373,10 +378,12 @@ def _shared_tree(
 # ---------------------------------------------------------------------------
 # tree traversal
 
-# a frontier's measurements: ``evaluate(cfgs, weights)`` returns one report
-# per config, in order; ``weights`` stacks the configs' constraint-domain
-# vectors, one per row.  Multi-user search takes one evaluator per user.
-Evaluator = Callable[[Sequence[NullConfig], np.ndarray], list[InrReport]]
+# a frontier's measurements: ``evaluate(cfgs, weights)`` measures every user
+# of the search against the same transmissions and returns one report list
+# per user, each with one report per config, in order; ``weights`` stacks
+# the configs' constraint-domain vectors, one per row.  Tree and linear
+# search are the one-user case.
+Evaluator = Callable[[Sequence[NullConfig], np.ndarray], list[list[InrReport]]]
 
 
 @dataclass
@@ -450,29 +457,33 @@ def min_inr_index(reports: Sequence[InrReport]) -> int:
 
 
 def descend(
-    states: Sequence[SearchState], tree: SearchTree, evaluators: Sequence[Evaluator]
+    states: Sequence[SearchState], tree: SearchTree, evaluate: Evaluator
 ) -> tuple[list[SearchState], list[list[NodeId]]]:
     """The feedback loop every search mode runs: test, feed back, descend.
 
-    Per level the union of the unfinished users' frontiers is solved and
-    stacked once and measured once per user, with that user's evaluator
-    (users in order; each user's noise is its own stream, so the order
-    between users changes nothing).  Each user then records its own
-    frontier's reports and descends into its winner.  Returns the finished
-    states and the union tested at each level.
+    Per level the union of the users' frontiers is solved and stacked once
+    and measured once, for every user by one ``evaluate`` call.  Each user
+    then records its own frontier's reports and descends into its winner.
+    The users descend in step, one level per round, so they must start on
+    one level and all finish together.  Returns the finished states and
+    the union tested at each level.
     """
     states = list(states)
     visited_per_level: list[list[NodeId]] = []
     while True:
-        union = sorted({n for st in states if not st.done for n in st.frontier})
-        if not union:
+        done = [st.done for st in states]
+        if all(done):
             return states, visited_per_level
+        if any(done):
+            raise ValueError("users must descend in step; some finished early")
+        union = sorted({n for st in states for n in st.frontier})
         visited_per_level.append(union)
         cfgs, weights = tree.stack(union)
-        for u, st in enumerate(states):
-            if st.done:
-                continue
-            measured = dict(zip(union, evaluators[u](cfgs, weights)))
+        per_user = evaluate(cfgs, weights)
+        if len(per_user) != len(states):
+            raise ValueError("need one report list per user")
+        for u, (st, reports) in enumerate(zip(states, per_user)):
+            measured = dict(zip(union, reports))
             reports = [measured[n] for n in st.frontier]
             st = record_results(st, tree, reports)
             states[u] = advance(st, tree, min_inr_index(reports))
@@ -521,7 +532,7 @@ def linear_search(
         nulls_per_level=(1,),
         nodes=nodes,
     )
-    (state,), _ = descend([start_search(tree)], tree, [evaluate])
+    (state,), _ = descend([start_search(tree)], tree, evaluate)
     return state
 
 
@@ -558,13 +569,13 @@ def _join_nulls(
 def multi_user_search(
     states: list[SearchState],
     tree: SearchTree,
-    evaluators: Sequence[Evaluator],
+    evaluate: Evaluator,
 ) -> MultiUserPlan:
     """Descend the tree for every user at once, sharing test slots.
 
     Per level the union of all users' frontiers is tested; a node shared
     by several users costs one slot because every node measures the same
-    transmission, which each user measures with its own evaluator.  The
+    transmission, and one ``evaluate`` call measures it for every user.  The
     final joint configuration is the union of the per-user best null sets,
     users served in input order until the array runs out of freedom (the
     beam keeps one degree), in which case the error names who still fit.
@@ -574,9 +585,7 @@ def multi_user_search(
     """
     if not states:
         raise ValueError("need at least one user")
-    if len(evaluators) != len(states):
-        raise ValueError("need one evaluator per user")
-    states, visited_per_level = descend(states, tree, evaluators)
+    states, visited_per_level = descend(states, tree, evaluate)
     bests = [st.best for st in states]
     if any(b is None for b in bests):
         raise RuntimeError("search ended with an untested user")

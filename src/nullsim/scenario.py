@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -332,6 +333,16 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError(
             "too_many_antennas",
             f"k_antennas {s.geometry.k_antennas} exceeds {MAX_ANTENNAS}",
+        )
+    # the last element's steering phase, 2*pi*(d/lambda)*(K-1)*sin(angle),
+    # must be finite, or every steering vector is NaN
+    phase = 2 * math.pi * s.geometry.spacing_wavelengths * (s.geometry.k_antennas - 1)
+    if not math.isfinite(phase):
+        raise ScenarioError(
+            "spacing_out_of_range",
+            f"spacing_m {s.geometry.spacing_m} at carrier_freq_hz "
+            f"{s.geometry.carrier_freq_hz} gives {s.geometry.k_antennas} antennas "
+            f"a steering phase that is not finite",
         )
     # times run in integer microseconds
     times_ms = [

@@ -248,8 +248,7 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
 
     def stub(i):
         return lambda cfgs, w: [
-            InrReport(aggregate=scores[i][cfg.node_id])
-            for cfg in cfgs
+            [InrReport(aggregate=scores[i][cfg.node_id]) for cfg in cfgs]
         ]
 
     sim = SimConfig()
@@ -269,8 +268,7 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
                 bh,
                 sim,
                 lambda cfgs, w: [
-                    InrReport(aggregate=1.0 + cfg.node_id[0])
-                    for cfg in cfgs
+                    [InrReport(aggregate=1.0 + cfg.node_id[0]) for cfg in cfgs]
                 ],
                 beam_angle_deg=21.4,
             )
@@ -283,8 +281,8 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
                 dc,
                 bh,
                 sim,
-                [
-                    lambda cfgs, w, u=u: [
+                lambda cfgs, w: [
+                    [
                         InrReport(aggregate=scores[i][cfg.node_id] + shift[u])
                         for cfg in cfgs
                     ]

@@ -203,7 +203,7 @@ def test_zero_jitter_sampling_is_exact(geom4, wifi, sc_rb, lte):
     model = flat_channel(15.0, noise_power=1e-6)
     h = channel_response(model, geom4, wifi)
     w = build_weight_matrix(geom4, 40.0, (), lte.n_rrb)
-    rep = sampled_inr(h, w, sc_rb, model, sample_count=100)
+    ((rep,),) = sampled_inr(h[None], w[None], sc_rb, [model], sample_count=100)
     p = rx_power(h, w, sc_rb)
     expected = (float(np.mean(p)) + 1e-6) / 1e-6
     assert rep.aggregate == expected
@@ -213,8 +213,10 @@ def test_jitter_needs_rng(geom4, wifi, sc_rb, lte):
     model = flat_channel(0.0)
     h = channel_response(model, geom4, wifi)
     w = build_weight_matrix(geom4, 30.0, (), lte.n_rrb)
-    with pytest.raises(ValueError):
-        sampled_inr(h, w, sc_rb, model, noise_jitter=0.1)
+    with pytest.raises(ValueError, match="rng per user"):
+        sampled_inr(h[None], w[None], sc_rb, [model], noise_jitter=0.1)
+    with pytest.raises(ValueError, match="rng per user"):
+        sampled_inr(h[None], w[None], sc_rb, [model], noise_jitter=0.1, rngs=[None])
 
 
 def test_averaging_variance_shrinks_with_sample_count(geom4, wifi, sc_rb, lte):
@@ -226,10 +228,10 @@ def test_averaging_variance_shrinks_with_sample_count(geom4, wifi, sc_rb, lte):
     def spread(n, trials=200):
         vals = [
             sampled_inr(
-                h, w, sc_rb, model,
+                h[None], w[None], sc_rb, [model],
                 sample_count=n, noise_jitter=0.5,
-                rng=np.random.default_rng([trial, n]),
-            ).aggregate
+                rngs=[np.random.default_rng([trial, n])],
+            )[0][0].aggregate
             for trial in range(trials)
         ]
         return float(np.std(vals))
@@ -251,7 +253,9 @@ def test_jittered_aggregate_matches_per_draw_mean(geom4, wifi, sc_rb, lte, seed,
     h = channel_response(model, geom4, wifi)
     w = build_weight_matrix(geom4, 0.0, (), lte.n_rrb)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    rep = sampled_inr(h, w, sc_rb, model, sample_count=count, noise_jitter=jitter, rng=rng)
+    ((rep,),) = sampled_inr(
+        h[None], w[None], sc_rb, [model], sample_count=count, noise_jitter=jitter, rngs=[rng]
+    )
     p_on = float(np.mean(rx_power(h, w, sc_rb))) + noise
     draws = p_on + jitter * noise * ref_rng.standard_normal(count)
     np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
@@ -270,9 +274,21 @@ def test_sample_count_validation(geom4, wifi, sc_rb, lte):
     h = channel_response(model, geom4, wifi)
     w = build_weight_matrix(geom4, 30.0, (), lte.n_rrb)
     with pytest.raises(ValueError):
-        sampled_inr(h, w, sc_rb, model, sample_count=0)
+        sampled_inr(h[None], w[None], sc_rb, [model], sample_count=0)
     with pytest.raises(ValueError):
-        sampled_inr(h, w, sc_rb, model, noise_jitter=-0.1)
+        sampled_inr(h[None], w[None], sc_rb, [model], noise_jitter=-0.1)
+
+
+def test_a_measurement_takes_stacks_and_one_model_per_user(geom4, wifi, sc_rb, lte):
+    model = flat_channel(0.0)
+    h = channel_response(model, geom4, wifi)
+    w = build_weight_matrix(geom4, 30.0, (), lte.n_rrb)
+    with pytest.raises(ValueError, match="stacks"):
+        sampled_inr(h, w[None], sc_rb, [model])
+    with pytest.raises(ValueError, match="stacks"):
+        sampled_inr(h[None], w, sc_rb, [model])
+    with pytest.raises(ValueError, match="one channel model per user"):
+        sampled_inr(np.array([h, h]), w[None], sc_rb, [model])
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
             "jitter_out_of_range",
         ),
         ('{"seed": -1}', "seed_negative"),
+        ('{"geometry": {"spacing_m": 1e300}}', "spacing_out_of_range"),
     ],
 )
 def test_validate_rejects_what_the_run_could_not_finish(text, rule, tmp_path, capsys):

@@ -59,7 +59,7 @@ def report(value: float) -> InrReport:
 def scripted_evaluator(tree, seed: int):
     rng = np.random.default_rng(seed)
     scores = {n: float(rng.uniform(0.1, 100.0)) for n in sorted(tree.nodes)}
-    return lambda cfgs, w: [report(scores[cfg.node_id]) for cfg in cfgs]
+    return lambda cfgs, w: [[report(scores[cfg.node_id]) for cfg in cfgs]]
 
 
 def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
@@ -67,8 +67,7 @@ def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
 
     def evaluate(cfgs, weights):
         return [
-            report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise)
-            for w in weights
+            [report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise) for w in weights]
         ]
 
     return evaluate
@@ -289,13 +288,13 @@ def test_one_user_parallel_timing_equals_the_plain_descent(
     scores = {n: float(rng.integers(distinct_scores)) + 0.5 for n in sorted(tree.nodes)}
 
     def evaluate(cfgs, w):
-        return [report(scores[cfg.node_id]) for cfg in cfgs]
+        return [[report(scores[cfg.node_id]) for cfg in cfgs]]
 
     tl_tree, state = simulate_tree_search(
         tree, dc, bh, sim, evaluate, power_correction=False
     )
     tl_mu, plan = simulate_multi_user(
-        [start_search(tree)], tree, dc, bh, sim, [evaluate]
+        [start_search(tree)], tree, dc, bh, sim, evaluate
     )
     assert [(e.t_us, e.kind) for e in tl_mu.events] == [
         (e.t_us, e.kind) for e in tl_tree.events

@@ -2,7 +2,8 @@
 
 A frontier (the configs one feedback round compares) is solved by one
 stacked ``min_norm_weights`` call where the search allows it, built into one
-stacked weight matrix and measured by one stacked ``sampled_inr`` call.
+stacked weight matrix and measured for every user by one stacked
+``sampled_inr`` call.
 Every stacked result must carry the bits of the per-config calls it
 replaces, and leave every random stream where they left it.
 """
@@ -28,12 +29,14 @@ from nullsim.beamforming import (
 )
 from nullsim.campaign import export_results, run_scenarios
 from nullsim.channel import (
+    MIN_MEASURABLE_POWER,
     InrReport,
     channel_response,
     orbit_like_channel,
     rx_power,
     sampled_inr,
     two_ray_channel,
+    with_noise_power,
 )
 from nullsim.coexsim import run_full_protocol
 from nullsim.nullsearch import DEFAULT_LINEAR_GRID, linear_search
@@ -398,11 +401,72 @@ def test_frontier_measurement_matches_per_config_calls(
         assert np.array_equal(row, rx_power_reference(h, wm, sc_rb, 2.0))
 
     rng_stack, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
-    reports = sampled_inr(h, stack, sc_rb, model, 2.0, 50, jitter, rng_stack)
+    (reports,) = sampled_inr(h[None], stack, sc_rb, [model], 2.0, 50, jitter, [rng_stack])
     for rep, wm in zip(reports, singles):
-        one = sampled_inr(h, wm, sc_rb, model, 2.0, 50, jitter, rng_single)
+        ((one,),) = sampled_inr(h[None], wm[None], sc_rb, [model], 2.0, 50, jitter, [rng_single])
         assert rep.aggregate == one.aggregate
     assert rng_stack.random() == rng_single.random()
+
+
+def per_user_measurement(h, stack, sc_rb, model, tx_power, count, jitter, rng):
+    """One user's reports as a measurement of that user alone makes them:
+    per config, the mean subcarrier power plus noise, then ``count`` draws
+    from the user's own rng, config by config."""
+    noise = model.noise_power
+    reports = []
+    for wm in stack:
+        p_on = float(np.mean(rx_power_reference(h, wm, sc_rb, tx_power))) + noise
+        if jitter == 0.0:
+            reports.append(p_on / noise)
+            continue
+        draws = p_on + jitter * noise * rng.standard_normal(count)
+        np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
+        reports.append(float(np.mean(draws / noise)))
+    return reports
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    users=st.integers(min_value=1, max_value=4),
+    k=st.sampled_from([2, 4, 8]),
+    corrected=st.booleans(),
+    jitter=st.sampled_from([0.0, 0.5]),
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_one_measurement_of_every_user_matches_per_user_measurements(
+    users, k, corrected, jitter, n, seed, lte, wifi, rb_map, sc_rb
+):
+    rng = np.random.default_rng(seed)
+    geom = ArrayGeometry(k_antennas=k)
+    weights = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    report = rng.exponential(size=(k, 64)) if corrected else None
+    stack = build_weight_matrix(
+        geom, 0.0, ((),) * n, lte.n_rrb, report=report,
+        rb_sc_map=rb_map if corrected else None, base=weights,
+    )
+    assert (stack.strides[-1] == 0) == (not corrected)
+    # every user its own channel and its own calibrated noise power
+    models = [
+        with_noise_power(
+            orbit_like_channel(rng, k, float(rng.uniform(-80.0, 80.0)))
+            if u % 2 else two_ray_channel(float(rng.uniform(-60.0, 60.0))),
+            float(10.0 ** rng.uniform(-3.0, 1.0)),
+        )
+        for u in range(users)
+    ]
+    responses = np.array([channel_response(m, geom, wifi) for m in models])
+    rngs = [np.random.default_rng([seed, u]) for u in range(users)]
+    oracle_rngs = [np.random.default_rng([seed, u]) for u in range(users)]
+
+    measured = sampled_inr(responses, stack, sc_rb, models, 2.0, 50, jitter, rngs)
+    assert len(measured) == users
+    for u in range(users):
+        expected = per_user_measurement(
+            responses[u], stack, sc_rb, models[u], 2.0, 50, jitter, oracle_rngs[u]
+        )
+        assert [r.aggregate for r in measured[u]] == expected
+        assert rngs[u].bit_generator.state == oracle_rngs[u].bit_generator.state
 
 
 def test_plain_matrix_is_a_read_only_broadcast(geom4, lte):
@@ -424,7 +488,7 @@ def test_linear_search_measures_its_grid_as_one_frontier(geom8):
 
     def distance_to_victim(cfgs, w):
         frontiers.append(w.shape)
-        return [_report(abs(cfg.null_angles_deg[0] + 20.0)) for cfg in cfgs]
+        return [[_report(abs(cfg.null_angles_deg[0] + 20.0)) for cfg in cfgs]]
 
     state = linear_search(geom8, DEFAULT_LINEAR_GRID, 21.4, distance_to_victim)
     assert frontiers == [(165, 8)]
@@ -454,8 +518,16 @@ def test_multi_user_run_measures_each_user_once_per_level(monkeypatch):
     result = run_full_protocol(s)
     users = len(s.user_angles_deg)
     levels = len(result.timeline.level_cycles)
-    # baselines, one union frontier per user and level, the joint config
-    assert len(measured) == users * (1 + levels + 1)
+    # one measurement of every user each: the baselines, the union frontier
+    # of each level, the joint config
+    assert len(measured) == 1 + levels + 1
+    k, n_sc = s.geometry.k_antennas, s.wifi_grid.n_sc
+    assert [np.shape(a[0]) for a in measured] == [(users, k, n_sc)] * len(measured)
+    assert [len(a[3]) for a in measured] == [users] * len(measured)
+    # each level's measurement holds every config its test slots sent
+    assert sum(np.shape(a[1])[0] for a in measured[1:-1]) == result.timeline.count(
+        "test_slot"
+    )
 
 
 @pytest.mark.parametrize(

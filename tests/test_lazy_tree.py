@@ -202,6 +202,26 @@ def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch, fre
     assert len(calls) == 2
 
 
+def test_a_stack_of_nodes_with_different_null_counts_names_the_rule_and_nodes(
+    monkeypatch, fresh_trees
+):
+    tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
+    calls = []
+    monkeypatch.setattr(
+        nullsearch, "min_norm_weights", lambda c: calls.append(c) or min_norm_weights(c)
+    )
+    with pytest.raises(ValueError) as err:
+        tree.stack([(0,), (0, 0)])
+    message = str(err.value)
+    assert "must share one null count" in message
+    assert "(0,): 6" in message and "(0, 0): 4" in message
+    # refused before any solve, solved nodes or not
+    tree.stack([(0,)])
+    with pytest.raises(ValueError, match="must share one null count"):
+        tree.stack([(0,), (0, 0)])
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # scenario validation accepts and rejects what it did with eager trees
 

@@ -57,7 +57,7 @@ def scripted_evaluator(tree, seed: int):
 
     def evaluate(cfgs, w):
         calls.extend(cfg.node_id for cfg in cfgs)
-        return [report(scores[cfg.node_id]) for cfg in cfgs]
+        return [[report(scores[cfg.node_id]) for cfg in cfgs]]
 
     return evaluate, scores, calls
 
@@ -202,7 +202,7 @@ def test_beam_on_a_candidate_null_is_rejected():
 
 def run_descent(tree, evaluate):
     """One user's full descent; the finished state."""
-    (state,), _ = descend([start_search(tree)], tree, [evaluate])
+    (state,), _ = descend([start_search(tree)], tree, evaluate)
     return state
 
 
@@ -254,7 +254,7 @@ def test_descent_depends_only_on_score_ranking(seed):
 
     def ev_mapped(cfgs, w):
         calls_mapped.extend(cfg.node_id for cfg in cfgs)
-        return [report(float(np.exp(scores[cfg.node_id] / 50.0))) for cfg in cfgs]
+        return [[report(float(np.exp(scores[cfg.node_id] / 50.0))) for cfg in cfgs]]
 
     raw = run_descent(tree, ev_raw)
     mapped = run_descent(tree, ev_mapped)
@@ -305,13 +305,17 @@ def test_default_grid_shape():
     assert np.allclose(steps, steps[0])
 
 
-def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
-    sv = steering_vector(geom, victim_deg)
+def flat_ray_evaluator(geom, victims_deg, noise=1e-9):
+    """Every user's flat-ray INRs, one victim angle per user."""
+    svs = [steering_vector(geom, v) for v in victims_deg]
 
     def evaluate(cfgs, weights):
         return [
-            report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise)
-            for cfg, w in zip(cfgs, weights)
+            [
+                report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise)
+                for cfg, w in zip(cfgs, weights)
+            ]
+            for sv in svs
         ]
 
     return evaluate
@@ -319,7 +323,7 @@ def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
 
 def test_linear_scan_lands_on_the_victim(geom8):
     state = linear_search(
-        geom8, DEFAULT_LINEAR_GRID, 21.4, flat_ray_evaluator(geom8, -20.0)
+        geom8, DEFAULT_LINEAR_GRID, 21.4, flat_ray_evaluator(geom8, [-20.0])
     )
     (best, rep), tested = state.best, state.tested
     assert len(tested) == LINEAR_GRID_SIZE
@@ -329,7 +333,7 @@ def test_linear_scan_lands_on_the_victim(geom8):
 
 
 def test_linear_scan_single_angle(geom8):
-    state = linear_search(geom8, (15.0,), 21.4, flat_ray_evaluator(geom8, -20.0))
+    state = linear_search(geom8, (15.0,), 21.4, flat_ray_evaluator(geom8, [-20.0]))
     (best, _), tested = state.best, state.tested
     assert best.null_angles_deg == (15.0,)
     assert len(tested) == 1
@@ -337,22 +341,17 @@ def test_linear_scan_single_angle(geom8):
 
 def test_linear_scan_rejects_empty_grid(geom8):
     with pytest.raises(ValueError):
-        linear_search(geom8, (), 21.4, flat_ray_evaluator(geom8, 0.0))
+        linear_search(geom8, (), 21.4, flat_ray_evaluator(geom8, [0.0]))
 
 
 # ---------------------------------------------------------------------------
 # multi-user
 
 
-def multi_flat_evaluator(geom, victims, noise=1e-9):
-    """One flat-ray evaluator per user."""
-    return [flat_ray_evaluator(geom, v, noise) for v in victims]
-
-
 def test_colocated_users_share_every_slot(tree8):
     victims = [-20.0] * 4
     states = [start_search(tree8) for _ in victims]
-    plan = multi_user_search(states, tree8, multi_flat_evaluator(tree8.geometry, victims))
+    plan = multi_user_search(states, tree8, flat_ray_evaluator(tree8.geometry, victims))
     assert sum(map(len, plan.visited_per_level)) == 12
     assert [len(v) for v in plan.visited_per_level] == [3, 3, 3, 3]
     assert plan.joint_null_angles == plan.states[0].best[0].null_angles_deg
@@ -361,7 +360,7 @@ def test_colocated_users_share_every_slot(tree8):
 def test_users_in_different_sectors_fork_after_level_one(tree8):
     victims = [-90.0 + 30.5 * LEAF_WIDTH, -90.0 + 56.5 * LEAF_WIDTH]
     states = [start_search(tree8) for _ in victims]
-    plan = multi_user_search(states, tree8, multi_flat_evaluator(tree8.geometry, victims))
+    plan = multi_user_search(states, tree8, flat_ray_evaluator(tree8.geometry, victims))
     assert [len(v) for v in plan.visited_per_level] == [3, 6, 6, 6]
     assert sum(map(len, plan.visited_per_level)) == 21
     winners = [st.last_winner for st in plan.states]
@@ -373,7 +372,7 @@ def test_parallel_search_never_exceeds_sequential(tree8):
     w = LEAF_WIDTH
     victims = [-90.0 + 30.5 * w, -90.0 + 30.5 * w, -90.0 + 31.5 * w, -90.0 + 56.5 * w]
     states = [start_search(tree8) for _ in victims]
-    plan = multi_user_search(states, tree8, multi_flat_evaluator(tree8.geometry, victims))
+    plan = multi_user_search(states, tree8, flat_ray_evaluator(tree8.geometry, victims))
     assert sum(map(len, plan.visited_per_level)) < 4 * 12
     for st in plan.states:
         assert st.done
@@ -383,14 +382,24 @@ def test_joint_nulls_run_out_of_freedom(tree4):
     victims = [-40.0, -20.0, 35.6]
     states = [start_search(tree4) for _ in victims]
     with pytest.raises(DofExhaustedError) as err:
-        multi_user_search(states, tree4, multi_flat_evaluator(tree4.geometry, victims))
+        multi_user_search(states, tree4, flat_ray_evaluator(tree4.geometry, victims))
     assert err.value.limit == 2
     assert err.value.accommodated == [0, 1]
     assert err.value.excluded == [2]
 
 
+def test_users_descend_in_step(tree8):
+    """One tree, one level per round: a user that finished before the
+    others is refused, not measured again."""
+    evaluate = flat_ray_evaluator(tree8.geometry, [-20.0, 10.0])
+    done = SearchState(frontier=[], pending=False, done=True)
+    with pytest.raises(ValueError, match="in step"):
+        descend([start_search(tree8), done], tree8, evaluate)
+
+
 def test_multi_user_needs_users(tree8):
     with pytest.raises(ValueError):
-        multi_user_search([], tree8, [])
+        multi_user_search([], tree8, lambda cfgs, w: [])
     with pytest.raises(ValueError):
-        multi_user_search([start_search(tree8)] * 2, tree8, [lambda cfgs, w: []])
+        # one report list for two users
+        multi_user_search([start_search(tree8)] * 2, tree8, lambda cfgs, w: [[]])

@@ -224,6 +224,9 @@ def test_spec_dataclasses_name_their_own_rules():
             {"sim": {"test_slot_ms": 4.0}, "duty_cycle": {"duty": 0.2}, "sweep": {"duty": [0.05, 0.2]}},
             "test_slot_exceeds_on_phase",
         ),
+        # the steering phase 2*pi*(d/lambda)*(K-1) must be finite
+        ({"geometry": {"spacing_m": 1e300}}, "spacing_out_of_range"),
+        ({"geometry": {"spacing_m": 1e150, "carrier_freq_hz": 1e160}}, "spacing_out_of_range"),
     ],
 )
 def test_validation_rules(raw, rule):
@@ -335,6 +338,23 @@ def fuzzed_scenario_dicts(draw):
         if isinstance(raw[key], dict) and draw(st.integers(0, 19)) == 0:
             raw[key] = draw(JSON_VALUES)
     return raw
+
+
+def test_a_spacing_that_overflows_the_steering_phase_breaks_a_named_rule(tmp_path):
+    """A property run found this file: its steering phase overflows to
+    infinity, every steering vector is NaN, and the tree's rank SVD raised
+    ``LinAlgError`` out of validation."""
+    raw = scenario_to_dict(Scenario())
+    raw["geometry"].update(k_antennas=4, spacing_m=7.453122449677927e298)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(raw)
+    assert rule_of(err) == "spacing_out_of_range"
+    path = tmp_path / "huge_spacing.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    # a huge spacing that keeps the phase finite still validates
+    raw["geometry"]["spacing_m"] = 1e10
+    scenario_from_dict(raw)
 
 
 @settings(max_examples=300, deadline=None)
