@@ -142,21 +142,6 @@ def rx_power(
     return tx_power * np.abs(summed) ** 2
 
 
-def measure_inr(
-    p_on: float | np.ndarray, p_off: float | np.ndarray
-) -> float | np.ndarray:
-    """Interference-to-noise ratio of on/off power pairs (linear).
-
-    ``p_on`` may be an array of on-phase draws against one off-phase power,
-    or against an array of them that broadcasts, one per user.
-    """
-    if np.less_equal(p_off, 0).any():
-        raise ValueError("off-phase power must be positive")
-    if np.less(p_on, 0).any():
-        raise ValueError("on-phase power cannot be negative")
-    return p_on / p_off
-
-
 def sampled_inr(
     h: np.ndarray,
     weight_matrix: np.ndarray,
@@ -200,8 +185,10 @@ def sampled_inr(
     p_sc = rx_power(h, weight_matrix, sc_to_rrb, tx_power)  # (users, configs, subcarriers)
     noise = np.array([m.noise_power for m in models])[:, None, None]
     p_on = np.mean(p_sc, axis=-1, keepdims=True) + noise
+    # every model's noise power is positive and every draw is clipped above
+    # zero, so each INR is a plain ratio of positive powers
     if noise_jitter == 0.0:
-        agg = measure_inr(p_on, noise)[..., 0]
+        agg = (p_on / noise)[..., 0]
     else:
         if rngs is None or len(rngs) != len(models) or None in rngs:
             raise ValueError("jittered measurements need an rng per user")
@@ -210,7 +197,7 @@ def sampled_inr(
             rng.standard_normal(out=z_u)
         draws = p_on + noise_jitter * noise * z
         np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
-        agg = np.mean(measure_inr(draws, noise), axis=-1)
+        agg = np.mean(draws / noise, axis=-1)
     return [[InrReport(a) for a in row] for row in agg.tolist()]
 
 

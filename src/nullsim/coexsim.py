@@ -412,7 +412,7 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             meas_rngs,
         )
 
-    base_cfg = NullConfig((), scenario.ue_angle_deg, (), scenario.tree_root_sector)
+    base_cfg = NullConfig((), (), scenario.tree_root_sector)
     baselines = [reps[0] for reps in measure([base_cfg], w0[None])]
 
     if search.mode == "multiuser":
@@ -422,9 +422,7 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
         )
         states, joint = plan.states, plan.joint_null_angles
         # every user measures the joint nulls afresh
-        joint_cfg = NullConfig(
-            (), scenario.ue_angle_deg, joint, scenario.tree_root_sector
-        )
+        joint_cfg = NullConfig((), joint, scenario.tree_root_sector)
         w_joint = lcmv_weights(geom, scenario.ue_angle_deg, joint)
         finals = [reps[0] for reps in measure([joint_cfg], w_joint[None])]
     else:

@@ -18,17 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .beamforming import (
+    GRAM_SCREEN_MARGIN,
+    RANK_TOL,
     ArrayGeometry,
     DegenerateConstraintsError,
-    constraint_matrices,
-    degenerate_rows,
+    _degenerate,
     min_norm_weights,
+    steering_vector,
+    steering_vectors,
 )
 from .channel import InrReport
 
@@ -38,7 +40,8 @@ ROOT_SECTOR = (-90.0, 90.0)
 
 # distinct search trees kept per process, with their solved weights; an
 # ensemble or a sweep on one array and beam shares a single tree.  As many
-# node layouts are kept, one per tree shape, shared by every beam and array.
+# layouts of a tree shape or scan grid on an array are kept, each shared by
+# every beam.
 TREE_CACHE_SIZE = 32
 
 # the most nodes a search tree may have.  The presets use 120 (fanout 3,
@@ -72,10 +75,13 @@ class DofExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class NullConfig:
-    """One candidate precoding: a beam plus a set of nulls inside a sector."""
+    """One candidate precoding's nulls, inside a sector.
+
+    A config holds no beam: its tree (or run) does, so one layout's
+    configs serve every beam.
+    """
 
     node_id: NodeId
-    beam_angle_deg: float
     null_angles_deg: tuple[float, ...]
     sector: tuple[float, float]
 
@@ -127,17 +133,19 @@ class SearchTree:
     no solve eats into a 2 ms test slot.  On the host, a node is solved on
     first use, a frontier's unsolved nodes by one stacked call: a descent
     reads 12 of a default tree's 120 nodes.  A linear scan is a depth-1
-    tree whose nodes are the grid angles.
+    tree whose nodes are the grid angles (see :func:`grid_tree`).
 
-    A tree is checked when it is made: a node whose constraints
-    :func:`~nullsim.beamforming.lcmv_weights` would reject raises its
-    :class:`DegenerateConstraintsError` here (see :func:`_check_constraints`),
-    so no node's solve runs the rank test again.
+    A tree is a beam on a layout: ``nodes`` is the :class:`_Layout` of its
+    shape (or scan grid) on its array, shared by every beam, and the beam
+    is the tree's own.  A tree is checked when it is made: a node whose
+    constraints :func:`~nullsim.beamforming.lcmv_weights` would reject
+    raises its :class:`DegenerateConstraintsError` here (see
+    :func:`_check_constraints`), so no node's solve runs the rank test
+    again.
 
-    A tree is read-only: ``nodes`` is a read-only copy of the table it is
-    given, and :meth:`stack`, the only way weights leave a tree, hands out
-    copies of its solved rows, so :func:`build_tree` can hand one tree to
-    every caller with the same key.
+    A tree is read-only: ``nodes`` has no setters, and :meth:`stack`, the
+    only way weights leave a tree, hands out copies of its solved rows, so
+    :func:`build_tree` can hand one tree to every caller with the same key.
     """
 
     geometry: ArrayGeometry
@@ -145,7 +153,7 @@ class SearchTree:
     fanout: int
     depth: int
     nulls_per_level: tuple[int, ...]
-    nodes: Mapping[NodeId, NullConfig] = field(repr=False)
+    nodes: _Layout = field(repr=False)
     root_sector: tuple[float, float] = ROOT_SECTOR
     # each solved node's weights, kept for the tree's lifetime, so a descent
     # pays for the nodes it tests and every run sharing the tree reuses them
@@ -154,17 +162,15 @@ class SearchTree:
     )
 
     def __post_init__(self) -> None:
-        nodes = MappingProxyType(dict(self.nodes))
-        _check_constraints(self.geometry, self.beam_angle_deg, nodes)
-        object.__setattr__(self, "nodes", nodes)
+        _check_constraints(self.geometry, self.beam_angle_deg, self.nodes)
 
     def stack(self, node_ids: Sequence[NodeId]) -> tuple[list[NullConfig], np.ndarray]:
         """The configs of ``node_ids`` and their weights, one row per node.
 
         The nodes must share a null count, as a frontier's nodes do; the
         ones not yet solved are solved by one stacked
-        :func:`min_norm_weights` call on their constraint matrices, and the
-        rank test is not run again.
+        :func:`min_norm_weights` call on their constraint matrices, built
+        from the layout's null columns, and the rank test is not run again.
         """
         cfgs = [self.nodes[n] for n in node_ids]
         if len({len(cfg.null_angles_deg) for cfg in cfgs}) > 1:
@@ -174,8 +180,8 @@ class SearchTree:
             )
         todo = [n for n in node_ids if n not in self._solved]
         if todo:
-            null_sets = [self.nodes[n].null_angles_deg for n in todo]
-            c = constraint_matrices(self.geometry, self.beam_angle_deg, null_sets)
+            a = steering_vector(self.geometry, self.beam_angle_deg)
+            c = self.nodes.constraint_matrices(a, [self.nodes.row[n] for n in todo])
             self._solved.update(zip(todo, min_norm_weights(c)))
         return cfgs, np.array([self._solved[n] for n in node_ids])
 
@@ -194,6 +200,67 @@ class SearchTree:
         return self.level_ids(self.depth)
 
 
+class _Layout(Mapping[NodeId, NullConfig]):
+    """The configs of one tree shape or scan grid, and their null columns on
+    one array: the beam-free half of every tree on them.
+
+    It maps node ids to configs, depth first (a grid's in grid order);
+    ``ids`` lists them and ``row`` gives each node's row in the arrays
+    below.  A node's null columns B (its nulls' steering vectors) do not
+    depend on the beam, so per node it keeps them, an orthonormal basis Q
+    of their span and s = sigma_min(B), zero-padded to the widest node.  A
+    beam's check (:func:`_check_constraints`) then costs one stacked
+    projection, and its solves start from the columns.  A scan grid's
+    layout names a failing node by its scan angle.
+    """
+
+    def __init__(
+        self, configs: Sequence[NullConfig], geom: ArrayGeometry, scan_grid: bool = False
+    ):
+        self._configs = {cfg.node_id: cfg for cfg in configs}
+        self.ids = list(self._configs)
+        self.row = {node_id: i for i, node_id in enumerate(self.ids)}
+        self.scan_grid = scan_grid
+        self.widths = np.array([len(cfg.null_angles_deg) for cfg in configs])
+        n, k, m = len(configs), geom.k_antennas, int(self.widths.max())
+        # NaN pads: no beam is ever "on" a padded null
+        self.nulls = np.full((n, m), np.nan)
+        # each node's null columns, one steering vector per row, as
+        # constraint_matrices lays them out
+        self.columns = np.zeros((n, m, k), dtype=complex)
+        self.basis = np.zeros((n, k, m), dtype=complex)
+        self.s_min = np.empty(n)
+        for w in set(self.widths.tolist()):
+            rows = np.flatnonzero(self.widths == w)
+            nulls = np.array([configs[i].null_angles_deg for i in rows])
+            self.nulls[rows, :w] = nulls
+            self.columns[rows, :w] = steering_vectors(geom, nulls)
+            q, sv, _ = np.linalg.svd(
+                self.columns[rows, :w].transpose(0, 2, 1), full_matrices=False
+            )
+            self.basis[rows, :, :w] = q
+            self.s_min[rows] = sv[:, -1]
+        # a sigma_min / sigma_max bound at or above this clears a node
+        self.floor = GRAM_SCREEN_MARGIN * RANK_TOL * np.sqrt(k * (self.widths + 1))
+
+    def __getitem__(self, node_id: NodeId) -> NullConfig:
+        return self._configs[node_id]
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._configs)
+
+    def __len__(self) -> int:
+        return len(self._configs)
+
+    def constraint_matrices(self, a: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+        """The constraint matrices of ``rows``, which share a null count, for
+        the beam response ``a``: the bits and memory layout of
+        :func:`~nullsim.beamforming.constraint_matrices` on their nulls."""
+        w = self.widths[rows[0]]
+        beam = np.broadcast_to(a, (len(rows), 1, len(a)))
+        return np.concatenate((beam, self.columns[rows, :w]), axis=1).transpose(0, 2, 1)
+
+
 def tree_node_count(fanout: int, depth: int) -> int:
     """Nodes below the root, fanout + fanout**2 + ... + fanout**depth.
 
@@ -209,27 +276,55 @@ def tree_node_count(fanout: int, depth: int) -> int:
     return total
 
 
+def _failing(geom: ArrayGeometry, beam_angle_deg: float, nodes: _Layout) -> dict[NodeId, str]:
+    """The nodes ``lcmv_weights`` would reject, each with its message.
+
+    With a the beam's steering vector (norm sqrt K), c = Q^H a and
+    rho = ||a - Q c||, a node's constraint matrix factors as
+    C = [a B] = [Q u] [[c, R], [rho, 0]] for B = Q R and a unit u
+    orthogonal to Q, so
+        sigma_min(C) >= 1 / ((1 + sqrt(K) / s) / rho + 1 / s)
+                      = rho s / (s + sqrt(K) + rho),
+    and sigma_max(C) <= sqrt(K (m + 1)), every column having norm sqrt K.
+    A node whose bound on the sigma ratio reaches GRAM_SCREEN_MARGIN *
+    RANK_TOL (1e-3) cannot fail the SVD rank test at RANK_TOL, whose
+    singular values and this bound are off by about K * eps.  Every other
+    node, and every node with a null exactly on the beam (where rho is 0),
+    goes through the rank test of its own solve, one stacked test per null
+    count.
+    """
+    a = steering_vector(geom, beam_angle_deg)
+    coef = (nodes.basis.conj().swapaxes(-1, -2) @ a)[..., None]
+    rho = np.linalg.norm(a - (nodes.basis @ coef)[..., 0], axis=-1)
+    s = nodes.s_min
+    clears = rho * s >= nodes.floor * (s + math.sqrt(geom.k_antennas) + rho)
+    on_beam = (nodes.nulls == beam_angle_deg).any(axis=1)
+    suspects = np.flatnonzero(~clears | on_beam)
+    failing: dict[NodeId, str] = {}
+    for w in set(nodes.widths[suspects].tolist()):
+        rows = suspects[nodes.widths[suspects] == w]
+        c = nodes.constraint_matrices(a, rows)
+        for i, message in _degenerate(c, nodes.nulls[rows, :w], beam_angle_deg).items():
+            failing[nodes.ids[rows[i]]] = message
+    return failing
+
+
 def _check_constraints(
-    geom: ArrayGeometry, beam_angle_deg: float, nodes: Mapping[NodeId, NullConfig]
+    geom: ArrayGeometry, beam_angle_deg: float, nodes: _Layout
 ) -> None:
     """Raise what ``lcmv_weights`` would raise on some node, without solving.
 
-    Nodes are grouped by null count (so per level, or fewer groups) and
-    each group is checked by :func:`degenerate_rows`: one stacked rank test
-    over the matrices ``lcmv_weights`` builds, with the same tolerance.  Of the
-    failing nodes, the first in depth-first order raises, with the message
-    its own solve would give.
+    Of the nodes :func:`_failing` finds, the first in depth-first order
+    raises, with the message its own solve would give; a scan grid's
+    message names the node's scan angle.
     """
-    by_width: dict[int, list[NullConfig]] = {}
-    for cfg in nodes.values():
-        by_width.setdefault(len(cfg.null_angles_deg), []).append(cfg)
-    failing: dict[NodeId, str] = {}
-    for cfgs in by_width.values():
-        null_sets = [cfg.null_angles_deg for cfg in cfgs]
-        for i, message in degenerate_rows(geom, beam_angle_deg, null_sets).items():
-            failing[cfgs[i].node_id] = message
+    failing = _failing(geom, beam_angle_deg, nodes)
     if failing:
-        raise DegenerateConstraintsError(failing[min(failing)])
+        node_id = min(failing)
+        message = failing[node_id]
+        if nodes.scan_grid:
+            message = f"scan angle {nodes[node_id].null_angles_deg[0]}: {message}"
+        raise DegenerateConstraintsError(message)
 
 
 def null_schedule(
@@ -295,9 +390,11 @@ def build_tree(
     the same read-only tree, whose solved weights serve every later run.
     Numbers are keyed by type and sign too, so ``0``, ``0.0`` and ``-0.0``
     never share a tree.  The last :data:`TREE_CACHE_SIZE` distinct trees
-    are kept; a key that raises is not kept and raises again.  A new beam
-    or array on a known shape reuses the shape's node layout, so a cold
-    tree costs only its beam's configs and their check.
+    are kept; a key that raises is not kept and raises again.  A tree
+    shape's layout on an array (its configs and their null columns) is
+    built once and shared by every beam, so a new beam on a known shape
+    and array builds no config and pays only for one stacked projection,
+    plus the rank test of the few nodes that projection cannot clear.
     """
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
@@ -320,32 +417,34 @@ def _exact(x: float) -> tuple:
     return x, type(x), math.copysign(1.0, x)
 
 
-# one node of a tree shape: its id, null angles and sector
-_LaidOutNode = tuple[NodeId, tuple[float, ...], tuple[float, float]]
-
-
 @lru_cache(maxsize=TREE_CACHE_SIZE)
-def _layout(
-    fanout: int, depth: int, schedule: tuple[int, ...], sector_key: tuple[tuple, tuple]
-) -> tuple[_LaidOutNode, ...]:
-    """The nodes of one tree shape, depth first, shared by every beam and array.
+def _tree_layout(
+    geom: ArrayGeometry,
+    fanout: int,
+    depth: int,
+    schedule: tuple[int, ...],
+    sector_key: tuple[tuple, tuple],
+) -> _Layout:
+    """One tree shape's layout on one array, nodes depth first, shared by
+    every beam.
 
     Its root sector is keyed by :func:`_exact`, as trees are, so a root
     edge of ``-0.0`` never shares a layout with one of ``0.0``.
     """
-    out: list[_LaidOutNode] = []
+    configs: list[NullConfig] = []
 
     def grow(node_id: NodeId, a: float, b: float) -> None:
         level = len(node_id)
         if level > 0:
-            out.append((node_id, _evenly_inset(a, b, schedule[level - 1]), (a, b)))
+            nulls = _evenly_inset(a, b, schedule[level - 1])
+            configs.append(NullConfig(node_id, nulls, (a, b)))
         if level < depth:
             w = (b - a) / fanout
             for i in range(fanout):
                 grow(node_id + (i,), a + i * w, a + (i + 1) * w)
 
     grow((), sector_key[0][0], sector_key[1][0])
-    return tuple(out)
+    return _Layout(configs, geom)
 
 
 @lru_cache(maxsize=TREE_CACHE_SIZE)
@@ -357,20 +456,15 @@ def _shared_tree(
     schedule: tuple[int, ...],
     sector_key: tuple[tuple, tuple],
 ) -> SearchTree:
-    """The checked tree of one :func:`build_tree` key: its shape's layout
-    with the beam stamped onto every node."""
-    beam_angle_deg = beam_key[0]
-    nodes = {
-        node_id: NullConfig(node_id, beam_angle_deg, nulls, sector)
-        for node_id, nulls, sector in _layout(fanout, depth, schedule, sector_key)
-    }
+    """The checked tree of one :func:`build_tree` key: its beam on its
+    shape's layout."""
     return SearchTree(
         geometry=geom,
-        beam_angle_deg=beam_angle_deg,
+        beam_angle_deg=beam_key[0],
         fanout=fanout,
         depth=depth,
         nulls_per_level=schedule,
-        nodes=nodes,
+        nodes=_tree_layout(geom, fanout, depth, schedule, sector_key),
         root_sector=(sector_key[0][0], sector_key[1][0]),
     )
 
@@ -500,6 +594,38 @@ DEFAULT_LINEAR_GRID: tuple[float, ...] = tuple(
 )
 
 
+def grid_tree(
+    geom: ArrayGeometry, grid_angles: Sequence[float], beam_angle_deg: float
+) -> SearchTree:
+    """The linear scan's tree: depth 1, one node per grid angle, nulled there.
+
+    It is checked like any tree, in one pass over the grid, and a failing
+    node's message names its scan angle.  The grid's layout on the array
+    is shared, keyed by the bits of the grid's floats (so a ``-0.0`` grid
+    never shares with a ``0.0`` one); the tree itself is not, because a
+    scan's beams would crowd the trees out of the shared cache.
+    """
+    if not grid_angles:
+        raise ValueError("linear search needs a nonempty grid")
+    layout = _grid_layout(geom, np.asarray(grid_angles, dtype=float).tobytes())
+    return SearchTree(
+        geometry=geom,
+        beam_angle_deg=beam_angle_deg,
+        fanout=len(layout),
+        depth=1,
+        nulls_per_level=(1,),
+        nodes=layout,
+    )
+
+
+@lru_cache(maxsize=TREE_CACHE_SIZE)
+def _grid_layout(geom: ArrayGeometry, grid_bits: bytes) -> _Layout:
+    """One scan grid's layout on one array, shared by every beam."""
+    angles = np.frombuffer(grid_bits).tolist()
+    configs = [NullConfig((i,), (a,), (a, a)) for i, a in enumerate(angles)]
+    return _Layout(configs, geom, scan_grid=True)
+
+
 def linear_search(
     geom: ArrayGeometry,
     grid_angles: Sequence[float],
@@ -508,30 +634,12 @@ def linear_search(
 ) -> SearchState:
     """Exhaustive single-null scan over ``grid_angles``; the finished state.
 
-    The baseline the tree is measured against: a depth-1 tree whose nodes
-    are the grid angles, so the whole grid is one frontier, checked by one
-    stacked rank test when the tree is made, solved by one stacked call
-    and summarized by one feedback.  Ties break toward the lower grid index.
+    The baseline the tree is measured against: the :func:`grid_tree`, so
+    the whole grid is one frontier, checked when the tree is made, solved
+    by one stacked call and summarized by one feedback.  Ties break toward
+    the lower grid index.
     """
-    if not grid_angles:
-        raise ValueError("linear search needs a nonempty grid")
-    nodes = {
-        (i,): NullConfig(
-            node_id=(i,),
-            beam_angle_deg=beam_angle_deg,
-            null_angles_deg=(float(ang),),
-            sector=(float(ang), float(ang)),
-        )
-        for i, ang in enumerate(grid_angles)
-    }
-    tree = SearchTree(
-        geometry=geom,
-        beam_angle_deg=beam_angle_deg,
-        fanout=len(nodes),
-        depth=1,
-        nulls_per_level=(1,),
-        nodes=nodes,
-    )
+    tree = grid_tree(geom, grid_angles, beam_angle_deg)
     (state,), _ = descend([start_search(tree)], tree, evaluate)
     return state
 

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .beamforming import ArrayGeometry, DegenerateConstraintsError, degenerate_rows
+from .beamforming import ArrayGeometry, DegenerateConstraintsError
 from .channel import (
     ChannelModel,
     flat_channel,
@@ -37,6 +37,7 @@ from .nullsearch import (
     SearchTree,
     TreeShapeError,
     build_tree,
+    grid_tree,
     null_schedule,
 )
 from .phy_grid import LteGrid, WifiGrid
@@ -138,7 +139,10 @@ class Scenario:
         return self.search.linear_grid or DEFAULT_LINEAR_GRID
 
     def search_tree(self) -> SearchTree:
-        """The tree a tree or multi-user run descends; see :func:`build_tree`."""
+        """The tree a run descends: in linear mode the scan grid's depth-1
+        tree (see :func:`grid_tree`), otherwise :func:`build_tree`'s."""
+        if self.search.mode == "linear":
+            return grid_tree(self.geometry, self.scan_angles, self.ue_angle_deg)
         return build_tree(
             self.geometry,
             self.ue_angle_deg,
@@ -412,30 +416,23 @@ def validate_scenario(s: Scenario) -> None:
 
     _check_test_slot(s.duty, s.sim)
 
-    # the search-space rules are nullsearch's; a linear scan builds no tree
-    # but still holds a declared schedule to them
+    # the search-space rules are nullsearch's, and so is the check of every
+    # config a run can test; a linear scan builds no tree of the declared
+    # shape but still holds a declared schedule to its rules
     try:
-        if s.search.mode != "linear":
-            s.search_tree()
-        elif s.search.nulls_per_level is not None:
-            null_schedule(s.geometry.k_antennas, s.search.depth, s.search.nulls_per_level)
+        if s.search.mode == "linear":
+            if s.search.nulls_per_level is not None:
+                null_schedule(s.geometry.k_antennas, s.search.depth, s.search.nulls_per_level)
+            if any(not -90.0 <= g <= 90.0 for g in s.scan_angles):
+                raise ScenarioError(
+                    "scan_angle_out_of_range", "linear_grid angles must be in [-90, 90]"
+                )
+        # a candidate null on, or aliased with, the beam makes its solve degenerate
+        s.search_tree()
     except TreeShapeError as exc:
         raise ScenarioError(exc.rule, str(exc)) from exc
     except DegenerateConstraintsError as exc:
         raise ScenarioError("beam_on_candidate_null", str(exc)) from exc
-    if s.search.mode == "linear":
-        grid = s.scan_angles
-        if any(not -90.0 <= g <= 90.0 for g in grid):
-            raise ScenarioError(
-                "scan_angle_out_of_range", "linear_grid angles must be in [-90, 90]"
-            )
-        # a scan angle on, or aliased with, the beam makes its solve degenerate
-        failing = degenerate_rows(s.geometry, s.ue_angle_deg, [(g,) for g in grid])
-        if failing:
-            i = min(failing)
-            raise ScenarioError(
-                "beam_on_candidate_null", f"scan angle {grid[i]}: {failing[i]}"
-            )
 
     for d in s.sweep_duty:
         if not 0.0 < d <= 1.0:

@@ -15,7 +15,6 @@ from nullsim.channel import (
     Path,
     channel_response,
     flat_channel,
-    measure_inr,
     orbit_like_channel,
     power_report,
     rx_power,
@@ -180,15 +179,6 @@ def test_power_report_is_squared_magnitude(geom4, wifi):
 # INR
 
 
-def test_measure_inr_examples():
-    assert measure_inr(1.0, 1.0) == 1.0
-    assert 10 * math.log10(measure_inr(100.0, 1.0)) == pytest.approx(20.0)
-    with pytest.raises(ValueError):
-        measure_inr(1.0, 0.0)
-    with pytest.raises(ValueError):
-        measure_inr(-0.1, 1.0)
-
-
 def test_inr_report_rejects_negative_values():
     with pytest.raises(ValueError):
         InrReport(aggregate=-0.5)
@@ -259,14 +249,8 @@ def test_jittered_aggregate_matches_per_draw_mean(geom4, wifi, sc_rb, lte, seed,
     p_on = float(np.mean(rx_power(h, w, sc_rb))) + noise
     draws = p_on + jitter * noise * ref_rng.standard_normal(count)
     np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
-    assert rep.aggregate == float(np.mean([measure_inr(d, noise) for d in draws]))
+    assert rep.aggregate == float(np.mean([d / noise for d in draws]))
     assert rng.standard_normal() == ref_rng.standard_normal()
-
-
-def test_measure_inr_of_draws_rejects_negative_power():
-    assert np.array_equal(measure_inr(np.array([1.0, 3.0]), 2.0), [0.5, 1.5])
-    with pytest.raises(ValueError):
-        measure_inr(np.array([1.0, -1e-9]), 1.0)
 
 
 def test_sample_count_validation(geom4, wifi, sc_rb, lte):

@@ -34,6 +34,7 @@ from nullsim.nullsearch import (
     DofExhaustedError,
     build_tree,
     default_null_schedule,
+    grid_tree,
 )
 from nullsim.presets import (
     ORBIT_ENSEMBLE_SIZE,
@@ -111,7 +112,7 @@ def test_tree_matches_the_eager_solve(case, cold):
     geom, beam, fanout, depth, schedule, nulls = case
     if cold:
         # no shared layout either: the tree's shape is laid out anew
-        nullsearch._layout.cache_clear()
+        nullsearch._tree_layout.cache_clear()
         nullsearch._shared_tree.cache_clear()
     try:
         eager = eager_weights(geom, beam, nulls)
@@ -431,42 +432,74 @@ def test_loading_then_running_fig8_checks_its_tree_once(monkeypatch, fresh_trees
 def test_a_cold_tree_runs_the_rank_test_per_null_count_when_built_only(
     monkeypatch, fresh_trees
 ):
-    nullsearch._layout.cache_clear()
+    nullsearch._tree_layout.cache_clear()
     checked = []
-    real = beamforming._degenerate
+    real = nullsearch._degenerate
     monkeypatch.setattr(
-        beamforming, "_degenerate", lambda c, *a: checked.append(len(c)) or real(c, *a)
+        nullsearch,
+        "_degenerate",
+        lambda c, *a: checked.append((c.shape[-1] - 1, len(c))) or real(c, *a),
     )
-    tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
-    # one stacked test per null count (6, 4, 2 and 1), over every node
-    assert len(checked) == len(set(tree.nulls_per_level)) == 4
-    assert sum(checked) == len(tree.nodes)
+    geom = ArrayGeometry(k_antennas=8)
+    tree = build_tree(geom, 21.4)
+    # at most one stacked test per null count, on the rows the projection
+    # screen leaves: a few of the 120
+    counts = [count for count, _ in checked]
+    assert len(counts) == len(set(counts)) <= len(set(tree.nulls_per_level))
+    assert 0 < sum(rows for _, rows in checked) <= len(tree.nodes) // 10
     # solving every frontier a descent can test runs no rank test again
     for level in range(1, tree.depth + 1):
         tree.stack(tree.level_ids(level))
-    assert len(checked) == 4
+    assert len(checked) == len(counts)
+
+
+def test_the_screen_clears_only_nodes_far_above_the_rank_tolerance(monkeypatch):
+    """A node the projection screen clears has an SVD sigma ratio of at
+    least ``GRAM_SCREEN_MARGIN * RANK_TOL`` (1e-3), at every beam here."""
+    screened = []
+    real = nullsearch._degenerate
+    monkeypatch.setattr(
+        nullsearch,
+        "_degenerate",
+        lambda c, nulls, beam: screened.extend(map(tuple, nulls)) or real(c, nulls, beam),
+    )
+    geom = ArrayGeometry(k_antennas=8)
+    layout = nullsearch._tree_layout(
+        geom, 3, 4, (6, 4, 2, 1), (nullsearch._exact(-90.0), nullsearch._exact(90.0))
+    )
+    floor = beamforming.GRAM_SCREEN_MARGIN * beamforming.RANK_TOL
+    for beam in np.linspace(-60.0, 60.0, 13):
+        screened.clear()
+        nullsearch._failing(geom, float(beam), layout)
+        for cfg in layout.values():
+            if cfg.null_angles_deg not in screened:
+                c = beamforming.constraint_matrices(geom, float(beam), [cfg.null_angles_deg])
+                sv = np.linalg.svd(c[0], compute_uv=False)
+                assert sv[-1] >= floor * sv[0]
 
 
 def test_trees_of_one_shape_share_its_layout_and_signed_zero_sectors_do_not(
     fresh_trees,
 ):
-    layouts = nullsearch._layout.cache_info
-    nullsearch._layout.cache_clear()
-    # two beams and two arrays of one shape: K=16 resolves to K=8's schedule
+    layouts = nullsearch._tree_layout.cache_info
+    nullsearch._tree_layout.cache_clear()
+    # two beams on one array share its layout, configs and all; an array
+    # of another size (K=16 resolves to K=8's schedule) gets its own
     trees = [
         build_tree(ArrayGeometry(k_antennas=8), 21.4),
         build_tree(ArrayGeometry(k_antennas=8), -33.3),
         build_tree(ArrayGeometry(k_antennas=16), 21.4),
     ]
-    assert (layouts().misses, layouts().hits) == (1, 2)
-    for tree in trees[1:]:
-        for node_id, cfg in trees[0].nodes.items():
-            assert tree.nodes[node_id].null_angles_deg is cfg.null_angles_deg
-            assert tree.nodes[node_id].sector is cfg.sector
+    assert (layouts().misses, layouts().hits) == (2, 1)
+    assert trees[1].nodes is trees[0].nodes
+    for node_id, cfg in trees[0].nodes.items():
+        assert trees[1].nodes[node_id] is cfg
+        assert trees[2].nodes[node_id] == cfg
     geom = ArrayGeometry(k_antennas=4)
     signed = [build_tree(geom, 21.4, fanout=2, root_sector=(z, 90.0)) for z in (0.0, -0.0)]
-    assert layouts().misses == 3
+    assert layouts().misses == 4
     assert [math.copysign(1.0, t.root_sector[0]) for t in signed] == [1.0, -1.0]
+    assert signed[0].nodes is not signed[1].nodes
 
 
 def test_a_fig8_ensemble_solves_each_visited_node_once(solves, union_visited):
@@ -497,3 +530,32 @@ def test_a_run_exports_the_bytes_of_a_fresh_process(first, then, tmp_path):
     nullsearch._shared_tree.cache_clear()
     _export(replace(base, ue_angle_deg=first), tmp_path / "first.json")
     assert _export(replace(base, ue_angle_deg=then), tmp_path / "then.json") == fresh
+
+
+@pytest.mark.parametrize("first,then", [(0.0, -0.0), (-0.0, 0.0)])
+def test_scan_grids_of_either_zero_sign_get_their_own_layout(first, then, tmp_path):
+    """A grid with a ``-0.0`` angle never shares its layout, and so its
+    configs, with a ``0.0`` one, and a run on it exports what a fresh
+    process exports."""
+    geom = ArrayGeometry(k_antennas=4)
+
+    def grid(z):
+        return (-40.0, z, 40.0)
+
+    zero, minus_zero = (grid_tree(geom, grid(z), 21.4).nodes for z in (0.0, -0.0))
+    assert zero is not minus_zero
+    same = grid_tree(geom, list(grid(then)), 21.4).nodes
+    assert same is grid_tree(geom, grid(then), 21.4).nodes
+    base = scenario_from_dict(
+        {"user_angles_deg": [0.0], "search": {"mode": "linear", "linear_grid": grid(first)}}
+    )
+
+    def on(z):
+        return replace(base, search=replace(base.search, linear_grid=grid(z)))
+
+    nullsearch._grid_layout.cache_clear()
+    fresh = _export(on(then), tmp_path / "fresh.json")
+    assert _export(on(first), tmp_path / "first.json") != fresh  # the sign shows
+    nullsearch._grid_layout.cache_clear()
+    _export(on(first), tmp_path / "first.json")
+    assert _export(on(then), tmp_path / "then.json") == fresh

@@ -79,13 +79,13 @@ def test_default_schedule_by_array_size():
 
 def test_config_rejects_null_outside_sector():
     with pytest.raises(ValueError):
-        NullConfig((0,), 21.4, (31.0,), sector=(-30.0, 30.0))
+        NullConfig((0,), (31.0,), sector=(-30.0, 30.0))
     with pytest.raises(ValueError):
-        NullConfig((0,), 21.4, (0.0,), sector=(30.0, -30.0))
+        NullConfig((0,), (0.0,), sector=(30.0, -30.0))
 
 
 def test_config_level_and_label():
-    cfg = NullConfig((1, 0, 2, 1), 21.4, (0.0,), sector=(-1.0, 1.0))
+    cfg = NullConfig((1, 0, 2, 1), (0.0,), sector=(-1.0, 1.0))
     assert cfg.level == 4
     assert cfg.label == "1.0.2.1"
 
