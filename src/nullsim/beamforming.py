@@ -167,18 +167,18 @@ def _degenerate(c: np.ndarray, null_sets: np.ndarray, beam_deg: float) -> dict[i
     return failing
 
 
-def degenerate_rows(
-    geom: ArrayGeometry, beam_deg: float, null_sets: np.ndarray
-) -> dict[int, str]:
-    """Which rows of an (n, m) stack of null sets :func:`lcmv_weights` rejects.
+def null_basis(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal basis of the span of each of a stack of null columns.
 
-    Every angle must lie inside [-90, 90].  Maps each failing row to the
-    message of the :class:`DegenerateConstraintsError` its own
-    :func:`lcmv_weights` call raises, without solving anything.
+    ``b`` is an (n, K, m) stack whose columns steer toward a row's nulls.
+    Returns Q, (n, K, m), from one stacked SVD, and each row's singular
+    values in descending order, (n, m).  A row has the bits of its own
+    call.  No columns (a beam without nulls) need no SVD: Q is empty.
     """
-    null_sets = np.asarray(null_sets, dtype=float)
-    c = constraint_matrices(geom, beam_deg, null_sets)
-    return _degenerate(c, null_sets, beam_deg)
+    if not b.shape[-1]:
+        return b, b[..., 0, :]
+    q, sv, _ = np.linalg.svd(b, full_matrices=False)
+    return q, sv
 
 
 def lcmv_weights(
@@ -192,9 +192,10 @@ def lcmv_weights(
     nulls so the constraint matrix can have full column rank.
 
     The checks run in this order: angles in range, beam on a null, null
-    count, beam angle in range, rank.  Stacks of null sets are checked by
-    :func:`degenerate_rows` and solved by :func:`min_norm_weights`, each
-    row with the bits of its own call here.
+    count, beam angle in range, rank.  The solve is
+    :func:`min_norm_weights` on the beam and the :func:`null_basis` of the
+    nulls' steering columns, the two steps a search tree's stacked node
+    solve takes, so every tree row has the bits of its own call here.
     """
     nulls = [_check_angle(a) for a in null_degs]
     for a in nulls:
@@ -212,64 +213,50 @@ def lcmv_weights(
     failing = _degenerate(c, rows, beam_deg)
     if failing:
         raise DegenerateConstraintsError(failing[0])
-    return min_norm_weights(c)[0]
+    q, _ = null_basis(c[:, :, 1:])
+    return min_norm_weights(c[:, :, 0], q)[0]
 
 
-def min_norm_weights(c: np.ndarray) -> np.ndarray:
-    """The solve of :func:`lcmv_weights`, on constraint matrices already checked.
+def min_norm_weights(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The solve of :func:`lcmv_weights`, on constraints already checked.
 
-    ``c`` is a (n, K, 1 + m) stack from :func:`constraint_matrices` none of
-    whose rows :func:`degenerate_rows` rejects; nothing is checked here.
-    Returns the (n, K) minimum-norm solutions of the underdetermined
-    systems c^H w = e1, each row with the bits of its own call.
+    ``a`` is the beam's steering vector as a (1, K) row that every row
+    shares, and ``q`` an (n, K, m) stack of orthonormal bases of the rows'
+    null columns (:func:`null_basis`), none of whose constraint matrices
+    the rank test rejects; nothing is checked here.  Returns the (n, K)
+    minimum-norm solutions of [a B]^H w = e1, each row with the bits of
+    its own call.
 
-    The two common shapes have closed forms.  A beam a alone gives
-    w = a / (a^H a).  For a beam a and one null b, each row that
-    :func:`_gram_clears` clears on the stack's Gram matrices is a projected
-    off b, p = a - b (b^H a / b^H b), and w = p / (p^H p).  Every other row,
-    and every stack with more nulls, takes :func:`_svd_min_norm`.
+    The solution is the beam's part orthogonal to the nulls, scaled to
+    unit gain: r = a - Q (Q^H a), and w = r / (r^H r).  Near a rank loss
+    the first projection cancels most of a, and rounding leaves up to
+    about eps / (sigma ratio) of r in the nulls' span; projecting r once
+    more takes it off.  A beam without nulls (m = 0) has nothing to
+    project off, and r = a.
     """
-    if c.shape[-1] == 1:
-        a = c[..., 0]
-        return a / _sq_norms(a)[:, None]
-    if c.shape[-1] > 2:
-        return _svd_min_norm(c)
-    g = _gram(c)
-    cleared = _gram_clears(g)
-    if cleared.all():
-        return _project_off_null(c, g)
-    w = np.empty(c.shape[:2], dtype=complex)
-    w[cleared] = _project_off_null(c[cleared], g[cleared])
-    w[~cleared] = _svd_min_norm(c[~cleared])
-    return w
+    if q.shape[-1]:
+        r = a - _project(q, a)
+        r = r - _project(q, r)
+    else:
+        r = a.repeat(len(q), axis=0)
+    return r / _sq_norms(r)[:, None]
+
+
+def _project(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q (Q^H x) for every row of an (n, K, m) stack of bases Q and of an
+    (n, K) or shared (1, K) stack of vectors x.
+
+    Both sums run along a non-last axis of a C-ordered product, so they
+    add in order whatever the stack size, and each row has the bits of its
+    own call.
+    """
+    coef = np.multiply(q.conj(), x[..., :, None], order="C").sum(axis=-2)
+    return np.multiply(q.swapaxes(-1, -2), coef[..., None], order="C").sum(axis=-2)
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     """x^H x of every row of an (n, K) stack, summed along its own row."""
     return (x.real**2 + x.imag**2).sum(axis=-1)
-
-
-def _project_off_null(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Beam-plus-one-null solves of rows the Gram screen clears.
-
-    Near a rank loss, a - b (b^H a / b^H b) cancels most of a, and what is
-    left of b in p puts up to 1e-10 on the null constraint; a second
-    projection takes it off, leaving constraint residuals below 1e-13.
-    """
-    a, b = c[..., 0], c[..., 1]
-    p = a - b * (g[:, 1, 0] / g[:, 1, 1])[:, None]
-    p = p - b * ((b.conj() * p).sum(axis=-1) / g[:, 1, 1])[:, None]
-    return p / _sq_norms(p)[:, None]
-
-
-def _svd_min_norm(c: np.ndarray) -> np.ndarray:
-    """Minimum-norm solves from the SVD c^H = U S Vh: w = Vh^H (U^H e1 / s).
-
-    The sum over the singular directions runs along a non-last axis, in
-    order, so each row has the bits of its own call.
-    """
-    u, s, vh = np.linalg.svd(c.conj().transpose(0, 2, 1), full_matrices=False)
-    return (vh.conj() * (u[:, 0, :].conj() / s)[:, :, None]).sum(axis=1)
 
 
 def normalize(w: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .beamforming import (
     DegenerateConstraintsError,
     _degenerate,
     min_norm_weights,
+    null_basis,
     steering_vector,
     steering_vectors,
 )
@@ -169,8 +170,11 @@ class SearchTree:
 
         The nodes must share a null count, as a frontier's nodes do; the
         ones not yet solved are solved by one stacked
-        :func:`min_norm_weights` call on their constraint matrices, built
-        from the layout's null columns, and the rank test is not run again.
+        :func:`~nullsim.beamforming.min_norm_weights` call, which projects
+        the beam off the layout's basis of each node's nulls (sliced to
+        their count), and the rank test is not run again.  Each row has the
+        bits of the node's own :func:`~nullsim.beamforming.lcmv_weights`
+        call.
         """
         cfgs = [self.nodes[n] for n in node_ids]
         if len({len(cfg.null_angles_deg) for cfg in cfgs}) > 1:
@@ -180,9 +184,10 @@ class SearchTree:
             )
         todo = [n for n in node_ids if n not in self._solved]
         if todo:
+            rows = [self.nodes.row[n] for n in todo]
+            q = self.nodes.basis[rows, :, : self.nodes.widths[rows[0]]]
             a = steering_vector(self.geometry, self.beam_angle_deg)
-            c = self.nodes.constraint_matrices(a, [self.nodes.row[n] for n in todo])
-            self._solved.update(zip(todo, min_norm_weights(c)))
+            self._solved.update(zip(todo, min_norm_weights(a[None], q)))
         return cfgs, np.array([self._solved[n] for n in node_ids])
 
     def children(self, node_id: NodeId) -> list[NodeId]:
@@ -208,10 +213,12 @@ class _Layout(Mapping[NodeId, NullConfig]):
     ``ids`` lists them and ``row`` gives each node's row in the arrays
     below.  A node's null columns B (its nulls' steering vectors) do not
     depend on the beam, so per node it keeps them, an orthonormal basis Q
-    of their span and s = sigma_min(B), zero-padded to the widest node.  A
-    beam's check (:func:`_check_constraints`) then costs one stacked
-    projection, and its solves start from the columns.  A scan grid's
-    layout names a failing node by its scan angle.
+    of their span (:func:`~nullsim.beamforming.null_basis`, as
+    :func:`~nullsim.beamforming.lcmv_weights` computes it) and
+    s = sigma_min(B), zero-padded to the widest node.  A beam's check
+    (:func:`_check_constraints`) then costs one stacked projection onto Q,
+    and its solves are one more (see :meth:`SearchTree.stack`).  A scan
+    grid's layout names a failing node by its scan angle.
     """
 
     def __init__(
@@ -235,9 +242,7 @@ class _Layout(Mapping[NodeId, NullConfig]):
             nulls = np.array([configs[i].null_angles_deg for i in rows])
             self.nulls[rows, :w] = nulls
             self.columns[rows, :w] = steering_vectors(geom, nulls)
-            q, sv, _ = np.linalg.svd(
-                self.columns[rows, :w].transpose(0, 2, 1), full_matrices=False
-            )
+            q, sv = null_basis(self.columns[rows, :w].transpose(0, 2, 1))
             self.basis[rows, :, :w] = q
             self.s_min[rows] = sv[:, -1]
         # a sigma_min / sigma_max bound at or above this clears a node

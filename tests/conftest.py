@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nullsim.beamforming import ArrayGeometry
 from nullsim.phy_grid import LteGrid, WifiGrid, build_rb_sc_map, build_sc_rb_map
+
+# the whole-run reference check of tests/test_oracle.py with a larger budget
+# than a local tier-1 run spends: pytest --hypothesis-profile=oracle
+settings.register_profile("oracle", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """Frontier measurement: stacked solves and stacked measurements.
 
 A frontier (the configs one feedback round compares) is solved by one
-stacked ``min_norm_weights`` call where the search allows it, built into one
+stacked ``min_norm_weights`` call, a projection of the beam off the basis
+of each config's nulls, where the search allows it, built into one
 stacked weight matrix and measured for every user by one stacked
 ``sampled_inr`` call.
 Every stacked result must carry the bits of the per-config calls it
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import degenerate_rows
 
 from nullsim import beamforming, channel, coexsim, nullsearch
 from nullsim.beamforming import (
@@ -23,9 +25,11 @@ from nullsim.beamforming import (
     DegenerateConstraintsError,
     build_weight_matrix,
     constraint_matrices,
-    degenerate_rows,
     lcmv_weights,
     min_norm_weights,
+    null_basis,
+    steering_vector,
+    steering_vectors,
 )
 from nullsim.campaign import export_results, run_scenarios
 from nullsim.channel import (
@@ -60,6 +64,15 @@ def _outcome(solve):
         return solve()
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+def _stacked_solve(geom, beam, null_sets):
+    """``min_norm_weights`` on an (n, m) stack of null sets, as
+    ``lcmv_weights`` builds its inputs: the beam's steering vector and the
+    ``null_basis`` of the nulls' steering columns."""
+    null_sets = np.asarray(null_sets, dtype=float).reshape(len(null_sets), -1)
+    q, _ = null_basis(steering_vectors(geom, null_sets).transpose(0, 2, 1))
+    return min_norm_weights(steering_vector(geom, beam)[None], q)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +126,7 @@ def test_stacked_solve_equals_single_solves(case):
     """The stacked check and solve give each row the outcome of its own call.
 
     Rows in range that fit the array are checked by one ``degenerate_rows``
-    call and the rest solved by one ``min_norm_weights`` call: each row's
+    call and the rest solved by one stacked ``min_norm_weights`` call: each row's
     one-row ``lcmv_weights`` raises exactly the message ``degenerate_rows``
     gives for it, or returns the bits of its stacked row.
     """
@@ -131,47 +144,11 @@ def test_stacked_solve_equals_single_solves(case):
     null_sets = np.array([rows[i] for i in checked]).reshape(len(checked), -1)
     failing = degenerate_rows(geom, beam, null_sets)
     solvable = [j for j in range(len(checked)) if j not in failing]
-    stacked = min_norm_weights(constraint_matrices(geom, beam, null_sets[solvable]))
+    stacked = _stacked_solve(geom, beam, null_sets[solvable]) if solvable else []
     for j, message in failing.items():
         assert singles[checked[j]] == (DegenerateConstraintsError, message)
     for j, w in zip(solvable, stacked):
         assert np.array_equal(singles[checked[j]], w)
-
-
-@st.composite
-def well_posed(draw):
-    """A beam and null stack whose constraint matrices are far from rank loss."""
-    k = draw(st.sampled_from([2, 4, 8]))
-    m = draw(st.integers(min_value=0, max_value=k - 1))
-    n = draw(st.integers(min_value=1, max_value=6))
-    angles = st.floats(min_value=-85.0, max_value=85.0)
-    beam = draw(angles)
-    rows = draw(
-        st.lists(
-            st.lists(angles, min_size=m, max_size=m).map(tuple),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    return ArrayGeometry(k_antennas=k), beam, tuple(rows)
-
-
-@settings(max_examples=150, deadline=None)
-@given(well_posed())
-def test_stacked_solve_meets_its_constraints_and_matches_lstsq(case):
-    geom, beam, rows = case
-    c = constraint_matrices(geom, beam, np.array(rows).reshape(len(rows), -1))
-    sv = np.linalg.svd(c, compute_uv=False)
-    keep = sv[:, -1] >= 1e-2 * sv[:, 0]
-    if not keep.any():
-        return
-    w = min_norm_weights(c[keep])
-    e1 = np.zeros(c.shape[2])
-    e1[0] = 1.0
-    for ci, wi in zip(c[keep], w):
-        assert np.max(np.abs(ci.conj().T @ wi - e1)) < 1e-12
-        ref, *_ = np.linalg.lstsq(ci.conj().T, e1.astype(complex), rcond=None)
-        assert np.max(np.abs(wi - ref)) < 1e-12
 
 
 def test_degenerate_rows_name_each_failing_row():
@@ -253,40 +230,84 @@ def _svd_solve(c):
     return (vh.conj() * (u[:, 0, :].conj() / s)[:, :, None]).sum(axis=1)
 
 
-def _check_kernel(geom, beam, rows):
-    """``min_norm_weights`` on the rows of a stack that ``lcmv_weights`` accepts.
+def _residuals(c, w):
+    """max |c^H w - e1| of every row."""
+    e1 = np.eye(c.shape[-1])[0]
+    return np.abs(np.einsum("nkm,nk->nm", c.conj(), w) - e1).max(axis=-1)
 
-    Rows with a closed form (a beam alone, or a beam and one null that the
-    Gram screen clears) match the reference solve and meet their
-    constraints to 1e-12; every other row has the reference's bits.  Each
-    row has the bits of its own call.
+
+def _check_kernel(geom, beam, rows):
+    """The projection solve on the rows of a stack that ``lcmv_weights`` accepts.
+
+    A row whose sigma ratio is r has a constraint residual of at most
+    max(1e-12, 64 eps max|w|), the rounding floor of any solve with weights
+    of that size, and lies within a relative 1e-14 / r of the SVD solve.
+    On 6600 rows with r from 1e-9 to 1 they measured at most
+    23 eps max|w| (the SVD solve's own residual reached 391 eps max|w|)
+    and 1.2e-15 / r.  Each row has the bits of its own call, and those of
+    ``lcmv_weights``.  Returns the rows' sigma ratios.
     """
     rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
     rows = np.delete(rows, list(degenerate_rows(geom, beam, rows)), axis=0)
     if not len(rows):
-        return
+        return np.empty(0)
     c = constraint_matrices(geom, beam, rows)
-    w, ref = min_norm_weights(c), _svd_solve(c)
-    if c.shape[-1] == 1:
-        closed = np.ones(len(c), dtype=bool)
-    elif c.shape[-1] == 2:
-        gram = c.conj().swapaxes(-1, -2) @ c
-        closed = beamforming._gram_clears(gram)
-    else:
-        closed = np.zeros(len(c), dtype=bool)
-    assert np.array_equal(w[~closed], ref[~closed])
+    w, ref = _stacked_solve(geom, beam, rows), _svd_solve(c)
+    sv = np.linalg.svd(c, compute_uv=False)
+    ratio = sv[:, -1] / sv[:, 0]
     rel = np.linalg.norm(w - ref, axis=1) / np.linalg.norm(ref, axis=1)
-    residual = np.abs(np.einsum("nkm,nk->nm", c.conj(), w) - np.eye(c.shape[-1])[0])
-    assert (rel[closed] <= 1e-12).all()
-    assert (residual[closed] <= 1e-12).all()
+    floor = 64 * np.finfo(float).eps * np.abs(w).max(axis=-1)
+    assert (_residuals(c, w) <= np.maximum(1e-12, floor)).all()
+    assert (rel <= 1e-14 / ratio).all()
     for i, row in enumerate(rows):
-        single = min_norm_weights(constraint_matrices(geom, beam, row[None]))
-        assert np.array_equal(single[0], w[i])
+        assert np.array_equal(_stacked_solve(geom, beam, row[None])[0], w[i])
+        assert np.array_equal(lcmv_weights(geom, beam, row), w[i])
+    return ratio
+
+
+@st.composite
+def near_rank_loss(draw):
+    """A beam and a stack of null sets whose sigma ratios span 1e-9 to 1.
+
+    K is 2 to 16 and m any null count from 0 to K - 1.  Besides free
+    angles, a null may sit a log-uniform 1e-10 to 10 deg from the beam,
+    from the beam's grating-lobe alias or from the row's previous null, so
+    rows fall on every decade from the rank tolerance up.
+    """
+    k = draw(st.integers(min_value=2, max_value=16))
+    geom = ArrayGeometry(k_antennas=k)
+    m = draw(st.integers(min_value=0, max_value=k - 1))
+    n = draw(st.integers(min_value=1, max_value=6))
+    beam = draw(st.floats(min_value=-80.0, max_value=80.0))
+    sine = np.sin(np.radians(beam))
+    aliases = [
+        float(np.degrees(np.arcsin(sine + sign / geom.spacing_wavelengths)))
+        for sign in (-1.0, 1.0)
+        if abs(sine + sign / geom.spacing_wavelengths) <= 1.0
+    ]
+    offset = st.builds(
+        lambda e, sign: sign * 10.0**e,
+        st.floats(min_value=-10.0, max_value=1.0),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            kind = draw(st.sampled_from(["free", "beam", "alias", "previous"]))
+            if kind == "free":
+                a = draw(st.floats(min_value=-90.0, max_value=90.0))
+            else:
+                refs = {"beam": [beam], "alias": aliases or [beam], "previous": row or [beam]}
+                a = draw(st.sampled_from(refs[kind])) + draw(offset)
+            row.append(min(90.0, max(-90.0, a)))
+        rows.append(tuple(row))
+    return geom, beam, tuple(rows)
 
 
 @settings(max_examples=200, deadline=None)
-@given(screened_stacks())
-def test_the_closed_form_solves_match_the_svd_solve(case):
+@given(near_rank_loss())
+def test_the_projection_solve_meets_its_constraints_and_matches_the_svd_solve(case):
     _check_kernel(*case)
 
 
@@ -318,35 +339,34 @@ def test_the_default_grid_solve_matches_the_svd_solve(case):
     _check_kernel(geom, beam, [(g,) for g in DEFAULT_LINEAR_GRID])
 
 
-def test_a_near_alias_row_the_screen_passes_on_keeps_the_svd_solve():
+def test_a_near_alias_row_the_gram_screen_passes_on_is_solved_within_the_svd_bounds():
     # sigma ratio 2e-9: the rank test accepts it, but its Gram determinant
-    # is rounding noise, so only an SVD solves it
+    # is rounding noise, so only an SVD decides it; the projection solves it
     geom, beam = ArrayGeometry(k_antennas=4), 59.88976702816812
     assert degenerate_rows(geom, beam, [(-60.0,)]) == {}
     c = constraint_matrices(geom, beam, [(-60.0,)])
     gram = c.conj().swapaxes(-1, -2) @ c
     assert not beamforming._gram_clears(gram).any()
-    w = min_norm_weights(c)
-    assert np.isfinite(w).all()
-    assert np.array_equal(w, _svd_solve(c))
+    (ratio,) = _check_kernel(geom, beam, [(-60.0,)])
+    assert ratio < 1e-8
     _check_kernel(geom, beam, [(g,) for g in DEFAULT_LINEAR_GRID])
 
 
 def test_linear_run_solves_the_beam_and_the_grid_once_each(monkeypatch):
     calls = []
 
-    def counted(c):
-        calls.append(c.shape)
-        return min_norm_weights(c)
+    def counted(a, q):
+        calls.append(q.shape)
+        return min_norm_weights(a, q)
 
     for module in (beamforming, nullsearch):
         monkeypatch.setattr(module, "min_norm_weights", counted)
     s = Scenario()
     result = run_full_protocol(replace(s, search=replace(s.search, mode="linear")))
     assert len(result.users[0].trace) == len(DEFAULT_LINEAR_GRID)
-    # the beam alone, then every grid angle as one null: (rows, K, 1 + nulls)
+    # the beam alone, then every grid angle as one null: (rows, K, nulls)
     k = s.geometry.k_antennas
-    assert calls == [(1, k, 1), (len(DEFAULT_LINEAR_GRID), k, 2)]
+    assert calls == [(1, k, 0), (len(DEFAULT_LINEAR_GRID), k, 1)]
 
 
 # ---------------------------------------------------------------------------

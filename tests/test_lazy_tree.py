@@ -167,7 +167,7 @@ def test_weights_are_read_only_and_solved_once(monkeypatch, fresh_trees):
     tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
     calls = []
     monkeypatch.setattr(
-        nullsearch, "min_norm_weights", lambda c: calls.append(c) or min_norm_weights(c)
+        nullsearch, "min_norm_weights", lambda a, q: calls.append(q) or min_norm_weights(a, q)
     )
     leaf = tree.leaf_ids[5]
     _, first = tree.stack([leaf])
@@ -186,7 +186,7 @@ def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch, fre
     tree = build_tree(geom, 21.4)
     calls = []
     monkeypatch.setattr(
-        nullsearch, "min_norm_weights", lambda c: calls.append(c) or min_norm_weights(c)
+        nullsearch, "min_norm_weights", lambda a, q: calls.append(q) or min_norm_weights(a, q)
     )
     level = tree.level_ids(2)
     _, first = tree.stack([level[4]])
@@ -209,7 +209,7 @@ def test_a_stack_of_nodes_with_different_null_counts_names_the_rule_and_nodes(
     tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
     calls = []
     monkeypatch.setattr(
-        nullsearch, "min_norm_weights", lambda c: calls.append(c) or min_norm_weights(c)
+        nullsearch, "min_norm_weights", lambda a, q: calls.append(q) or min_norm_weights(a, q)
     )
     with pytest.raises(ValueError) as err:
         tree.stack([(0,), (0, 0)])
@@ -304,9 +304,9 @@ def solves(monkeypatch, fresh_trees):
     ``lcmv_weights`` or a tree's node solve made it."""
     rows = []
 
-    def counted(c):
-        rows.append(len(c))
-        return min_norm_weights(c)
+    def counted(a, q):
+        rows.append(len(q))
+        return min_norm_weights(a, q)
 
     for module in (beamforming, nullsearch):
         monkeypatch.setattr(module, "min_norm_weights", counted)

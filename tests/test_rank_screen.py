@@ -1,7 +1,7 @@
 """A tree's projection-screened check against the full SVD rank test.
 
 The oracle is the former check: every node's constraint matrix through
-``degenerate_rows``, one stacked SVD rank test per null count.  The
+``degenerate_rows`` (``tests/oracle.py``), one stacked SVD rank test per null count.  The
 screened check must find exactly the same failing nodes with the same
 messages, so a tree raises from the same node with the same message, on
 trees of any shape and on scan grids, near rank loss above all.
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import degenerate_rows
 
 from nullsim import nullsearch
 from nullsim.beamforming import (
@@ -20,7 +21,6 @@ from nullsim.beamforming import (
     ArrayGeometry,
     DegenerateConstraintsError,
     constraint_matrices,
-    degenerate_rows,
     steering_vector,
 )
 from nullsim.nullsearch import ROOT_SECTOR, build_tree, default_null_schedule, grid_tree
