@@ -151,6 +151,43 @@ def test_stacked_solve_equals_single_solves(case):
         assert np.array_equal(singles[checked[j]], w)
 
 
+@st.composite
+def well_posed(draw):
+    """A beam and null stack whose constraint matrices are far from rank loss."""
+    k = draw(st.sampled_from([2, 4, 8]))
+    m = draw(st.integers(min_value=0, max_value=k - 1))
+    n = draw(st.integers(min_value=1, max_value=6))
+    angles = st.floats(min_value=-85.0, max_value=85.0)
+    beam = draw(angles)
+    rows = draw(
+        st.lists(
+            st.lists(angles, min_size=m, max_size=m).map(tuple),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return ArrayGeometry(k_antennas=k), beam, tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(well_posed())
+def test_stacked_solve_meets_its_constraints_and_matches_lstsq(case):
+    geom, beam, rows = case
+    null_sets = np.array(rows).reshape(len(rows), -1)
+    c = constraint_matrices(geom, beam, null_sets)
+    sv = np.linalg.svd(c, compute_uv=False)
+    keep = sv[:, -1] >= 1e-2 * sv[:, 0]
+    if not keep.any():
+        return
+    w = _stacked_solve(geom, beam, null_sets[keep])
+    e1 = np.zeros(c.shape[2])
+    e1[0] = 1.0
+    for ci, wi in zip(c[keep], w):
+        assert np.max(np.abs(ci.conj().T @ wi - e1)) < 1e-12
+        ref, *_ = np.linalg.lstsq(ci.conj().T, e1.astype(complex), rcond=None)
+        assert np.max(np.abs(wi - ref)) < 1e-12
+
+
 def test_degenerate_rows_name_each_failing_row():
     geom = ArrayGeometry(k_antennas=8)
     failing = degenerate_rows(geom, 60.0, [(10.0,), (60.0,), (ALIAS_OF_60,)])
@@ -263,6 +300,34 @@ def _check_kernel(geom, beam, rows):
         assert np.array_equal(_stacked_solve(geom, beam, row[None])[0], w[i])
         assert np.array_equal(lcmv_weights(geom, beam, row), w[i])
     return ratio
+
+
+@settings(max_examples=200, deadline=None)
+@given(screened_stacks())
+def test_the_closed_form_solves_match_the_svd_solve(case):
+    """The rows that once had closed forms keep their closed-form accuracy.
+
+    A beam alone, or a beam and one null that the Gram screen clears, match
+    the SVD solve and meet their constraints to 1e-12 under the projection
+    solve; every row of the stack is held to the bounds of ``_check_kernel``.
+    """
+    geom, beam, rows = case
+    _check_kernel(geom, beam, rows)
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    rows = np.delete(rows, list(degenerate_rows(geom, beam, rows)), axis=0)
+    if not len(rows) or rows.shape[-1] > 1:
+        return
+    c = constraint_matrices(geom, beam, rows)
+    if rows.shape[-1]:
+        gram = c.conj().swapaxes(-1, -2) @ c
+        c = c[beamforming._gram_clears(gram)]
+        rows = rows[beamforming._gram_clears(gram)]
+    if not len(rows):
+        return
+    w, ref = _stacked_solve(geom, beam, rows), _svd_solve(c)
+    rel = np.linalg.norm(w - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert (rel <= 1e-12).all()
+    assert (_residuals(c, w) <= 1e-12).all()
 
 
 @st.composite
