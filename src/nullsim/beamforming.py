@@ -29,10 +29,6 @@ POWER_REPORT_FLOOR = 1e-12
 # treated as one direction and rejected
 RANK_TOL = 1e-9
 
-# a constraint matrix whose Gram bound puts its sigma ratio this many times
-# above the rank tolerance skips the rank SVD (see _gram_clears)
-GRAM_SCREEN_MARGIN = 1e6
-
 
 class DegenerateConstraintsError(ValueError):
     """Constraint directions are numerically indistinguishable."""
@@ -103,53 +99,19 @@ def constraint_matrices(
     return steering_vectors(geom, angles).transpose(0, 2, 1)
 
 
-def _gram(c: np.ndarray) -> np.ndarray:
-    """The Gram matrices c^H c of a constraint stack, one product per row."""
-    return c.conj().swapaxes(-1, -2) @ c
-
-
-def _gram_clears(g: np.ndarray) -> np.ndarray:
-    """Which constraint matrices the rank SVD could not reject, from their Grams.
-
-    The eigenvalues of the Gram matrix G = c^H c are the squared singular
-    values of c, and by Gershgorin each lies in some [G_ii - R_i, G_ii + R_i]
-    with R_i = sum over j != i of |G_ij|, so
-        sigma_min**2 / sigma_max**2 >= min_i(G_ii - R_i) / max_i(G_ii + R_i).
-    A matrix whose bound clears (GRAM_SCREEN_MARGIN * RANK_TOL)**2 has a
-    sigma ratio of at least 1e-3.  Rounding moves the bound by about
-    K * eps, and the SVD's singular values are off by about
-    K * eps * sigma_max, so the SVD ratio of a cleared matrix stays far
-    above RANK_TOL.
-    """
-    g = np.abs(g)
-    rows = g.sum(axis=-1)  # G_ii + R_i
-    lo = (2.0 * g.diagonal(0, -2, -1) - rows).min(axis=-1)  # min_i(G_ii - R_i)
-    return lo >= (GRAM_SCREEN_MARGIN * RANK_TOL) ** 2 * rows.max(axis=-1)
-
-
 def _degenerate(c: np.ndarray, null_sets: np.ndarray, beam_deg: float) -> dict[int, str]:
     """Rows of a constraint stack whose solve is rejected, with its message.
 
     A row fails when its beam sits exactly on one of its nulls, or when its
     steering matrix is rank deficient (aliased or near-coincident
-    directions).  The rank test is one stacked SVD; for a beam and one null
-    it runs only on the matrices that :func:`_gram_clears` does not clear,
-    every failing one among them.  A beam alone needs no rank test.
+    directions): its sigma ratio from one stacked SVD is under RANK_TOL.
+    :func:`lcmv_weights` sends its one row here; a search tree sends only
+    the rows its projection bound does not clear
+    (:func:`nullsim.nullsearch._failing`).  A beam alone needs no rank test.
     """
     if c.shape[-1] == 1:
         # one steering column has norm sqrt(K), so it always has full rank
         sv = np.ones((len(c), 1))
-    elif c.shape[-1] == 2:
-        # For two columns of equal norm the Gram bound is exact, and it
-        # clears all but near-aliased rows.  With more columns the
-        # off-diagonal terms add up: on multi-user trees it clears under a
-        # sixth of the rows, so there the screen would only add its cost to
-        # the SVD.
-        check = np.flatnonzero(~_gram_clears(_gram(c)))
-        # a cleared row keeps NaN singular values, which no test below flags
-        sv = np.full((len(c), 2), np.nan)
-        if check.size:
-            sv[check] = np.linalg.svd(c[check], compute_uv=False)
     else:
         sv = np.linalg.svd(c, compute_uv=False)
     on_beam = null_sets == beam_deg

@@ -201,9 +201,9 @@ def sampled_inr(
     return [[InrReport(a) for a in row] for row in agg.tolist()]
 
 
-def power_report(model: ChannelModel, geom: ArrayGeometry, wifi: WifiGrid) -> np.ndarray:
-    """Per-antenna received power profile gathered in the measurement phase."""
-    h = channel_response(model, geom, wifi)
+def power_report(h: np.ndarray) -> np.ndarray:
+    """Per-antenna received power profile gathered in the measurement phase:
+    |h|**2 of a channel response (antennas, subcarriers)."""
     return np.abs(h) ** 2
 
 

@@ -31,11 +31,13 @@ from .beamforming import ArrayGeometry, build_weight_matrix, lcmv_weights
 from .channel import (
     InrReport,
     channel_response,
+    power_report,
     rx_power,
     sampled_inr,
     with_noise_power,
 )
 from .nullsearch import (
+    ROOT_SECTOR,
     Evaluator,
     MultiUserPlan,
     NullConfig,
@@ -412,7 +414,7 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             meas_rngs,
         )
 
-    base_cfg = NullConfig((), (), scenario.tree_root_sector)
+    base_cfg = NullConfig((), (), ROOT_SECTOR)
     baselines = [reps[0] for reps in measure([base_cfg], w0[None])]
 
     if search.mode == "multiuser":
@@ -422,14 +424,14 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
         )
         states, joint = plan.states, plan.joint_null_angles
         # every user measures the joint nulls afresh
-        joint_cfg = NullConfig((), joint, scenario.tree_root_sector)
+        joint_cfg = NullConfig((), joint, ROOT_SECTOR)
         w_joint = lcmv_weights(geom, scenario.ue_angle_deg, joint)
         finals = [reps[0] for reps in measure([joint_cfg], w_joint[None])]
     else:
         if search.mode == "tree":
-            # the measurement phase's power report, |h|**2 of the response
+            # the measurement phase's power report, from the response
             # calibration already computed
-            report = np.abs(responses[0]) ** 2 if search.power_correction else None
+            report = power_report(responses[0]) if search.power_correction else None
             timeline, state = simulate_tree_search(
                 scenario.search_tree(), dc, backhaul, sim,
                 partial(measure, report=report),

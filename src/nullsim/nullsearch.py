@@ -23,7 +23,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .beamforming import (
-    GRAM_SCREEN_MARGIN,
     RANK_TOL,
     ArrayGeometry,
     DegenerateConstraintsError,
@@ -39,6 +38,10 @@ NodeId = tuple[int, ...]
 
 ROOT_SECTOR = (-90.0, 90.0)
 
+# a node whose projection bound puts its sigma ratio this many times above
+# the rank tolerance skips the rank SVD (see _failing)
+RANK_SCREEN_MARGIN = 1e6
+
 # distinct search trees kept per process, with their solved weights; an
 # ensemble or a sweep on one array and beam shares a single tree.  As many
 # layouts of a tree shape or scan grid on an array are kept, each shared by
@@ -46,10 +49,14 @@ ROOT_SECTOR = (-90.0, 90.0)
 TREE_CACHE_SIZE = 32
 
 # the most nodes a search tree may have.  The presets use 120 (fanout 3,
-# depth 4) and the tests at most 340 (fanout 4, depth 4).  A node costs
-# about 0.7 kB with its weights solved at K=8, so a cached tree at the cap
-# pins under 1.5 MB; without a cap, fanout 10 and depth 8 would ask for
-# 1.1e8 nodes, minutes and tens of GB before a single test slot.
+# depth 4) and the tests at most 340 (fanout 4, depth 4).  A layout pads
+# every node's null columns and their basis to its widest node, 32 K m
+# bytes a node for m nulls at the widest: the default K=8 tree keeps about
+# 2 kB a node, but at the limits (K=64, 62 nulls at the root, fanout 44,
+# depth 2: 1980 nodes) validation peaked at 398 MiB of RSS and left a
+# 242 MiB layout in the cache, even though that file is then rejected.
+# Without a cap, fanout 10 and depth 8 would ask for 1.1e8 nodes, minutes
+# and tens of GB before a single test slot.
 MAX_TREE_NODES = 2000
 
 
@@ -246,7 +253,7 @@ class _Layout(Mapping[NodeId, NullConfig]):
             self.basis[rows, :, :w] = q
             self.s_min[rows] = sv[:, -1]
         # a sigma_min / sigma_max bound at or above this clears a node
-        self.floor = GRAM_SCREEN_MARGIN * RANK_TOL * np.sqrt(k * (self.widths + 1))
+        self.floor = RANK_SCREEN_MARGIN * RANK_TOL * np.sqrt(k * (self.widths + 1))
 
     def __getitem__(self, node_id: NodeId) -> NullConfig:
         return self._configs[node_id]
@@ -291,7 +298,7 @@ def _failing(geom: ArrayGeometry, beam_angle_deg: float, nodes: _Layout) -> dict
         sigma_min(C) >= 1 / ((1 + sqrt(K) / s) / rho + 1 / s)
                       = rho s / (s + sqrt(K) + rho),
     and sigma_max(C) <= sqrt(K (m + 1)), every column having norm sqrt K.
-    A node whose bound on the sigma ratio reaches GRAM_SCREEN_MARGIN *
+    A node whose bound on the sigma ratio reaches RANK_SCREEN_MARGIN *
     RANK_TOL (1e-3) cannot fail the SVD rank test at RANK_TOL, whose
     singular values and this bound are off by about K * eps.  Every other
     node, and every node with a null exactly on the beam (where rho is 0),

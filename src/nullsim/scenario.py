@@ -33,7 +33,6 @@ from .coexsim import (
 )
 from .nullsearch import (
     DEFAULT_LINEAR_GRID,
-    ROOT_SECTOR,
     SearchTree,
     TreeShapeError,
     build_tree,
@@ -130,10 +129,6 @@ class Scenario:
         return WifiGrid()
 
     @property
-    def tree_root_sector(self) -> tuple[float, float]:
-        return ROOT_SECTOR
-
-    @property
     def scan_angles(self) -> tuple[float, ...]:
         """The linear scan's grid: the declared one, or the default."""
         return self.search.linear_grid or DEFAULT_LINEAR_GRID
@@ -149,7 +144,6 @@ class Scenario:
             fanout=self.search.fanout,
             depth=self.search.depth,
             nulls_per_level=self.search.nulls_per_level,
-            root_sector=self.tree_root_sector,
         )
 
     def build_channels(self) -> list[ChannelModel]:

@@ -15,8 +15,9 @@ solve, this one included, pins to 1e-9 dB: a level that tests one, or a
 joint config that is one, is recorded with no margin at all.
 
 ``degenerate_rows`` is the rank test of ``lcmv_weights`` on a stack of
-null sets, the check the per-row tests compare a tree's screened check
-and the stacked solves against.
+null sets, every row through the SVD with nothing screened: the check the
+per-row tests compare ``lcmv_weights``, a tree's screened check and the
+stacked solves against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from nullsim.beamforming import (
     POWER_REPORT_FLOOR,
-    _degenerate,
+    RANK_TOL,
     constraint_matrices,
     steering_vector,
 )
@@ -57,9 +58,20 @@ def _centers(center_hz: int, n: int, bw_hz: int) -> list[int]:
 
 def degenerate_rows(geom, beam: float, null_sets) -> dict[int, str]:
     """Which rows of an (n, m) stack of in-range null sets ``lcmv_weights``
-    rejects, each with the message its own call raises."""
-    null_sets = np.asarray(null_sets, dtype=float)
-    return _degenerate(constraint_matrices(geom, beam, null_sets), null_sets, beam)
+    rejects, each with the message its own call raises: a null on the beam,
+    or a constraint matrix whose SVD sigma ratio is under ``RANK_TOL``."""
+    null_sets = np.asarray(null_sets, dtype=float).reshape(len(null_sets), -1)
+    sv = np.linalg.svd(constraint_matrices(geom, beam, null_sets), compute_uv=False)
+    failing = {}
+    for i, row in enumerate(null_sets):
+        on_beam = row == beam
+        if on_beam.any():
+            a = float(row[np.argmax(on_beam)])
+            failing[i] = f"null at {a} deg coincides with the beam direction"
+        elif sv[i, -1] < RANK_TOL * sv[i, 0]:
+            ratio = sv[i, -1] / sv[i, 0]
+            failing[i] = f"constraint directions are rank deficient (sigma ratio {ratio:.2e})"
+    return failing
 
 
 def pinv_weights(geom, beam: float, nulls) -> tuple[np.ndarray, float]:

@@ -168,11 +168,8 @@ def test_rx_power_validation(geom4, wifi, sc_rb):
 
 
 def test_power_report_is_squared_magnitude(geom4, wifi):
-    model = two_ray_channel(5.0)
-    assert np.allclose(
-        power_report(model, geom4, wifi),
-        np.abs(channel_response(model, geom4, wifi)) ** 2,
-    )
+    h = channel_response(two_ray_channel(5.0), geom4, wifi)
+    assert np.array_equal(power_report(h), np.abs(h) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from nullsim.nullsearch import DEFAULT_LINEAR_GRID, linear_search
 from nullsim.scenario import (
     Scenario,
     ScenarioError,
+    SearchSpec,
     load_scenario,
     scenario_from_dict,
     with_overrides,
@@ -196,22 +197,6 @@ def test_degenerate_rows_name_each_failing_row():
     assert failing[2].startswith("constraint directions are rank deficient")
 
 
-def _unscreened_failures(geom, beam, rows):
-    """The rank test as one SVD of every row, with no screen in front of it."""
-    rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
-    sv = np.linalg.svd(constraint_matrices(geom, beam, rows), compute_uv=False)
-    failing = {}
-    for i, row in enumerate(rows):
-        on_beam = row == beam
-        if on_beam.any():
-            a = float(row[np.argmax(on_beam)])
-            failing[i] = f"null at {a} deg coincides with the beam direction"
-        elif sv[i, -1] < beamforming.RANK_TOL * sv[i, 0]:
-            ratio = sv[i, -1] / sv[i, 0]
-            failing[i] = f"constraint directions are rank deficient (sigma ratio {ratio:.2e})"
-    return failing
-
-
 @st.composite
 def screened_stacks(draw):
     """In-range null stacks on both sides of the rank tolerance.
@@ -219,7 +204,8 @@ def screened_stacks(draw):
     Besides free angles, a null may sit on the beam, on the grating-lobe
     aliases of +-60 deg, or 1e-9 to 1e-7 deg from the beam or from the
     row's previous null: coincident within the tolerance, or just outside.
-    Half the stacks hold one null per row, the case the screen runs on.
+    Half the stacks hold one null per row, as every scan grid and every
+    tree leaf does.
     """
     k = draw(st.integers(min_value=2, max_value=16))
     m = draw(st.one_of(st.just(1), st.integers(min_value=0, max_value=k - 1)))
@@ -249,10 +235,14 @@ def screened_stacks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(screened_stacks())
-def test_the_gram_screen_keeps_every_rank_decision_and_message(case):
+def test_the_rank_test_keeps_every_rank_decision_and_message(case):
+    """The stacked rank test and each row's ``lcmv_weights`` reject exactly
+    the rows the SVD of every row rejects, with its messages."""
     geom, beam, rows = case
-    expected = _unscreened_failures(geom, beam, rows)
-    assert degenerate_rows(geom, beam, np.array(rows).reshape(len(rows), -1)) == expected
+    null_sets = np.array(rows, dtype=float).reshape(len(rows), -1)
+    expected = degenerate_rows(geom, beam, null_sets)
+    c = constraint_matrices(geom, beam, null_sets)
+    assert beamforming._degenerate(c, null_sets, beam) == expected
     for i, row in enumerate(rows):
         solved = _outcome(lambda: lcmv_weights(geom, beam, row))
         if i in expected:
@@ -307,23 +297,19 @@ def _check_kernel(geom, beam, rows):
 def test_the_closed_form_solves_match_the_svd_solve(case):
     """The rows that once had closed forms keep their closed-form accuracy.
 
-    A beam alone, or a beam and one null that the Gram screen clears, match
-    the SVD solve and meet their constraints to 1e-12 under the projection
-    solve; every row of the stack is held to the bounds of ``_check_kernel``.
+    A beam alone, or a beam and one null at a sigma ratio of at least 1e-3,
+    match the SVD solve and meet their constraints to 1e-12 under the
+    projection solve; every row of the stack is held to the bounds of
+    ``_check_kernel``.
     """
     geom, beam, rows = case
-    _check_kernel(geom, beam, rows)
+    ratio = _check_kernel(geom, beam, rows)
     rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
     rows = np.delete(rows, list(degenerate_rows(geom, beam, rows)), axis=0)
+    rows = rows[ratio >= 1e-3]
     if not len(rows) or rows.shape[-1] > 1:
         return
     c = constraint_matrices(geom, beam, rows)
-    if rows.shape[-1]:
-        gram = c.conj().swapaxes(-1, -2) @ c
-        c = c[beamforming._gram_clears(gram)]
-        rows = rows[beamforming._gram_clears(gram)]
-    if not len(rows):
-        return
     w, ref = _stacked_solve(geom, beam, rows), _svd_solve(c)
     rel = np.linalg.norm(w - ref, axis=1) / np.linalg.norm(ref, axis=1)
     assert (rel <= 1e-12).all()
@@ -382,7 +368,7 @@ def grid_beams(draw):
 
     The beam is free, or within 1e-9 to 1e-2 deg of the grating-lobe alias
     of a grid angle, which puts that row on either side of the rank
-    tolerance and of the Gram screen.
+    tolerance and of the 1e-3 sigma ratio the projection screen clears.
     """
     k = draw(st.sampled_from([2, 4, 8, 16, 64]))
     geom = ArrayGeometry(k_antennas=k)
@@ -404,14 +390,11 @@ def test_the_default_grid_solve_matches_the_svd_solve(case):
     _check_kernel(geom, beam, [(g,) for g in DEFAULT_LINEAR_GRID])
 
 
-def test_a_near_alias_row_the_gram_screen_passes_on_is_solved_within_the_svd_bounds():
+def test_a_near_alias_row_is_solved_within_the_svd_bounds():
     # sigma ratio 2e-9: the rank test accepts it, but its Gram determinant
     # is rounding noise, so only an SVD decides it; the projection solves it
     geom, beam = ArrayGeometry(k_antennas=4), 59.88976702816812
     assert degenerate_rows(geom, beam, [(-60.0,)]) == {}
-    c = constraint_matrices(geom, beam, [(-60.0,)])
-    gram = c.conj().swapaxes(-1, -2) @ c
-    assert not beamforming._gram_clears(gram).any()
     (ratio,) = _check_kernel(geom, beam, [(-60.0,)])
     assert ratio < 1e-8
     _check_kernel(geom, beam, [(g,) for g in DEFAULT_LINEAR_GRID])
@@ -622,11 +605,27 @@ def test_multi_user_run_measures_each_user_once_per_level(monkeypatch):
 )
 def test_each_user_channel_response_is_computed_once(scenario, monkeypatch):
     assert scenario.search.mode == "multiuser" or scenario.search.power_correction
-    # a call through the channel module's own name, as power_report makes, counts too
+    # a call through the channel module's own name counts too
     responses = _count_calls(monkeypatch, coexsim, "channel_response")
     via_channel = _count_calls(monkeypatch, channel, "channel_response")
     run_full_protocol(scenario)
     assert len(responses) + len(via_channel) == len(scenario.user_angles_deg)
+
+
+@pytest.mark.parametrize(
+    "scenario, reports",
+    [
+        (Scenario(), 1),
+        (Scenario(search=SearchSpec(power_correction=False)), 0),
+        (Scenario(search=SearchSpec(mode="linear")), 0),
+        (load_scenario(str(SCENARIOS / "multiuser_four.json")), 0),
+    ],
+    ids=["tree-corrected", "tree-uncorrected", "linear", "multiuser"],
+)
+def test_only_a_power_corrected_tree_run_takes_a_power_report(scenario, reports, monkeypatch):
+    taken = _count_calls(monkeypatch, coexsim, "power_report")
+    run_full_protocol(scenario)
+    assert len(taken) == reports
 
 
 # ---------------------------------------------------------------------------

@@ -283,15 +283,16 @@ def test_validation_accepts_and_rejects_as_with_eager_trees(raw):
 
 
 def test_validation_checks_the_tree_the_run_builds(monkeypatch):
-    sectors = []
+    trees = []
     real = scenario_mod.build_tree
     monkeypatch.setattr(
         scenario_mod,
         "build_tree",
-        lambda *a, **kw: sectors.append(kw["root_sector"]) or real(*a, **kw),
+        lambda *a, **kw: trees.append(real(*a, **kw)) or trees[-1],
     )
-    s = scenario_from_dict({"ue_angle_deg": 21.4})
-    assert sectors == [s.tree_root_sector]
+    run_full_protocol(scenario_from_dict({"ue_angle_deg": 21.4}))
+    validated, ran = trees
+    assert validated is ran
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +456,7 @@ def test_a_cold_tree_runs_the_rank_test_per_null_count_when_built_only(
 
 def test_the_screen_clears_only_nodes_far_above_the_rank_tolerance(monkeypatch):
     """A node the projection screen clears has an SVD sigma ratio of at
-    least ``GRAM_SCREEN_MARGIN * RANK_TOL`` (1e-3), at every beam here."""
+    least ``RANK_SCREEN_MARGIN * RANK_TOL`` (1e-3), at every beam here."""
     screened = []
     real = nullsearch._degenerate
     monkeypatch.setattr(
@@ -467,7 +468,7 @@ def test_the_screen_clears_only_nodes_far_above_the_rank_tolerance(monkeypatch):
     layout = nullsearch._tree_layout(
         geom, 3, 4, (6, 4, 2, 1), (nullsearch._exact(-90.0), nullsearch._exact(90.0))
     )
-    floor = beamforming.GRAM_SCREEN_MARGIN * beamforming.RANK_TOL
+    floor = nullsearch.RANK_SCREEN_MARGIN * beamforming.RANK_TOL
     for beam in np.linspace(-60.0, 60.0, 13):
         screened.clear()
         nullsearch._failing(geom, float(beam), layout)

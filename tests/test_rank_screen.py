@@ -1,7 +1,7 @@
 """A tree's projection-screened check against the full SVD rank test.
 
 The oracle is the former check: every node's constraint matrix through
-``degenerate_rows`` (``tests/oracle.py``), one stacked SVD rank test per null count.  The
+``degenerate_rows`` (``tests/oracle.py``), the SVD rank test with no screen.  The
 screened check must find exactly the same failing nodes with the same
 messages, so a tree raises from the same node with the same message, on
 trees of any shape and on scan grids, near rank loss above all.
@@ -152,8 +152,10 @@ def test_screened_grid_check_equals_the_full_svd(case):
 @settings(max_examples=100, deadline=None)
 @given(case=tree_cases())
 def test_layout_constraint_matrices_have_the_bits_of_constraint_matrices(case):
-    """A tree's solves start from its layout's null columns: each width's
-    stack has the bits and memory layout ``constraint_matrices`` gives."""
+    """A tree's solves start from its layout's basis; its null columns feed
+    only the rank test of the rows the projection screen leaves.  Each
+    width's stack of them has the bits and memory layout
+    ``constraint_matrices`` gives."""
     geom, beam, layout, _ = case
     a = steering_vector(geom, beam)
     for w in np.unique(layout.widths):
