@@ -13,14 +13,16 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable
 
 from .channel import MIN_MEASURABLE_POWER
 from .coexsim import ProtocolResult, run_full_protocol
+from .nullsearch import FLOAT_DECIMALS
 from .scenario import Scenario, scenario_hash, validate_scenario
-
-FLOAT_DECIMALS = 6
 
 SUMMARY_COLUMNS = [
     "run_id",
@@ -42,7 +44,17 @@ SUMMARY_COLUMNS = [
     "total_delay_ms",
 ]
 
-TRACE_COLUMNS = ["run_id", "user", "node", "level", "null_angles_deg", "inr_db"]
+# a trace row's fields, in column order, and the type records_from_result
+# gives each; an exported row holds exactly these (see _trace_columns)
+TRACE_TYPES = {
+    "run_id": int,
+    "user": int,
+    "node": str,
+    "level": int,
+    "null_angles_deg": str,
+    "inr_db": float,
+}
+TRACE_COLUMNS = list(TRACE_TYPES)
 
 
 def _r(x: float) -> float:
@@ -84,19 +96,20 @@ def records_from_result(
     configs_tested = sum(
         1 for e in tl.events if e.kind == "test_slot" and not e.label.startswith("antenna:")
     )
-    angle = f"{{:.{FLOAT_DECIMALS}f}}".format
+    log10 = math.log10
     out = []
     for user in result.users:
-        # the values of cfg.label, cfg.level and _r(rep.aggregate_db), inline
+        # each config's text is its own, built once per layout; the values
+        # of cfg.level and _r(rep.aggregate_db), inline
         trace = [
             {
                 "run_id": run_id,
                 "user": user.user,
-                "node": ".".join(map(str, cfg.node_id)),
+                "node": cfg.label,
                 "level": len(cfg.node_id),
-                "null_angles_deg": ";".join(map(angle, cfg.null_angles_deg)),
+                "null_angles_deg": cfg.null_angles_text,
                 "inr_db": round(
-                    10.0 * math.log10(max(rep.aggregate, MIN_MEASURABLE_POWER)), FLOAT_DECIMALS
+                    10.0 * log10(max(rep.aggregate, MIN_MEASURABLE_POWER)), FLOAT_DECIMALS
                 ),
             }
             for cfg, rep in user.trace
@@ -171,30 +184,99 @@ def run_scenarios(scenarios: list[Scenario], repeats: int = 1) -> list[ResultsRe
 # export / import
 
 # The JSON export is ``json.dumps(payload, indent=2, sort_keys=True)``, byte
-# for byte.  With an indent, ``json`` always runs its pure-Python encoder, so
-# the export instead encodes each record's summary and trace with the C
-# encoder (no indent), whose item separators carry the newline and indent of
-# one fixed depth, and stitches the pieces at their indents.  A raw newline
-# is always escaped inside a JSON string, so every ",\n" in an encoded piece
-# is a separator and never part of a value.
+# for byte, without json's pure-Python encoder, which any indent selects.
+# A record's summary is encoded by the C encoder (no indent), whose item
+# separator carries the newline and indent of depth 2; a raw newline is
+# always escaped inside a JSON string, so every ",\n" in the encoded summary
+# is a separator, and the trace goes in at its sorted place.  Trace rows,
+# which are most of a file, fill one template of their sorted fields with
+# json's own spellings: int.__repr__, float.__repr__ (NaN, Infinity and
+# -Infinity when not finite) and encode_basestring_ascii.  That holds for
+# the exact types of TRACE_TYPES, which _trace_columns checks first.
 _FIELD_SEP = ",\n    "  # between a record's fields, depth 2
-_ROW_SEP = ",\n        "  # between a trace row's fields, depth 4
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(_FIELD_SEP, ": "))
-_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(_ROW_SEP, ": "))
 # summary fields that sort after "trace"; the trace goes in front of them
 _AFTER_TRACE = sum(name > "trace" for name in SUMMARY_COLUMNS)
+_SORTED_TRACE = sorted(TRACE_TYPES)
+_sorted_values = itemgetter(*_SORTED_TRACE)
+_ROW_SEP = ",\n      "  # between trace rows, depth 3
+_ROW_JSON = (
+    "{\n"
+    + ",\n".join(f"        {encode_basestring_ascii(name)}: %s" for name in _SORTED_TRACE)
+    + "\n      }"
+)
+
+
+def _float_json(x: float) -> str:
+    """``x`` as json writes it."""
+    if x != x:
+        return "NaN"
+    if x - x != 0.0:
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _spelled(kind: type, column: tuple) -> Iterable:
+    """A column of one type as json spells its values."""
+    if kind is float:
+        return map(float.__repr__ if all(map(math.isfinite, column)) else _float_json, column)
+    if kind is str:
+        return map(encode_basestring_ascii, column)
+    return column  # an int's %s is its int.__repr__
+
+
+def _check_trace_row(row: dict[str, Any]) -> None:
+    """Raise a ValueError naming the first field at fault in ``row``."""
+    for name in row:
+        if name not in TRACE_TYPES:
+            raise ValueError(f"trace row has the field {name!r}, which is not a trace column")
+    for name, kind in TRACE_TYPES.items():
+        if name not in row:
+            raise ValueError(f"trace row lacks the field {name!r}")
+        if type(row[name]) is not kind:
+            raise ValueError(
+                f"trace field {name!r} holds {row[name]!r}, "
+                f"a {type(row[name]).__name__} where a {kind.__name__} belongs"
+            )
+
+
+def _trace_columns(trace: list[dict[str, Any]]) -> list[tuple]:
+    """The values of the trace's rows field by field, fields sorted.
+
+    Every row must hold exactly the fields of TRACE_TYPES, each value of
+    exactly its type (so a bool is no int), or a ValueError names the first
+    field at fault.  CSV and JSON exports both check this before they
+    open a file.
+    """
+    if not trace:
+        return []
+    try:
+        columns = list(zip(*map(_sorted_values, trace)))
+    except KeyError:
+        columns = []
+    if (
+        columns
+        and set(map(len, trace)) == {len(_SORTED_TRACE)}
+        and all(
+            set(map(type, col)) == {TRACE_TYPES[name]}
+            for name, col in zip(_SORTED_TRACE, columns)
+        )
+    ):
+        return columns
+    for row in trace:
+        _check_trace_row(row)
+    raise AssertionError("a faulty trace passed every row check")
 
 
 def _trace_json(trace: list[dict[str, Any]]) -> str:
     """A trace list of flat rows as ``json.dumps`` writes it at depth 2."""
     if not trace:
         return "[]"
-    # rows hold scalars only, so "}" before a separator closes a row and
-    # "{" after it opens the next one
-    rows = _TRACE_ENCODER.encode(trace)[2:-2].replace(
-        "}" + _ROW_SEP + "{", "\n      },\n      {\n        "
-    )
-    return "[\n      {\n        " + rows + "\n      }\n    ]"
+    spelled = [
+        _spelled(TRACE_TYPES[name], col) for name, col in zip(_SORTED_TRACE, _trace_columns(trace))
+    ]
+    rows = _ROW_SEP.join([_ROW_JSON] * len(trace)) % tuple(chain.from_iterable(zip(*spelled)))
+    return "[\n      " + rows + "\n    ]"
 
 
 def _record_json(record: ResultsRecord) -> str:
@@ -244,6 +326,7 @@ def export_results(records: list[ResultsRecord], fmt: str, path: str) -> list[st
         _write_text(p, text, None)
         return [str(p)]
     if fmt == "csv":
+        _trace_columns([row for r in records for row in r.trace])
         trace_path = p.with_name(p.stem + "_trace.csv")
         summary = _csv_text(SUMMARY_COLUMNS, (r.summary_row() for r in records))
         trace = _csv_text(TRACE_COLUMNS, (row for r in records for row in r.trace))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -180,9 +181,13 @@ class SimTimeline:
     delta_b_us: int = 0
 
     def emit(self, t_us: int, kind: str, label: str) -> None:
+        self._check_from(t_us)
+        self.events.append(TimelineEvent(int(t_us), kind, label))
+
+    def _check_from(self, t_us: int) -> None:
+        """Refuse an event at ``t_us`` before the last one."""
         if self.events and t_us < self.events[-1].t_us:
             raise ValueError("timeline events must not go backwards")
-        self.events.append(TimelineEvent(int(t_us), kind, label))
 
     @property
     def total_delay_ms(self) -> float:
@@ -201,11 +206,17 @@ def _emit_test_cycles(
     tl: SimTimeline, start_us: int, labels: Sequence[str], offsets: Sequence[int]
 ) -> int:
     """Lay test slots into consecutive cycles of slots at ``offsets``; returns
-    the phase's cycle count."""
-    for i, label in enumerate(labels):
-        cycle, slot = divmod(i, len(offsets))
-        tl.emit(start_us + cycle * tl.t_csat_us + offsets[slot], "test_slot", label)
-    return math.ceil(len(labels) / len(offsets))
+    the phase's cycle count.
+
+    The offsets rise within a cycle, which they do not outlast, so the
+    phase's slots rise and only its first is checked against the timeline.
+    """
+    cycles = math.ceil(len(labels) / len(offsets))
+    times = [start_us + c * tl.t_csat_us + off for c in range(cycles) for off in offsets]
+    if labels:
+        tl._check_from(times[0])
+    tl.events.extend(map(TimelineEvent, times, repeat("test_slot"), labels))
+    return cycles
 
 
 def _emit_search(
@@ -234,7 +245,7 @@ def _emit_search(
         t += tl.power_cycles * dc.t_csat_us
     for level, cfgs in enumerate(levels, start=1):
         tl.emit(t, "phase", f"tree_level_{level}")
-        labels = [f"config:{cfg.label}" for cfg in cfgs]
+        labels = [cfg.slot_label for cfg in cfgs]
         tl.level_cycles.append(_emit_test_cycles(tl, t, labels, offsets))
         end = t + tl.level_cycles[-1] * dc.t_csat_us
         note = f"level {level} feedback"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +37,9 @@ from .channel import InrReport
 NodeId = tuple[int, ...]
 
 ROOT_SECTOR = (-90.0, 90.0)
+
+# decimals of every float in result files, null angles included
+FLOAT_DECIMALS = 6
 
 # a node whose projection bound puts its sigma ratio this many times above
 # the rank tolerance skips the rank SVD (see _failing)
@@ -86,7 +89,9 @@ class NullConfig:
     """One candidate precoding's nulls, inside a sector.
 
     A config holds no beam: its tree (or run) does, so one layout's
-    configs serve every beam.
+    configs serve every beam.  Its output text (:attr:`label`,
+    :attr:`slot_label` and :attr:`null_angles_text`) is built on first use
+    and kept, so it is built once per layout, not once per tested slot.
     """
 
     node_id: NodeId
@@ -105,9 +110,21 @@ class NullConfig:
     def level(self) -> int:
         return len(self.node_id)
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """The node id, dot-joined: ``"1.0.2"``."""
         return ".".join(map(str, self.node_id))
+
+    @cached_property
+    def slot_label(self) -> str:
+        """The label of the config's test slot on a timeline."""
+        return "config:" + self.label
+
+    @cached_property
+    def null_angles_text(self) -> str:
+        """The null angles as result files write them: ``;``-joined, with
+        :data:`FLOAT_DECIMALS` decimals."""
+        return ";".join(map(f"{{:.{FLOAT_DECIMALS}f}}".format, self.null_angles_deg))
 
 
 def default_null_schedule(k_antennas: int, depth: int = 4) -> tuple[int, ...]:

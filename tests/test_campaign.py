@@ -10,18 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullsim.beamforming import ArrayGeometry
 from nullsim.campaign import (
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
     ResultsRecord,
     export_results,
     load_results,
+    records_from_result,
     run_scenarios,
     sweep_points,
 )
 from nullsim import campaign
+from nullsim.coexsim import run_full_protocol
+from nullsim.nullsearch import DEFAULT_LINEAR_GRID, build_tree, grid_tree
 from nullsim.presets import PRESET_NAMES, run_repro, scenario_fig9_delay, scenario_fig10_multiuser
-from nullsim.scenario import Scenario, with_overrides
+from nullsim.scenario import Scenario, SearchSpec, with_overrides
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +238,129 @@ def test_a_failed_csv_export_leaves_the_old_files_alone(tmp_path, default_record
     assert [Path(f).read_bytes() for f in files] == old
 
 
+def test_a_failed_json_export_leaves_the_old_file_alone(tmp_path, default_records):
+    (path,) = export_results(default_records * 3, "json", str(tmp_path / "out.json"))
+    old = Path(path).read_bytes()
+    (rec,) = default_records
+    bad = dataclasses.replace(rec, trace=[dict(row, extra=1) for row in rec.trace])
+    with pytest.raises(ValueError, match="extra"):
+        export_results([bad], "json", path)
+    assert Path(path).read_bytes() == old
+
+
+# each fault, as (the field it names, the row it makes of a good one)
+TRACE_FAULTS = {
+    "an extra field": ("extra", lambda row: dict(row, extra=1)),
+    "a missing field": ("inr_db", lambda row: {k: v for k, v in row.items() if k != "inr_db"}),
+    "a bool for an int": ("level", lambda row: dict(row, level=True)),
+    "an int for a float": ("inr_db", lambda row: dict(row, inr_db=3)),
+    "a float for a str": ("node", lambda row: dict(row, node=1.5)),
+    "a None": ("user", lambda row: dict(row, user=None)),
+}
+
+
+@pytest.mark.parametrize("fault", TRACE_FAULTS)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_both_formats_refuse_a_trace_row_before_opening_a_file(
+    fmt, fault, tmp_path, default_records
+):
+    """Each trace row holds exactly the trace columns, each of its type.
+
+    JSON would spell a bool ``true`` and an int in a float field without a
+    decimal point, and CSV reads neither back, so both formats refuse the
+    row, naming the field, and write no file.
+    """
+    name, spoil = TRACE_FAULTS[fault]
+    (rec,) = default_records
+    trace = [dict(row) for row in rec.trace]
+    trace[5] = spoil(trace[5])
+    bad = dataclasses.replace(rec, trace=trace)
+    with pytest.raises(ValueError, match=repr(name)):
+        export_results([bad], fmt, str(tmp_path / f"out.{fmt}"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _inline_node(cfg):
+    return ".".join(map(str, cfg.node_id))
+
+
+def _inline_nulls(cfg):
+    return ";".join(map("{:.6f}".format, cfg.null_angles_deg))
+
+
+WHOLE_RUNS = {
+    "power-corrected tree": Scenario(),
+    "linear on the default grid": _linear(Scenario()),
+    "served multi-user": scenario_fig10_multiuser(),
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_RUNS)
+def test_a_whole_run_exports_as_json_dumps_with_the_inline_text(name, tmp_path):
+    scenario = WHOLE_RUNS[name]
+    result = run_full_protocol(scenario)
+    records = records_from_result(result, scenario)
+    assert result.joint_null_angles  # served: the run deploys nulls
+    if name.startswith("linear"):
+        assert scenario.scan_angles == DEFAULT_LINEAR_GRID
+    (path,) = export_results(records, "json", str(tmp_path / "run.json"))
+    payload = [dict(r.summary_row(), trace=r.trace) for r in records]
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert Path(path).read_bytes() == expected.encode("utf-8")
+    for user, rec in zip(result.users, records):
+        assert len(rec.trace) == len(user.trace)
+        for row, (cfg, _) in zip(rec.trace, user.trace):
+            assert row["node"] == _inline_node(cfg)
+            assert row["null_angles_deg"] == _inline_nulls(cfg)
+
+
+def _output_text(scenario):
+    """Per tested node id: its trace row's two texts and its slot label."""
+    result = run_full_protocol(scenario)
+    (rec,) = records_from_result(result, scenario)
+    slots = {
+        e.label.removeprefix("config:"): e.label
+        for e in result.timeline.events
+        if e.label.startswith("config:")
+    }
+    return {
+        row["node"]: (row["node"], row["null_angles_deg"], slots[row["node"]])
+        for row in rec.trace
+    }
+
+
+@pytest.mark.parametrize("mode", ["tree", "linear"])
+def test_two_beams_on_one_layout_share_each_configs_text(mode):
+    """The text of a config is built once per layout: a second beam on the
+    same array and tree shape (or scan grid) gets the same string objects."""
+    geom = ArrayGeometry(k_antennas=8)
+    base = Scenario(geometry=geom, search=SearchSpec(mode=mode, power_correction=False))
+    first = _output_text(base)
+    second = _output_text(dataclasses.replace(base, ue_angle_deg=-37.3))
+    shared = first.keys() & second.keys()
+    assert len(shared) == (165 if mode == "linear" else 12)  # both descend toward -20°
+    for node in shared:
+        assert all(a is b for a, b in zip(first[node], second[node]))
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        lambda: build_tree(ArrayGeometry(k_antennas=4), 21.4),
+        lambda: build_tree(ArrayGeometry(k_antennas=8), 21.4),
+        lambda: grid_tree(ArrayGeometry(k_antennas=8), DEFAULT_LINEAR_GRID, 21.4),
+    ],
+    ids=["K=4 tree", "K=8 tree", "default grid"],
+)
+def test_every_config_of_the_default_layouts_formats_as_the_inline_text(tree):
+    configs = list(tree().nodes.values())
+    assert len(configs) in (120, 165)
+    for cfg in configs:
+        assert cfg.label == _inline_node(cfg)
+        assert cfg.null_angles_text == _inline_nulls(cfg)
+        assert cfg.slot_label == "config:" + _inline_node(cfg)
+
+
 def test_unknown_format(tmp_path, default_records):
     with pytest.raises(ValueError):
         export_results(default_records, "parquet", str(tmp_path / "x.pq"))
@@ -269,6 +396,26 @@ def test_json_export_is_json_dumps_with_indent_two(records, tmp_path_factory):
     payload = [dict(r.summary_row(), trace=r.trace) for r in records]
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+SPECIAL_VALUES = {
+    "inr_db": [
+        float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1.7976931348623157e308
+    ],
+    "run_id": [0, -1, 10**30, -(10**40)],
+    "node": ["", '"', "\\", "\n", "\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001f4e1", "},\n        {"],
+}
+
+
+@pytest.mark.parametrize("name", SPECIAL_VALUES)
+def test_the_trace_template_spells_special_values_as_json_does(name, tmp_path, default_records):
+    (rec,) = default_records
+    trace = [dict(rec.trace[0], **{name: v}) for v in SPECIAL_VALUES[name]]
+    records = [dataclasses.replace(rec, trace=trace)]
+    (path,) = export_results(records, "json", str(tmp_path / "special.json"))
+    payload = [dict(r.summary_row(), trace=r.trace) for r in records]
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert Path(path).read_bytes() == expected.encode("utf-8")
 
 
 def test_a_linear_run_exports_without_the_pure_python_encoder(tmp_path, monkeypatch):

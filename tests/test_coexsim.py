@@ -24,6 +24,7 @@ from nullsim.coexsim import (
     DutyCycleConfig,
     SimConfig,
     SimTimeline,
+    _emit_test_cycles,
     configs_per_cycle,
     run_full_protocol,
     simulate_linear_search,
@@ -37,6 +38,8 @@ from nullsim.nullsearch import (
     build_tree,
     start_search,
 )
+from nullsim.campaign import records_from_result
+from nullsim.presets import scenario_fig10_multiuser
 from nullsim.scenario import CHANNEL_PRESETS, Scenario, ScenarioError, scenario_from_dict
 
 SIM = SimConfig()
@@ -343,6 +346,58 @@ def test_timeline_rejects_backward_events():
     tl.emit(10, "phase", "a")
     with pytest.raises(ValueError):
         tl.emit(5, "phase", "b")
+
+
+def test_a_batched_phase_before_the_last_event_is_rejected_too():
+    tl = SimTimeline(t_csat_us=40_000)
+    tl.emit(10, "phase", "a")
+    with pytest.raises(ValueError, match="must not go backwards"):
+        _emit_test_cycles(tl, 5, ["config:0", "config:1"], [0, 2_000])
+    assert [e.label for e in tl.events] == ["a"]
+    with pytest.raises(ValueError, match="must not go backwards"):
+        tl.emit(5, "phase", "b")
+
+
+def _slots_one_by_one(tl, start_us, labels, offsets):
+    """Each slot laid by ``emit``, its own guard checked: the reference."""
+    for i, label in enumerate(labels):
+        cycle, slot = divmod(i, len(offsets))
+        tl.emit(start_us + cycle * tl.t_csat_us + offsets[slot], "test_slot", label)
+    return -(-len(labels) // len(offsets))
+
+
+@pytest.mark.parametrize("n_labels", [0, 1, 4, 5, 12, 165])
+@pytest.mark.parametrize("duty", [0.05, 0.2, 1.0])
+def test_a_batched_phase_lays_the_slots_emit_lays_one_by_one(n_labels, duty):
+    dc = DutyCycleConfig(duty=duty)
+    offsets = slot_offsets_in_cycle(dc, SIM)
+    labels = [f"config:{i}" for i in range(n_labels)]
+    batched, single = (SimTimeline(t_csat_us=dc.t_csat_us) for _ in range(2))
+    for tl in (batched, single):
+        tl.emit(7, "phase", "start")
+    cycles = _emit_test_cycles(batched, 7, labels, offsets)
+    assert cycles == _slots_one_by_one(single, 7, labels, offsets)
+    assert batched.events == single.events
+    assert all(type(e.t_us) is int for e in batched.events)
+
+
+# mode: (configs_tested, test slots), the counts each emitter has laid
+SLOT_COUNTS = {"tree": (12, 20), "linear": (165, 165), "multiuser": (21, 21)}
+
+
+@pytest.mark.parametrize("mode", SLOT_COUNTS)
+def test_the_slot_counts_of_each_mode_are_unchanged(mode):
+    s = Scenario(geometry=ArrayGeometry(k_antennas=8))
+    scenario = {
+        "tree": s,
+        "linear": replace(s, search=replace(s.search, mode="linear")),
+        "multiuser": scenario_fig10_multiuser(),
+    }[mode]
+    result = run_full_protocol(scenario)
+    records = records_from_result(result, scenario)
+    configs_tested, slots = SLOT_COUNTS[mode]
+    assert {r.configs_tested for r in records} == {configs_tested}
+    assert result.timeline.count("test_slot") == slots
 
 
 # ---------------------------------------------------------------------------
