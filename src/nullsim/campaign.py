@@ -17,32 +17,12 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, get_type_hints
 
 from .channel import MIN_MEASURABLE_POWER
 from .coexsim import ProtocolResult, run_full_protocol
 from .nullsearch import FLOAT_DECIMALS
 from .scenario import Scenario, scenario_hash, validate_scenario
-
-SUMMARY_COLUMNS = [
-    "run_id",
-    "user",
-    "scenario_hash",
-    "mode",
-    "seed",
-    "k_antennas",
-    "duty",
-    "t_csat_ms",
-    "backhaul_ms",
-    "baseline_inr_db",
-    "final_inr_db",
-    "delta_inr_db",
-    "nulls_used",
-    "configs_tested",
-    "power_phase_ms",
-    "search_ms",
-    "total_delay_ms",
-]
 
 # a trace row's fields, in column order, and the type records_from_result
 # gives each; an exported row holds exactly these (see _trace_columns)
@@ -87,15 +67,22 @@ class ResultsRecord:
         return {name: getattr(self, name) for name in SUMMARY_COLUMNS}
 
 
+# a summary row's columns, in order, and their types: the record's fields but
+# the trace
+_SUMMARY_TYPES = {
+    name: kind for name, kind in get_type_hints(ResultsRecord).items() if name != "trace"
+}
+SUMMARY_COLUMNS = list(_SUMMARY_TYPES)
+# the type of each column of either CSV table
+_CSV_TYPES = {**_SUMMARY_TYPES, **TRACE_TYPES}
+
+
 def records_from_result(
     result: ProtocolResult, scenario: Scenario, run_id: int = 0
 ) -> list[ResultsRecord]:
     tl = result.timeline
     power_ms = tl.power_cycles * tl.t_csat_us / 1000.0
     digest = scenario_hash(scenario)
-    configs_tested = sum(
-        1 for e in tl.events if e.kind == "test_slot" and not e.label.startswith("antenna:")
-    )
     log10 = math.log10
     out = []
     for user in result.users:
@@ -129,7 +116,7 @@ def records_from_result(
                 final_inr_db=_r(user.final.aggregate_db),
                 delta_inr_db=_r(user.delta_inr_db),
                 nulls_used=user.nulls_used,
-                configs_tested=configs_tested,
+                configs_tested=tl.configs_tested,
                 power_phase_ms=_r(power_ms),
                 search_ms=_r(tl.total_delay_ms - power_ms),
                 total_delay_ms=_r(tl.total_delay_ms),
@@ -336,18 +323,6 @@ def export_results(records: list[ResultsRecord], fmt: str, path: str) -> list[st
     raise ValueError(f"unknown export format {fmt!r}; use csv or json")
 
 
-def _coerce_row(row: dict[str, str]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for k, v in row.items():
-        if k in ("run_id", "user", "seed", "k_antennas", "nulls_used", "configs_tested", "level"):
-            out[k] = int(v)
-        elif k in ("scenario_hash", "mode", "node", "null_angles_deg"):
-            out[k] = v
-        else:
-            out[k] = float(v)
-    return out
-
-
 def load_results(path: str) -> list[dict[str, Any]]:
     """Read back an exported summary (either format) as plain dicts."""
     p = Path(path)
@@ -358,4 +333,4 @@ def load_results(path: str) -> list[dict[str, Any]]:
             rec.pop("trace", None)
         return payload
     with open(p, encoding="utf-8", newline="") as fh:
-        return [_coerce_row(row) for row in csv.DictReader(fh)]
+        return [{k: _CSV_TYPES[k](v) for k, v in row.items()} for row in csv.DictReader(fh)]

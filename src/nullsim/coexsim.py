@@ -111,7 +111,6 @@ class SimConfig:
     sample_rate_hz: float = 50_000.0
     sample_count: int = 100
     noise_jitter: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.test_slot_ms <= 0:
@@ -179,6 +178,7 @@ class SimTimeline:
     level_cycles: list[int] = field(default_factory=list)
     t_csat_us: int = 0
     delta_b_us: int = 0
+    configs_tested: int = 0  # config test slots, not the antennas' sounding slots
 
     def emit(self, t_us: int, kind: str, label: str) -> None:
         self._check_from(t_us)
@@ -246,6 +246,7 @@ def _emit_search(
     for level, cfgs in enumerate(levels, start=1):
         tl.emit(t, "phase", f"tree_level_{level}")
         labels = [cfg.slot_label for cfg in cfgs]
+        tl.configs_tested += len(labels)
         tl.level_cycles.append(_emit_test_cycles(tl, t, labels, offsets))
         end = t + tl.level_cycles[-1] * dc.t_csat_us
         note = f"level {level} feedback"

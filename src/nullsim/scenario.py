@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Collection
 
 import numpy as np
 
@@ -202,20 +202,22 @@ _FIELDS: dict[str, dict[str, Any]] = {
     "sweep": {"backhaul_ms": [float], "duty": [float]},
 }
 _NULLABLE = {"baseline_inr_db", "nulls_per_level", "linear_grid"}
-# the Scenario attribute holding each section; the "scenario" fields are the
+# the keys of a scenario object: its own fields and the section names
+_TOP_KEYS = (_FIELDS.keys() - {"scenario"}) | _FIELDS["scenario"].keys()
+# each section's Scenario attribute and class; the "scenario" fields are the
 # scenario's own, and the "sweep" fields its ``sweep_<key>`` attributes
-_SECTION_ATTRS = {
-    "geometry": "geometry",
-    "channel": "channel",
-    "duty_cycle": "duty",
-    "backhaul": "backhaul",
-    "sim": "sim",
-    "search": "search",
+_SECTIONS = {
+    "geometry": ("geometry", ArrayGeometry),
+    "channel": ("channel", ChannelSpec),
+    "duty_cycle": ("duty", DutyCycleConfig),
+    "backhaul": ("backhaul", BackhaulConfig),
+    "sim": ("sim", SimConfig),
+    "search": ("search", SearchSpec),
 }
 
 
-def _strict(d: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
+def _strict(d: dict, allowed: Collection[str], where: str) -> None:
+    unknown = sorted(d.keys() - allowed)
     if unknown:
         raise ScenarioError(
             "unknown_key", f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}"
@@ -243,10 +245,16 @@ def _not_finite(value: Any) -> bool:
     return isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max
 
 
-def _check_types(d: dict, where: str) -> None:
+def _fields(d: dict, where: str) -> dict:
+    """The fields of ``where`` that ``d`` sets, type-checked, as the scenario
+    holds them: a list is a tuple, and a number in a float field is a float,
+    so it hashes as one."""
+    out = {}
     for key, kind in _FIELDS[where].items():
-        value = d.get(key)
-        if key in d and not (value is None and key in _NULLABLE or _has_type(value, kind)):
+        if key not in d:
+            continue
+        value = d[key]
+        if not (value is None and key in _NULLABLE or _has_type(value, kind)):
             name = f"list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
             null = " or null" if key in _NULLABLE else ""
             raise ScenarioError(
@@ -256,6 +264,12 @@ def _check_types(d: dict, where: str) -> None:
             raise ScenarioError(
                 "not_finite", f"{where}.{key} must be a finite number, got {value!r}"
             )
+        if kind is float and value is not None:
+            value = float(value)
+        elif isinstance(kind, list) and value is not None:
+            value = tuple(map(float, value)) if kind[0] is float else tuple(value)
+        out[key] = value
+    return out
 
 
 def _section(raw: dict, name: str) -> dict:
@@ -263,63 +277,31 @@ def _section(raw: dict, name: str) -> dict:
     d = raw.get(name, {})
     if not isinstance(d, dict):
         raise ScenarioError("invalid_type", f"{name} must be an object, got {d!r}")
-    _strict(d, set(_FIELDS[name]), name)
-    _check_types(d, name)
-    return dict(d)
-
-
-def _wrap(section: str, build):
-    try:
-        return build()
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid_{section}", str(exc)) from exc
+    _strict(d, _FIELDS[name].keys(), name)
+    return _fields(d, name)
 
 
 def _build(raw: dict, name: str, cls):
     fields = _section(raw, name)
-    return _wrap(name, lambda: cls(**fields))
+    try:
+        return cls(**fields)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid_{name}", str(exc)) from exc
 
 
 def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
+    """The scenario a file holds, validated: :func:`scenario_to_dict`'s inverse."""
     if not isinstance(raw, dict):
         raise ScenarioError("not_an_object", "scenario file must hold a JSON object")
-    _strict(raw, (set(_FIELDS) - {"scenario"}) | set(_FIELDS["scenario"]), "scenario")
-    _check_types(raw, "scenario")
-    geometry = _build(raw, "geometry", ArrayGeometry)
-    chan = _build(raw, "channel", ChannelSpec)
-    duty = _build(raw, "duty_cycle", DutyCycleConfig)
-    backhaul = _build(raw, "backhaul", BackhaulConfig)
-    sim = _build(raw, "sim", SimConfig)
-
-    se_d = _section(raw, "search")
-    if se_d.get("nulls_per_level") is not None:
-        se_d["nulls_per_level"] = tuple(se_d["nulls_per_level"])
-    if se_d.get("linear_grid") is not None:
-        se_d["linear_grid"] = tuple(float(x) for x in se_d["linear_grid"])
-    search = _wrap("search", lambda: SearchSpec(**se_d))
-
-    sweep_d = _section(raw, "sweep")
-
-    users = raw.get("user_angles_deg", [-20.0])
-    if not users:
+    _strict(raw, _TOP_KEYS, "scenario")
+    top = _fields(raw, "scenario")
+    sections = {attr: _build(raw, name, cls) for name, (attr, cls) in _SECTIONS.items()}
+    sweep = {f"sweep_{key}": grid for key, grid in _section(raw, "sweep").items()}
+    if top.get("user_angles_deg") == ():
         raise ScenarioError("users_empty", "user_angles_deg must be a nonempty list")
-
-    scenario = Scenario(
-        seed=raw.get("seed", 0),
-        tx_power=float(raw.get("tx_power", 1.0)),
-        ue_angle_deg=float(raw.get("ue_angle_deg", 21.4)),
-        user_angles_deg=tuple(float(a) for a in users),
-        geometry=geometry,
-        channel=chan,
-        duty=duty,
-        backhaul=backhaul,
-        sim=sim,
-        search=search,
-        sweep_backhaul_ms=tuple(float(x) for x in sweep_d.get("backhaul_ms", ())),
-        sweep_duty=tuple(float(x) for x in sweep_d.get("duty", ())),
-    )
+    scenario = Scenario(**top, **sections, **sweep)
     validate_scenario(scenario)
     return scenario
 
@@ -467,7 +449,7 @@ def _json_field(key: str, value: Any) -> Any:
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:
     """The scenario as its file would hold it; the sweep only if it has grids."""
     d = {key: _json_field(key, getattr(s, key)) for key in _FIELDS["scenario"]}
-    for section, attr in _SECTION_ATTRS.items():
+    for section, (attr, _) in _SECTIONS.items():
         obj = getattr(s, attr)
         d[section] = {key: _json_field(key, getattr(obj, key)) for key in _FIELDS[section]}
     if s.sweep_backhaul_ms or s.sweep_duty:

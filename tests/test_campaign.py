@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import stat
+import typing
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,22 @@ def test_csv_round_trip(tmp_path, default_records):
     files = export_results(default_records, "csv", str(tmp_path / "out.csv"))
     assert [f.rsplit("/", 1)[-1] for f in files] == ["out.csv", "out_trace.csv"]
     assert load_results(files[0]) == [r.summary_row() for r in default_records]
+
+
+def test_the_summary_columns_are_the_record_fields_but_the_trace():
+    fields = [f.name for f in dataclasses.fields(ResultsRecord)]
+    assert SUMMARY_COLUMNS == [name for name in fields if name != "trace"]
+
+
+def test_a_csv_export_reads_back_with_the_record_types(tmp_path, default_records):
+    summary, trace = export_results(default_records, "csv", str(tmp_path / "out.csv"))
+    types = typing.get_type_hints(ResultsRecord)
+    (row,) = load_results(summary)
+    assert {name: type(v) for name, v in row.items()} == {
+        name: types[name] for name in SUMMARY_COLUMNS
+    }
+    for trace_row in load_results(trace):
+        assert {name: type(v) for name, v in trace_row.items()} == campaign.TRACE_TYPES
 
 
 def test_trace_rows_mirror_the_visited_nodes(tmp_path, default_records):

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from nullsim import cli
 from nullsim import scenario as scenario_mod
+from nullsim.campaign import export_results, run_scenarios
 from nullsim.channel import orbit_like_channel
 from nullsim.coexsim import run_full_protocol
 from nullsim.nullsearch import DEFAULT_LINEAR_GRID
@@ -279,7 +281,7 @@ def test_extreme_values_the_rules_admit_run_to_finite_results(raw):
     assert np.isfinite([user.baseline.aggregate_db, user.final.aggregate_db]).all()
 
 
-def test_nullable_fields_accept_null_and_numbers_accept_integers():
+def test_nullable_fields_accept_null_and_numbers_accept_integers(tmp_path):
     s = scenario_from_dict(
         {
             "tx_power": 2,
@@ -291,6 +293,22 @@ def test_nullable_fields_accept_null_and_numbers_accept_integers():
     assert s.channel.baseline_inr_db is None
     assert s.tx_power == 2.0
     assert s.sweep_duty == (1.0,)
+    # a section's float field written as an integer is the same scenario,
+    # with the same hash and the same exported bytes
+    for section, key, value in [
+        ("backhaul", "delay_ms", 5),
+        ("geometry", "carrier_freq_hz", 2412000000),
+    ]:
+        as_int = scenario_from_dict({section: {key: value}})
+        as_float = scenario_from_dict({section: {key: float(value)}})
+        assert as_int == as_float
+        assert type(scenario_to_dict(as_int)[section][key]) is float
+        assert scenario_hash(as_int) == scenario_hash(as_float)
+        exports = [
+            Path(export_results(run_scenarios([scn]), "json", str(tmp_path / f"{n}.json"))[0])
+            for n, scn in (("int", as_int), ("float", as_float))
+        ]
+        assert exports[0].read_bytes() == exports[1].read_bytes()
 
 
 # any JSON value in any field: leaves, lists and objects, a bool among them
@@ -465,6 +483,18 @@ def test_round_trip_preserves_the_scenario(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scenario_to_dict(s)))
     assert load_scenario(str(path)) == s
+
+
+def test_the_readme_scenario_block_holds_the_defaults():
+    """The README's scenario file parses, is written back as it stands, and
+    without its sweep is the default scenario, as the README says."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```json\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(block)
+    back = scenario_to_dict(scenario_from_dict(raw))
+    assert json.dumps(back, sort_keys=True) == json.dumps(raw, sort_keys=True)
+    del raw["sweep"]
+    assert scenario_from_dict(raw) == Scenario()
 
 
 def test_empty_nullable_lists_are_written_as_null():
