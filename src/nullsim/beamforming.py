@@ -63,22 +63,19 @@ def _check_angle(theta_deg: float) -> float:
 
 def steering_vector(geom: ArrayGeometry, theta_deg: float) -> np.ndarray:
     """Array response toward ``theta_deg``; element 0 is the phase reference."""
-    theta = np.radians(_check_angle(theta_deg))
-    k = np.arange(geom.k_antennas)
-    return np.exp(2j * np.pi * geom.spacing_wavelengths * k * np.sin(theta))
+    return steering_vectors(geom, theta_deg)
 
 
 def steering_vectors(geom: ArrayGeometry, thetas_deg: np.ndarray) -> np.ndarray:
-    """:func:`steering_vector` toward every angle of an array of angles.
+    """The array response toward every angle of an array of angles.
 
-    The result has the angles' shape plus one antenna axis.  The same
-    operations run elementwise, so every response has the bits of its own
-    :func:`steering_vector` call.
+    The result has the angles' shape plus one antenna axis.  The operations
+    run elementwise, so every response has the bits of its own call.
     """
     thetas = np.asarray(thetas_deg, dtype=float)
-    outside = ~((thetas >= -90.0) & (thetas <= 90.0))
-    if outside.any():
-        raise ValueError(f"angle {thetas[outside][0]} outside [-90, 90] degrees")
+    inside = abs(thetas) <= 90.0
+    if not inside.all():
+        raise ValueError(f"angle {np.asarray(thetas_deg)[~inside][0]} outside [-90, 90] degrees")
     theta = np.radians(thetas)
     k = np.arange(geom.k_antennas)
     return np.exp(2j * np.pi * geom.spacing_wavelengths * k * np.sin(theta)[..., None])
@@ -229,7 +226,7 @@ def normalize(w: np.ndarray) -> np.ndarray:
     normalizing it alone.
     """
     w = np.asarray(w)
-    n = np.linalg.norm(w) if w.ndim == 1 else _row_norms(w)[..., None]
+    n = _row_norms(w)[..., None]
     if (n == 0).any():
         raise ValueError("cannot normalize an all-zero weight vector")
     return w / n

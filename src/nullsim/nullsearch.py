@@ -52,14 +52,14 @@ RANK_SCREEN_MARGIN = 1e6
 TREE_CACHE_SIZE = 32
 
 # the most nodes a search tree may have.  The presets use 120 (fanout 3,
-# depth 4) and the tests at most 340 (fanout 4, depth 4).  A layout pads
-# every node's null columns and their basis to its widest node, 32 K m
-# bytes a node for m nulls at the widest: the default K=8 tree keeps about
-# 2 kB a node, but at the limits (K=64, 62 nulls at the root, fanout 44,
-# depth 2: 1980 nodes) validation peaked at 398 MiB of RSS and left a
-# 242 MiB layout in the cache, even though that file is then rejected.
-# Without a cap, fanout 10 and depth 8 would ask for 1.1e8 nodes, minutes
-# and tens of GB before a single test slot.
+# depth 4) and the tests at most 340 (fanout 4, depth 4).  A layout keeps
+# a node's null columns and their basis at its own null count m, about
+# 32 K m bytes a node, and every leaf has one null, so the largest layout
+# validation admits (K=64, fanout 2, depth 9, 62 nulls on each of its 510
+# inner nodes) holds 63 MiB, and the widest (fanout 44, depth 2, 62 nulls
+# at the root: 1980 nodes) 9.2 MiB.  Without a cap, fanout 10 and depth 8
+# would ask for 1.1e8 nodes, minutes and tens of GB before a single test
+# slot.
 MAX_TREE_NODES = 2000
 
 
@@ -195,10 +195,9 @@ class SearchTree:
         The nodes must share a null count, as a frontier's nodes do; the
         ones not yet solved are solved by one stacked
         :func:`~nullsim.beamforming.min_norm_weights` call, which projects
-        the beam off the layout's basis of each node's nulls (sliced to
-        their count), and the rank test is not run again.  Each row has the
-        bits of the node's own :func:`~nullsim.beamforming.lcmv_weights`
-        call.
+        the beam off their bases in the layout's block of that count, and
+        the rank test is not run again.  Each row has the bits of the
+        node's own :func:`~nullsim.beamforming.lcmv_weights` call.
         """
         cfgs = [self.nodes[n] for n in node_ids]
         if len({len(cfg.null_angles_deg) for cfg in cfgs}) > 1:
@@ -208,8 +207,8 @@ class SearchTree:
             )
         todo = [n for n in node_ids if n not in self._solved]
         if todo:
-            rows = [self.nodes.row[n] for n in todo]
-            q = self.nodes.basis[rows, :, : self.nodes.widths[rows[0]]]
+            block = self.nodes.at[todo[0]][0]
+            q = block.basis[[self.nodes.at[n][1] for n in todo]]
             a = steering_vector(self.geometry, self.beam_angle_deg)
             self._solved.update(zip(todo, min_norm_weights(a[None], q)))
         return cfgs, np.array([self._solved[n] for n in node_ids])
@@ -229,48 +228,54 @@ class SearchTree:
         return self.level_ids(self.depth)
 
 
+class _Block:
+    """A layout's nodes of one null count m, ids depth first, and their null
+    angles (n, m), null columns B (n, m, K), an orthonormal basis Q of
+    their span (n, K, m) from :func:`~nullsim.beamforming.null_basis`, as
+    :func:`~nullsim.beamforming.lcmv_weights` computes it, and
+    s = sigma_min(B) (n,).  A sigma ratio bound at or above ``floor``
+    clears a node of the rank test (see :func:`_failing`)."""
+
+    def __init__(self, configs: Sequence[NullConfig], geom: ArrayGeometry):
+        self.ids = [cfg.node_id for cfg in configs]
+        self.nulls = np.array([cfg.null_angles_deg for cfg in configs])
+        self.columns = steering_vectors(geom, self.nulls)
+        self.basis, sv = null_basis(self.columns.transpose(0, 2, 1))
+        self.s_min = sv[:, -1].copy()  # a view would keep all of sv
+        m = self.nulls.shape[1]
+        self.floor = RANK_SCREEN_MARGIN * RANK_TOL * math.sqrt(geom.k_antennas * (m + 1))
+
+    def constraint_matrices(self, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The constraint matrices of ``rows`` for the beam response ``a``:
+        the bits and memory layout of
+        :func:`~nullsim.beamforming.constraint_matrices` on their nulls."""
+        beam = np.broadcast_to(a, (len(rows), 1, len(a)))
+        return np.concatenate((beam, self.columns[rows]), axis=1).transpose(0, 2, 1)
+
+
 class _Layout(Mapping[NodeId, NullConfig]):
     """The configs of one tree shape or scan grid, and their null columns on
     one array: the beam-free half of every tree on them.
 
-    It maps node ids to configs, depth first (a grid's in grid order);
-    ``ids`` lists them and ``row`` gives each node's row in the arrays
-    below.  A node's null columns B (its nulls' steering vectors) do not
-    depend on the beam, so per node it keeps them, an orthonormal basis Q
-    of their span (:func:`~nullsim.beamforming.null_basis`, as
-    :func:`~nullsim.beamforming.lcmv_weights` computes it) and
-    s = sigma_min(B), zero-padded to the widest node.  A beam's check
-    (:func:`_check_constraints`) then costs one stacked projection onto Q,
-    and its solves are one more (see :meth:`SearchTree.stack`).  A scan
-    grid's layout names a failing node by its scan angle.
+    It maps node ids to configs, depth first (a grid's in grid order).  A
+    node's null columns do not depend on the beam, so they are kept in one
+    :class:`_Block` per null count, with no padding, and ``at`` gives each
+    node's (block, row).  A beam's check (:func:`_check_constraints`) then
+    costs one stacked projection per block, and its solves are one more
+    (see :meth:`SearchTree.stack`).  A scan grid's layout names a failing
+    node by its scan angle.
     """
 
     def __init__(
         self, configs: Sequence[NullConfig], geom: ArrayGeometry, scan_grid: bool = False
     ):
         self._configs = {cfg.node_id: cfg for cfg in configs}
-        self.ids = list(self._configs)
-        self.row = {node_id: i for i, node_id in enumerate(self.ids)}
         self.scan_grid = scan_grid
-        self.widths = np.array([len(cfg.null_angles_deg) for cfg in configs])
-        n, k, m = len(configs), geom.k_antennas, int(self.widths.max())
-        # NaN pads: no beam is ever "on" a padded null
-        self.nulls = np.full((n, m), np.nan)
-        # each node's null columns, one steering vector per row, as
-        # constraint_matrices lays them out
-        self.columns = np.zeros((n, m, k), dtype=complex)
-        self.basis = np.zeros((n, k, m), dtype=complex)
-        self.s_min = np.empty(n)
-        for w in set(self.widths.tolist()):
-            rows = np.flatnonzero(self.widths == w)
-            nulls = np.array([configs[i].null_angles_deg for i in rows])
-            self.nulls[rows, :w] = nulls
-            self.columns[rows, :w] = steering_vectors(geom, nulls)
-            q, sv = null_basis(self.columns[rows, :w].transpose(0, 2, 1))
-            self.basis[rows, :, :w] = q
-            self.s_min[rows] = sv[:, -1]
-        # a sigma_min / sigma_max bound at or above this clears a node
-        self.floor = RANK_SCREEN_MARGIN * RANK_TOL * np.sqrt(k * (self.widths + 1))
+        by_count: dict[int, list[NullConfig]] = {}
+        for cfg in configs:
+            by_count.setdefault(len(cfg.null_angles_deg), []).append(cfg)
+        self.blocks = [_Block(cfgs, geom) for cfgs in by_count.values()]
+        self.at = {n: (block, row) for block in self.blocks for row, n in enumerate(block.ids)}
 
     def __getitem__(self, node_id: NodeId) -> NullConfig:
         return self._configs[node_id]
@@ -280,14 +285,6 @@ class _Layout(Mapping[NodeId, NullConfig]):
 
     def __len__(self) -> int:
         return len(self._configs)
-
-    def constraint_matrices(self, a: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-        """The constraint matrices of ``rows``, which share a null count, for
-        the beam response ``a``: the bits and memory layout of
-        :func:`~nullsim.beamforming.constraint_matrices` on their nulls."""
-        w = self.widths[rows[0]]
-        beam = np.broadcast_to(a, (len(rows), 1, len(a)))
-        return np.concatenate((beam, self.columns[rows, :w]), axis=1).transpose(0, 2, 1)
 
 
 def tree_node_count(fanout: int, depth: int) -> int:
@@ -323,18 +320,18 @@ def _failing(geom: ArrayGeometry, beam_angle_deg: float, nodes: _Layout) -> dict
     count.
     """
     a = steering_vector(geom, beam_angle_deg)
-    coef = (nodes.basis.conj().swapaxes(-1, -2) @ a)[..., None]
-    rho = np.linalg.norm(a - (nodes.basis @ coef)[..., 0], axis=-1)
-    s = nodes.s_min
-    clears = rho * s >= nodes.floor * (s + math.sqrt(geom.k_antennas) + rho)
-    on_beam = (nodes.nulls == beam_angle_deg).any(axis=1)
-    suspects = np.flatnonzero(~clears | on_beam)
+    sqrt_k = math.sqrt(geom.k_antennas)
     failing: dict[NodeId, str] = {}
-    for w in set(nodes.widths[suspects].tolist()):
-        rows = suspects[nodes.widths[suspects] == w]
-        c = nodes.constraint_matrices(a, rows)
-        for i, message in _degenerate(c, nodes.nulls[rows, :w], beam_angle_deg).items():
-            failing[nodes.ids[rows[i]]] = message
+    for block in nodes.blocks:
+        q, s = block.basis, block.s_min
+        rho = np.linalg.norm(a - (q @ (a @ q.conj())[..., None])[..., 0], axis=-1)
+        clears = rho * s >= block.floor * (s + sqrt_k + rho)
+        on_beam = (block.nulls == beam_angle_deg).any(axis=1)
+        suspects = np.flatnonzero(~clears | on_beam)
+        if len(suspects):
+            c = block.constraint_matrices(a, suspects)
+            for i, message in _degenerate(c, block.nulls[suspects], beam_angle_deg).items():
+                failing[block.ids[suspects[i]]] = message
     return failing
 
 
@@ -422,8 +419,8 @@ def build_tree(
     are kept; a key that raises is not kept and raises again.  A tree
     shape's layout on an array (its configs and their null columns) is
     built once and shared by every beam, so a new beam on a known shape
-    and array builds no config and pays only for one stacked projection,
-    plus the rank test of the few nodes that projection cannot clear.
+    and array builds no config and pays only for one stacked projection per
+    null count, plus the rank test of the few nodes it cannot clear.
     """
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
