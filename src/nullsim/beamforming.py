@@ -282,7 +282,8 @@ def build_weight_matrix(
     beam_deg: float,
     null_degs: Sequence[float] | Sequence[Sequence[float]],
     report: np.ndarray | None = None,
-    base: np.ndarray | None = None,
+    *,
+    base: np.ndarray,
 ) -> np.ndarray:
     """Per-block transmit precoding matrix of shape (antennas, 100), a
     column for every resource block of :mod:`nullsim.phy_grid`.
@@ -293,16 +294,15 @@ def build_weight_matrix(
     result is a read-only view whose last stride is 0.  With a report, all
     blocks are corrected by a single :func:`power_correct` call and
     normalized together.  Either way each column has the bits of
-    ``conj(normalize(power_correct(w, report, r)))``.  ``base``
-    skips the LCMV solve when the constraint-domain vector is already known
-    (the search tree solves each node once).
+    ``conj(normalize(power_correct(w, report, r)))``, where ``w`` is
+    ``base``, the constraint-domain vector already solved (the search tree
+    solves each node once).
 
     A stacked ``base`` of shape (n, antennas), such as the weights of a
     tree frontier, gives a stack of matrices, (n, antennas, 100), each
-    with the bits of its own call; ``null_degs`` then only names the
-    stack's null sets.  Without ``base``, ``null_degs`` is one null set.
+    with the bits of its own call.  ``null_degs`` only names the null sets.
     """
-    w = lcmv_weights(geom, beam_deg, null_degs) if base is None else np.asarray(base)
+    w = np.asarray(base)
     if w.shape[-1] != geom.k_antennas:
         raise ValueError(
             f"weights of length {w.shape[-1]} do not fit {geom.k_antennas} antennas"

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .beamforming import ArrayGeometry, build_weight_matrix, lcmv_weights
+from .beamforming import build_weight_matrix, lcmv_weights
 from .channel import (
     InrReport,
     channel_response,
@@ -47,7 +47,6 @@ from .nullsearch import (
     descend,
     linear_search,
     multi_user_search,
-    start_search,
 )
 from .phy_grid import N_SC
 
@@ -275,7 +274,7 @@ def simulate_tree_search(
     expected to match: corrected weights when ``power_correction`` is set,
     plain ones otherwise.
     """
-    (state,), visited = descend([start_search(tree)], tree, evaluate)
+    (state,), visited = descend(tree, 1, evaluate)
     tl = _emit_search(
         [[tree.nodes[n] for n in nodes] for nodes in visited],
         dc, backhaul, sim,
@@ -285,23 +284,22 @@ def simulate_tree_search(
 
 
 def simulate_linear_search(
-    grid_angles: Sequence[float],
-    geom: ArrayGeometry,
+    tree: SearchTree,
     dc: DutyCycleConfig,
     backhaul: BackhaulConfig,
     sim: SimConfig,
     evaluate: Evaluator,
-    beam_angle_deg: float,
 ) -> tuple[SimTimeline, SearchState]:
-    """Exhaustive-scan baseline: every grid angle tested, one feedback."""
-    state = linear_search(geom, grid_angles, beam_angle_deg, evaluate)
+    """Exhaustive-scan baseline on a :func:`~nullsim.nullsearch.grid_tree`:
+    every grid angle tested, one feedback."""
+    state = linear_search(tree, evaluate)
     tl = _emit_search([[cfg for cfg, _ in state.tested]], dc, backhaul, sim)
     return tl, state
 
 
 def simulate_multi_user(
-    states: list[SearchState],
     tree: SearchTree,
+    users: int,
     dc: DutyCycleConfig,
     backhaul: BackhaulConfig,
     sim: SimConfig,
@@ -313,7 +311,7 @@ def simulate_multi_user(
     of the users' frontiers, not their sum, one measurement of every user
     and one aggregated feedback.  No power correction exists in this mode.
     """
-    plan = multi_user_search(states, tree, evaluate)
+    plan = multi_user_search(tree, users, evaluate)
     tl = _emit_search(
         [[tree.nodes[n] for n in nodes] for nodes in plan.visited_per_level],
         dc, backhaul, sim,
@@ -421,11 +419,9 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     base_cfg = NullConfig((), (), ROOT_SECTOR)
     baselines = [reps[0] for reps in measure([base_cfg], w0[None])]
 
+    tree = scenario.search_tree()
     if search.mode == "multiuser":
-        tree = scenario.search_tree()
-        timeline, plan = simulate_multi_user(
-            [start_search(tree) for _ in models], tree, dc, backhaul, sim, measure
-        )
+        timeline, plan = simulate_multi_user(tree, len(models), dc, backhaul, sim, measure)
         states, joint = plan.states, plan.joint_null_angles
         # every user measures the joint nulls afresh
         joint_cfg = NullConfig((), joint, ROOT_SECTOR)
@@ -437,15 +433,12 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             # calibration already computed
             report = power_report(responses[0]) if search.power_correction else None
             timeline, state = simulate_tree_search(
-                scenario.search_tree(), dc, backhaul, sim,
+                tree, dc, backhaul, sim,
                 partial(measure, report=report),
                 power_correction=search.power_correction,
             )
         else:
-            timeline, state = simulate_linear_search(
-                scenario.scan_angles, geom, dc, backhaul, sim,
-                measure, scenario.ue_angle_deg,
-            )
+            timeline, state = simulate_linear_search(tree, dc, backhaul, sim, measure)
         cfg, rep = state.best
         states, joint, finals = [state], cfg.null_angles_deg, [rep]
     if any(f.aggregate >= b.aggregate for f, b in zip(finals, baselines)):

@@ -16,7 +16,7 @@ choice may be an inner node rather than a leaf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -517,61 +517,36 @@ Evaluator = Callable[[Sequence[NullConfig], np.ndarray], list[list[InrReport]]]
 class SearchState:
     """Progress of one user's descent.
 
-    ``frontier`` lists the nodes to test next; ``pending`` is True until
-    their measurements are recorded.  ``best`` tracks the lowest aggregate
-    INR over everything tested so far, inner nodes included.
+    ``frontier`` lists the nodes to test next and is empty once the user
+    has descended past a leaf.  ``best`` tracks the lowest aggregate INR
+    over everything tested so far, inner nodes included.
     """
 
     frontier: list[NodeId]
-    pending: bool = True
     tested: list[tuple[NullConfig, InrReport]] = field(default_factory=list)
     best: tuple[NullConfig, InrReport] | None = None
-    done: bool = False
-    last_winner: NodeId | None = None
-
-
-def start_search(tree: SearchTree) -> SearchState:
-    return SearchState(frontier=tree.level_ids(1))
 
 
 def record_results(
     state: SearchState, tree: SearchTree, reports: Sequence[InrReport]
-) -> SearchState:
-    """Attach the frontier's measurements to the state."""
-    if state.done:
-        raise RuntimeError("search already finished")
-    if not state.pending:
-        raise RuntimeError("frontier results were already recorded")
-    if len(reports) != len(state.frontier):
-        raise ValueError("one report per frontier node required")
-    tested = list(state.tested)
-    best = state.best
+) -> None:
+    """Attach the frontier's measurements, one report per node, to the state."""
     for node_id, rep in zip(state.frontier, reports):
         cfg = tree.nodes[node_id]
-        tested.append((cfg, rep))
-        if best is None or rep.aggregate < best[1].aggregate:
-            best = (cfg, rep)
-    return replace(state, tested=tested, best=best, pending=False)
+        state.tested.append((cfg, rep))
+        if state.best is None or rep.aggregate < state.best[1].aggregate:
+            state.best = (cfg, rep)
 
 
-def advance(state: SearchState, tree: SearchTree, feedback: int) -> SearchState:
+def advance(state: SearchState, tree: SearchTree, feedback: int) -> None:
     """Descend into the frontier child named by the feedback index.
 
     ``feedback`` is the position, within the just-tested frontier, of the
     node with the lowest measured INR.  Only the ranking crosses the
-    cross-technology channel, never the raw values.
+    cross-technology channel, never the raw values.  Past a leaf the
+    frontier is empty.
     """
-    if state.done:
-        raise RuntimeError("search already finished")
-    if state.pending:
-        raise RuntimeError("frontier has not been tested yet")
-    if not 0 <= feedback < len(state.frontier):
-        raise IndexError(f"feedback {feedback} outside the tested frontier")
-    winner = state.frontier[feedback]
-    children = tree.children(winner)
-    if not children:
-        return replace(state, done=True, last_winner=winner, frontier=[])
-    return replace(state, frontier=children, pending=True, last_winner=winner)
+    state.frontier = tree.children(state.frontier[feedback])
 
 
 def min_inr_index(reports: Sequence[InrReport]) -> int:
@@ -584,36 +559,46 @@ def min_inr_index(reports: Sequence[InrReport]) -> int:
 
 
 def descend(
-    states: Sequence[SearchState], tree: SearchTree, evaluate: Evaluator
+    tree: SearchTree, users: int, evaluate: Evaluator
 ) -> tuple[list[SearchState], list[list[NodeId]]]:
     """The feedback loop every search mode runs: test, feed back, descend.
 
-    Per level the union of the users' frontiers is solved and stacked once
-    and measured once, for every user by one ``evaluate`` call.  Each user
-    then records its own frontier's reports and descends into its winner.
-    The users descend in step, one level per round, so they must start on
-    one level and all finish together.  Returns the finished states and
-    the union tested at each level.
+    Every user starts on the tree's first level.  Per level the union of
+    the users' frontiers is solved and stacked once and measured once, for
+    every user by one ``evaluate`` call, which must return one report per
+    union node for each user.  Each user then records its own frontier's
+    reports (:func:`record_results`) and descends into its winner
+    (:func:`advance`).  Every leaf of a tree sits on its last level, so the
+    users finish together.  Returns the users' finished states and the
+    union tested at each level.
     """
-    states = list(states)
+    if users < 1:
+        raise ValueError("need at least one user")
+    first = tree.level_ids(1)
+    states = [SearchState(frontier=list(first)) for _ in range(users)]
     visited_per_level: list[list[NodeId]] = []
-    while True:
-        done = [st.done for st in states]
-        if all(done):
-            return states, visited_per_level
-        if any(done):
-            raise ValueError("users must descend in step; some finished early")
+    while states[0].frontier:
         union = sorted({n for st in states for n in st.frontier})
         visited_per_level.append(union)
         cfgs, weights = tree.stack(union)
         per_user = evaluate(cfgs, weights)
-        if len(per_user) != len(states):
-            raise ValueError("need one report list per user")
+        if len(per_user) != users:
+            raise ValueError(
+                f"need one report list per user: got {len(per_user)} for {users} users"
+            )
         for u, (st, reports) in enumerate(zip(states, per_user)):
+            if len(reports) != len(union):
+                raise ValueError(
+                    f"user {u} got {len(reports)} reports "
+                    f"for a frontier of {len(union)} nodes"
+                )
             measured = dict(zip(union, reports))
             reports = [measured[n] for n in st.frontier]
-            st = record_results(st, tree, reports)
-            states[u] = advance(st, tree, min_inr_index(reports))
+            # both steps are looked up in this module's globals on every
+            # call, where the benchmark's tracer rebinds them
+            record_results(st, tree, reports)
+            advance(st, tree, min_inr_index(reports))
+    return states, visited_per_level
 
 
 # ---------------------------------------------------------------------------
@@ -666,21 +651,14 @@ def _grid_layout(geom: ArrayGeometry, grid_bits: bytes) -> _Layout:
     return _Layout(configs, geom, scan_grid=True)
 
 
-def linear_search(
-    geom: ArrayGeometry,
-    grid_angles: Sequence[float],
-    beam_angle_deg: float,
-    evaluate: Evaluator,
-) -> SearchState:
-    """Exhaustive single-null scan over ``grid_angles``; the finished state.
+def linear_search(tree: SearchTree, evaluate: Evaluator) -> SearchState:
+    """Exhaustive single-null scan over a :func:`grid_tree`; the finished state.
 
-    The baseline the tree is measured against: the :func:`grid_tree`, so
-    the whole grid is one frontier, checked when the tree is made, solved
-    by one stacked call and summarized by one feedback.  Ties break toward
-    the lower grid index.
+    The baseline the tree is measured against: the whole grid is one
+    frontier, checked when the tree is made, solved by one stacked call and
+    summarized by one feedback.  Ties break toward the lower grid index.
     """
-    tree = grid_tree(geom, grid_angles, beam_angle_deg)
-    (state,), _ = descend([start_search(tree)], tree, evaluate)
+    (state,), _ = descend(tree, 1, evaluate)
     return state
 
 
@@ -714,11 +692,7 @@ def _join_nulls(
     return tuple(joint)
 
 
-def multi_user_search(
-    states: list[SearchState],
-    tree: SearchTree,
-    evaluate: Evaluator,
-) -> MultiUserPlan:
+def multi_user_search(tree: SearchTree, users: int, evaluate: Evaluator) -> MultiUserPlan:
     """Descend the tree for every user at once, sharing test slots.
 
     Per level the union of all users' frontiers is tested; a node shared
@@ -731,13 +705,8 @@ def multi_user_search(
     Power correction is unavailable here: one correction cannot equalize
     several users' channels at once, so plain weights are used throughout.
     """
-    if not states:
-        raise ValueError("need at least one user")
-    states, visited_per_level = descend(states, tree, evaluate)
-    bests = [st.best for st in states]
-    if any(b is None for b in bests):
-        raise RuntimeError("search ended with an untested user")
-    joint = _join_nulls(bests, limit=tree.geometry.k_antennas - 2)
+    states, visited_per_level = descend(tree, users, evaluate)
+    joint = _join_nulls([st.best for st in states], limit=tree.geometry.k_antennas - 2)
     return MultiUserPlan(
         states=states,
         visited_per_level=visited_per_level,

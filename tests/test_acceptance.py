@@ -30,7 +30,7 @@ from nullsim.coexsim import (
     simulate_tree_search,
 )
 from nullsim.campaign import export_results, run_scenarios, sweep_points
-from nullsim.nullsearch import build_tree, start_search
+from nullsim.nullsearch import build_tree, grid_tree
 from nullsim.presets import (
     DELAY_REF_MS,
     ORBIT_ENSEMBLE_SIZE,
@@ -259,22 +259,19 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
         if it % 10 == 3:
             grid = tuple(np.linspace(-80.0, 80.0, int(rng.integers(3, 21))))
             tl, _ = simulate_linear_search(
-                grid,
-                trees[i].geometry,
+                grid_tree(trees[i].geometry, grid, 21.4),
                 dc,
                 bh,
                 sim,
                 lambda cfgs, w: [
                     [InrReport(aggregate=1.0 + cfg.node_id[0]) for cfg in cfgs]
                 ],
-                beam_angle_deg=21.4,
             )
         elif it % 10 == 7:
-            states = [start_search(trees[i]) for _ in range(2)]
             shift = {0: 0.0, 1: 7.0}
             tl, _ = simulate_multi_user(
-                states,
                 trees[i],
+                2,
                 dc,
                 bh,
                 sim,

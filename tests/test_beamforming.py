@@ -232,21 +232,24 @@ def test_correction_shape_errors():
 
 
 def test_matrix_without_report_replicates_one_column(geom4):
-    m = build_weight_matrix(geom4, 12.0, (t := (-40.0, 55.0)))
+    t = (-40.0, 55.0)
+    m = build_weight_matrix(geom4, 12.0, t, base=lcmv_weights(geom4, 12.0, t))
     expected = np.conj(normalize(lcmv_weights(geom4, 12.0, t)))
     assert m.shape == (4, 100)
     assert np.allclose(m, expected[:, None])
 
 
 def test_matrix_with_flat_report_equals_no_report(geom4):
-    plain = build_weight_matrix(geom4, 5.0, (30.0,))
-    corrected = build_weight_matrix(geom4, 5.0, (30.0,), report=flat_report(4, 64, 2.5))
+    w = lcmv_weights(geom4, 5.0, (30.0,))
+    plain = build_weight_matrix(geom4, 5.0, (30.0,), base=w)
+    corrected = build_weight_matrix(geom4, 5.0, (30.0,), report=flat_report(4, 64, 2.5), base=w)
     assert np.allclose(plain, corrected)
 
 
 def test_all_columns_unit_norm(geom8, rng):
     report = rng.uniform(0.2, 5.0, size=(8, 64))
-    m = build_weight_matrix(geom8, -17.0, (42.0,), report=report)
+    w = lcmv_weights(geom8, -17.0, (42.0,))
+    m = build_weight_matrix(geom8, -17.0, (42.0,), report=report, base=w)
     assert np.allclose(np.linalg.norm(m, axis=0), 1.0, atol=1e-9)
 
 
@@ -256,7 +259,8 @@ def test_selective_report_changes_columns_at_map_boundaries():
     geom = ArrayGeometry(k_antennas=4)
     report = flat_report(4, 64)
     report[1, 32:] = 4.0
-    m = build_weight_matrix(geom, 0.0, (50.0,), report=report)
+    w = lcmv_weights(geom, 0.0, (50.0,))
+    m = build_weight_matrix(geom, 0.0, (50.0,), report=report, base=w)
     boundary = RB_TO_SC.tolist().index(32)
     left, right = m[:, boundary - 1], m[:, boundary]
     assert np.allclose(m[:, : boundary], left[:, None])
@@ -265,10 +269,14 @@ def test_selective_report_changes_columns_at_map_boundaries():
 
 
 def test_matrix_argument_validation(geom4):
+    with pytest.raises(TypeError, match="base"):
+        build_weight_matrix(geom4, 0.0, ())  # the weights are always solved first
     with pytest.raises(ValueError):
         build_weight_matrix(geom4, 0.0, (), base=np.ones(3, dtype=complex))
     with pytest.raises(ValueError, match="power report"):
-        build_weight_matrix(geom4, 0.0, (), report=flat_report(8, 64))
+        build_weight_matrix(
+            geom4, 0.0, (), report=flat_report(8, 64), base=lcmv_weights(geom4, 0.0, ())
+        )
 
 
 def per_block_reference(w, report=None):
@@ -302,5 +310,6 @@ def test_matrix_is_bit_identical_to_per_block_reference(k, corrected, excluded):
 
 
 def test_matrix_report_too_short_for_the_map(geom4):
+    w = lcmv_weights(geom4, 0.0, (30.0,))
     with pytest.raises(ValueError, match="power report"):
-        build_weight_matrix(geom4, 0.0, (30.0,), report=flat_report(4, 10))
+        build_weight_matrix(geom4, 0.0, (30.0,), report=flat_report(4, 10), base=w)

@@ -112,14 +112,14 @@ def test_antenna_gains_length_must_match(geom4):
 
 
 def test_matched_filter_coherent_gain(geom8):
-    w = build_weight_matrix(geom8, 25.0, ())
+    w = build_weight_matrix(geom8, 25.0, (), base=lcmv_weights(geom8, 25.0, ()))
     h = channel_response(flat_channel(25.0), geom8)
     p = rx_power(h, w, tx_power=3.0)
     assert np.allclose(p, 3.0 * 8.0)
 
 
 def test_exact_null_kills_the_ray(geom8):
-    w = build_weight_matrix(geom8, 25.0, (-40.0,))
+    w = build_weight_matrix(geom8, 25.0, (-40.0,), base=lcmv_weights(geom8, 25.0, (-40.0,)))
     h = channel_response(flat_channel(-40.0), geom8)
     assert np.all(rx_power(h, w) < 1e-18)
 
@@ -141,7 +141,7 @@ def test_path_gain_scales_power_quadratically(re, im):
     if abs(c) < 1e-3:
         c += 1.0
     geom = ArrayGeometry(k_antennas=4)
-    w = build_weight_matrix(geom, 10.0, ())
+    w = build_weight_matrix(geom, 10.0, (), base=lcmv_weights(geom, 10.0, ()))
     p1 = rx_power(channel_response(flat_channel(40.0), geom), w)
     p2 = rx_power(channel_response(flat_channel(40.0, gain=c), geom), w)
     assert np.allclose(p2, abs(c) ** 2 * p1)
@@ -149,7 +149,7 @@ def test_path_gain_scales_power_quadratically(re, im):
 
 def test_rx_power_validation(geom4):
     h = channel_response(flat_channel(0.0), geom4)
-    w = build_weight_matrix(geom4, 0.0, ())
+    w = build_weight_matrix(geom4, 0.0, (), base=lcmv_weights(geom4, 0.0, ()))
     with pytest.raises(ValueError):
         rx_power(h, w, tx_power=0.0)
     with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ def test_aggregate_db_floor():
 def test_zero_jitter_sampling_is_exact(geom4):
     model = flat_channel(15.0, noise_power=1e-6)
     h = channel_response(model, geom4)
-    w = build_weight_matrix(geom4, 40.0, ())
+    w = build_weight_matrix(geom4, 40.0, (), base=lcmv_weights(geom4, 40.0, ()))
     ((rep,),) = sampled_inr(h[None], w[None], [model], sample_count=100)
     p = rx_power(h, w)
     expected = (float(np.mean(p)) + 1e-6) / 1e-6
@@ -192,7 +192,7 @@ def test_zero_jitter_sampling_is_exact(geom4):
 def test_jitter_needs_rng(geom4):
     model = flat_channel(0.0)
     h = channel_response(model, geom4)
-    w = build_weight_matrix(geom4, 30.0, ())
+    w = build_weight_matrix(geom4, 30.0, (), base=lcmv_weights(geom4, 30.0, ()))
     with pytest.raises(ValueError, match="rng per user"):
         sampled_inr(h[None], w[None], [model], noise_jitter=0.1)
     with pytest.raises(ValueError, match="rng per user"):
@@ -203,7 +203,7 @@ def test_averaging_variance_shrinks_with_sample_count(geom4):
     """Std of the averaged INR scales like 1/sqrt(N)."""
     model = flat_channel(20.0, noise_power=1e-3)
     h = channel_response(model, geom4)
-    w = build_weight_matrix(geom4, 50.0, ())
+    w = build_weight_matrix(geom4, 50.0, (), base=lcmv_weights(geom4, 50.0, ()))
 
     def spread(n, trials=200):
         vals = [
@@ -231,7 +231,7 @@ def test_jittered_aggregate_matches_per_draw_mean(geom4, seed, noise, jitter, co
     """The array average equals the per-draw list mean and draws the same numbers."""
     model = flat_channel(20.0, noise_power=noise)
     h = channel_response(model, geom4)
-    w = build_weight_matrix(geom4, 0.0, ())
+    w = build_weight_matrix(geom4, 0.0, (), base=lcmv_weights(geom4, 0.0, ()))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     ((rep,),) = sampled_inr(
         h[None], w[None], [model], sample_count=count, noise_jitter=jitter, rngs=[rng]
@@ -246,7 +246,7 @@ def test_jittered_aggregate_matches_per_draw_mean(geom4, seed, noise, jitter, co
 def test_sample_count_validation(geom4):
     model = flat_channel(0.0)
     h = channel_response(model, geom4)
-    w = build_weight_matrix(geom4, 30.0, ())
+    w = build_weight_matrix(geom4, 30.0, (), base=lcmv_weights(geom4, 30.0, ()))
     with pytest.raises(ValueError):
         sampled_inr(h[None], w[None], [model], sample_count=0)
     with pytest.raises(ValueError):
@@ -256,7 +256,7 @@ def test_sample_count_validation(geom4):
 def test_a_measurement_takes_stacks_and_one_model_per_user(geom4):
     model = flat_channel(0.0)
     h = channel_response(model, geom4)
-    w = build_weight_matrix(geom4, 30.0, ())
+    w = build_weight_matrix(geom4, 30.0, (), base=lcmv_weights(geom4, 30.0, ()))
     with pytest.raises(ValueError, match="stacks"):
         sampled_inr(h, w[None], [model])
     with pytest.raises(ValueError, match="stacks"):

@@ -1,6 +1,8 @@
 """Duty-cycle timing, reconfiguration delay, and the full protocol driver."""
 
+import sys
 import traceback
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -36,10 +38,10 @@ from nullsim.nullsearch import (
     DEFAULT_LINEAR_GRID,
     DofExhaustedError,
     build_tree,
-    start_search,
+    grid_tree,
 )
 from nullsim.campaign import records_from_result
-from nullsim.presets import scenario_fig10_multiuser
+from nullsim.presets import scenario_fig8_powercorr, scenario_fig10_multiuser
 from nullsim.scenario import CHANNEL_PRESETS, Scenario, ScenarioError, scenario_from_dict
 
 SIM = SimConfig()
@@ -205,7 +207,7 @@ def test_power_measurement_antenna_count():
 def test_tree_timeline_with_correction(tree8):
     dc, bh = DutyCycleConfig(duty=0.2), BackhaulConfig(delay_ms=5.0)
     tl, state = simulate_tree_search(tree8, dc, bh, SIM, scripted_evaluator(tree8, 1))
-    assert state.done
+    assert state.frontier == []
     assert tl.identity_total_us() == tl.total_delay_us
     assert tl.total_delay_ms == 260.0  # 2 sounding cycles + 4 levels
     slots = [e.label for e in tl.events if e.kind == "test_slot"]
@@ -253,8 +255,7 @@ def test_linear_timeline_has_one_feedback(tree8):
     dc, bh = DutyCycleConfig(duty=0.05), BackhaulConfig(delay_ms=5.0)
     geom = tree8.geometry
     tl, state = simulate_linear_search(
-        DEFAULT_LINEAR_GRID, geom, dc, bh, SIM,
-        flat_ray_evaluator(geom, -20.0), beam_angle_deg=21.4,
+        grid_tree(geom, DEFAULT_LINEAR_GRID, 21.4), dc, bh, SIM, flat_ray_evaluator(geom, -20.0)
     )
     assert tl.count("test_slot") == 165
     assert tl.count("ctc_send") == 1
@@ -296,9 +297,7 @@ def test_one_user_parallel_timing_equals_the_plain_descent(
     tl_tree, state = simulate_tree_search(
         tree, dc, bh, sim, evaluate, power_correction=False
     )
-    tl_mu, plan = simulate_multi_user(
-        [start_search(tree)], tree, dc, bh, sim, evaluate
-    )
+    tl_mu, plan = simulate_multi_user(tree, 1, dc, bh, sim, evaluate)
     assert [(e.t_us, e.kind) for e in tl_mu.events] == [
         (e.t_us, e.kind) for e in tl_tree.events
     ]
@@ -398,6 +397,68 @@ def test_the_slot_counts_of_each_mode_are_unchanged(mode):
     configs_tested, slots = SLOT_COUNTS[mode]
     assert {r.configs_tested for r in records} == {configs_tested}
     assert result.timeline.count("test_slot") == slots
+
+
+# the search layer's functions the benchmark's traced pass times, by module
+SEARCH_LAYER = {
+    nullsim.nullsearch: (
+        "build_tree", "linear_search", "multi_user_search", "record_results", "advance"
+    ),
+    nullsim.coexsim: ("simulate_tree_search", "simulate_linear_search", "simulate_multi_user"),
+}
+# the wrappers each mode's run goes through, once
+MODE_WRAPPERS = {
+    "tree": {"simulate_tree_search"},
+    "linear": {"simulate_linear_search", "linear_search"},
+    "multiuser": {"simulate_multi_user", "multi_user_search"},
+}
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Calls to each search-layer function, counted under every name a
+    ``nullsim`` module holds it by, as the benchmark's tracer rebinds it."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    loaded = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "nullsim"]
+    for module, names in SEARCH_LAYER.items():
+        for name in names:
+            original = getattr(module, name)
+            counted = counting(name, original)
+            for mod in loaded:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_each_mode_runs_its_own_search_layer(search_calls):
+    """Every user records and descends once per level, only the run's own
+    mode wrappers are called, and a linear run builds no ternary tree."""
+    tree, multi = scenario_fig8_powercorr(), scenario_fig10_multiuser()
+    runs = [
+        (tree, tree.search.depth),
+        (replace(tree, search=replace(tree.search, mode="linear")), 1),
+        (multi, multi.search.depth),
+    ]
+    for scenario, levels in runs:
+        search_calls.clear()
+        mode = scenario.search.mode
+        run_full_protocol(scenario)
+        steps = len(scenario.user_angles_deg) * levels
+        expected = {
+            name: int(name in MODE_WRAPPERS[mode])
+            for names in SEARCH_LAYER.values()
+            for name in names
+        }
+        expected.update(build_tree=int(mode != "linear"), record_results=steps, advance=steps)
+        assert {name: search_calls[name] for name in expected} == expected, mode
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from nullsim.channel import (
     with_noise_power,
 )
 from nullsim.coexsim import run_full_protocol
-from nullsim.nullsearch import DEFAULT_LINEAR_GRID, linear_search
+from nullsim.nullsearch import DEFAULT_LINEAR_GRID, grid_tree, linear_search
 from nullsim.phy_grid import N_RB, N_SC, SC_TO_RB
 from nullsim.scenario import (
     Scenario,
@@ -526,7 +526,7 @@ def test_one_measurement_of_every_user_matches_per_user_measurements(
 
 
 def test_plain_matrix_is_a_read_only_broadcast(geom4):
-    m = build_weight_matrix(geom4, 12.0, (-40.0,))
+    m = build_weight_matrix(geom4, 12.0, (-40.0,), base=lcmv_weights(geom4, 12.0, (-40.0,)))
     assert m.strides[-1] == 0
     assert not m.flags.writeable
 
@@ -546,7 +546,7 @@ def test_linear_search_measures_its_grid_as_one_frontier(geom8):
         frontiers.append(w.shape)
         return [[_report(abs(cfg.null_angles_deg[0] + 20.0)) for cfg in cfgs]]
 
-    state = linear_search(geom8, DEFAULT_LINEAR_GRID, 21.4, distance_to_victim)
+    state = linear_search(grid_tree(geom8, DEFAULT_LINEAR_GRID, 21.4), distance_to_victim)
     assert frontiers == [(165, 8)]
     assert state.best[0].null_angles_deg == (-20.0,)
     assert len(state.tested) == 165

@@ -19,17 +19,14 @@ from nullsim.nullsearch import (
     ROOT_SECTOR,
     DofExhaustedError,
     NullConfig,
-    SearchState,
     TreeShapeError,
-    advance,
     build_tree,
     default_null_schedule,
     descend,
+    grid_tree,
     linear_search,
     min_inr_index,
     multi_user_search,
-    record_results,
-    start_search,
 )
 
 LEAF_WIDTH = 180.0 / 81.0
@@ -202,17 +199,23 @@ def test_beam_on_a_candidate_null_is_rejected():
 
 def run_descent(tree, evaluate):
     """One user's full descent; the finished state."""
-    (state,), _ = descend([start_search(tree)], tree, evaluate)
+    (state,), _ = descend(tree, 1, evaluate)
     return state
+
+
+def winner(state):
+    """The node the last feedback picked: the lowest of the last level tested."""
+    last = [(cfg, rep) for cfg, rep in state.tested if cfg.level == state.tested[-1][0].level]
+    return min(last, key=lambda t: t[1].aggregate)[0].node_id
 
 
 def test_descent_tests_fanout_nodes_per_level(tree8):
     evaluate, scores, calls = scripted_evaluator(tree8, seed=5)
     state = run_descent(tree8, evaluate)
-    assert state.done
+    assert state.frontier == []
     assert len(calls) == 12
     assert len(state.tested) == 12
-    assert len(state.last_winner) == 4
+    assert len(winner(state)) == 4
 
 
 def test_best_is_the_minimum_over_everything_tested(tree8):
@@ -231,7 +234,7 @@ def test_descent_follows_the_per_level_minimum(tree8):
         expected = tree8.children(parent) if parent else tree8.level_ids(1)
         assert frontier == expected
         parent = min(frontier, key=lambda n: scores[n])
-    assert state.last_winner == parent
+    assert winner(state) == parent
 
 
 def test_descent_is_deterministic(tree8):
@@ -240,7 +243,7 @@ def test_descent_is_deterministic(tree8):
     s1 = run_descent(tree8, ev1)
     s2 = run_descent(tree8, ev2)
     assert calls1 == calls2
-    assert s1.last_winner == s2.last_winner
+    assert winner(s1) == winner(s2)
     assert s1.best[1].aggregate == s2.best[1].aggregate
 
 
@@ -259,7 +262,7 @@ def test_descent_depends_only_on_score_ranking(seed):
     raw = run_descent(tree, ev_raw)
     mapped = run_descent(tree, ev_mapped)
     assert calls_raw == calls_mapped
-    assert raw.last_winner == mapped.last_winner
+    assert winner(raw) == winner(mapped)
 
 
 _RANK_TREE = build_tree(ArrayGeometry(k_antennas=4), beam_angle_deg=21.4, depth=3)
@@ -271,24 +274,30 @@ def test_min_inr_index_breaks_ties_low():
 
 
 def test_state_transition_guards(tree8):
-    state = start_search(tree8)
-    with pytest.raises(RuntimeError):
-        advance(state, tree8, 0)  # frontier not yet measured
-    with pytest.raises(ValueError):
-        record_results(state, tree8, [report(1.0)])  # wrong count
-    state = record_results(state, tree8, [report(3.0), report(1.0), report(2.0)])
-    with pytest.raises(RuntimeError):
-        record_results(state, tree8, [report(1.0)] * 3)  # already recorded
-    with pytest.raises(IndexError):
-        advance(state, tree8, 3)
-    state = advance(state, tree8, 1)
-    assert state.frontier == [(1, 0), (1, 1), (1, 2)]
-    done = SearchState(frontier=[], pending=False, done=True)
-    with pytest.raises(RuntimeError):
-        record_results(done, tree8, [])
-    with pytest.raises(RuntimeError):
-        advance(done, tree8, 0)
-    assert done.best is None
+    """Misuse of the feedback loop is refused by ``descend``, and a finished
+    descent returns instead of testing again."""
+    evaluate, _, calls = scripted_evaluator(tree8, seed=9)
+
+    def listed(n_lists, extra=0):
+        """``n_lists`` report lists, the last one ``extra`` reports long or short."""
+        def ev(cfgs, w):
+            (reports,) = evaluate(cfgs, w)
+            return [reports] * (n_lists - 1) + [(reports * 2)[: len(cfgs) + extra]]
+        return ev
+
+    with pytest.raises(ValueError, match="one report list per user: got 2 for 1 users"):
+        descend(tree8, 1, listed(2))
+    with pytest.raises(ValueError, match="user 1 got 2 reports for a frontier of 3 nodes"):
+        descend(tree8, 2, listed(2, extra=-1))
+    with pytest.raises(ValueError, match="user 0 got 4 reports for a frontier of 3 nodes"):
+        descend(tree8, 1, listed(1, extra=1))
+    with pytest.raises(ValueError, match="at least one user"):
+        descend(tree8, 0, evaluate)
+    calls.clear()
+    states, visited = descend(tree8, 1, evaluate)
+    assert [st.frontier for st in states] == [[]]
+    assert len(visited) == tree8.depth
+    assert len(calls) == 3 * tree8.depth
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +332,7 @@ def flat_ray_evaluator(geom, victims_deg, noise=1e-9):
 
 def test_linear_scan_lands_on_the_victim(geom8):
     state = linear_search(
-        geom8, DEFAULT_LINEAR_GRID, 21.4, flat_ray_evaluator(geom8, [-20.0])
+        grid_tree(geom8, DEFAULT_LINEAR_GRID, 21.4), flat_ray_evaluator(geom8, [-20.0])
     )
     (best, rep), tested = state.best, state.tested
     assert len(tested) == LINEAR_GRID_SIZE
@@ -333,7 +342,7 @@ def test_linear_scan_lands_on_the_victim(geom8):
 
 
 def test_linear_scan_single_angle(geom8):
-    state = linear_search(geom8, (15.0,), 21.4, flat_ray_evaluator(geom8, [-20.0]))
+    state = linear_search(grid_tree(geom8, (15.0,), 21.4), flat_ray_evaluator(geom8, [-20.0]))
     (best, _), tested = state.best, state.tested
     assert best.null_angles_deg == (15.0,)
     assert len(tested) == 1
@@ -341,7 +350,7 @@ def test_linear_scan_single_angle(geom8):
 
 def test_linear_scan_rejects_empty_grid(geom8):
     with pytest.raises(ValueError):
-        linear_search(geom8, (), 21.4, flat_ray_evaluator(geom8, [0.0]))
+        grid_tree(geom8, (), 21.4)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +359,7 @@ def test_linear_scan_rejects_empty_grid(geom8):
 
 def test_colocated_users_share_every_slot(tree8):
     victims = [-20.0] * 4
-    states = [start_search(tree8) for _ in victims]
-    plan = multi_user_search(states, tree8, flat_ray_evaluator(tree8.geometry, victims))
+    plan = multi_user_search(tree8, len(victims), flat_ray_evaluator(tree8.geometry, victims))
     assert sum(map(len, plan.visited_per_level)) == 12
     assert [len(v) for v in plan.visited_per_level] == [3, 3, 3, 3]
     assert plan.joint_null_angles == plan.states[0].best[0].null_angles_deg
@@ -359,11 +367,10 @@ def test_colocated_users_share_every_slot(tree8):
 
 def test_users_in_different_sectors_fork_after_level_one(tree8):
     victims = [-90.0 + 30.5 * LEAF_WIDTH, -90.0 + 56.5 * LEAF_WIDTH]
-    states = [start_search(tree8) for _ in victims]
-    plan = multi_user_search(states, tree8, flat_ray_evaluator(tree8.geometry, victims))
+    plan = multi_user_search(tree8, len(victims), flat_ray_evaluator(tree8.geometry, victims))
     assert [len(v) for v in plan.visited_per_level] == [3, 6, 6, 6]
     assert sum(map(len, plan.visited_per_level)) == 21
-    winners = [st.last_winner for st in plan.states]
+    winners = [winner(st) for st in plan.states]
     assert winners[0][0] != winners[1][0]
     assert len(plan.joint_null_angles) == 2
 
@@ -371,35 +378,24 @@ def test_users_in_different_sectors_fork_after_level_one(tree8):
 def test_parallel_search_never_exceeds_sequential(tree8):
     w = LEAF_WIDTH
     victims = [-90.0 + 30.5 * w, -90.0 + 30.5 * w, -90.0 + 31.5 * w, -90.0 + 56.5 * w]
-    states = [start_search(tree8) for _ in victims]
-    plan = multi_user_search(states, tree8, flat_ray_evaluator(tree8.geometry, victims))
+    plan = multi_user_search(tree8, len(victims), flat_ray_evaluator(tree8.geometry, victims))
     assert sum(map(len, plan.visited_per_level)) < 4 * 12
     for st in plan.states:
-        assert st.done
+        assert st.frontier == []
 
 
 def test_joint_nulls_run_out_of_freedom(tree4):
     victims = [-40.0, -20.0, 35.6]
-    states = [start_search(tree4) for _ in victims]
     with pytest.raises(DofExhaustedError) as err:
-        multi_user_search(states, tree4, flat_ray_evaluator(tree4.geometry, victims))
+        multi_user_search(tree4, len(victims), flat_ray_evaluator(tree4.geometry, victims))
     assert err.value.limit == 2
     assert err.value.accommodated == [0, 1]
     assert err.value.excluded == [2]
 
 
-def test_users_descend_in_step(tree8):
-    """One tree, one level per round: a user that finished before the
-    others is refused, not measured again."""
-    evaluate = flat_ray_evaluator(tree8.geometry, [-20.0, 10.0])
-    done = SearchState(frontier=[], pending=False, done=True)
-    with pytest.raises(ValueError, match="in step"):
-        descend([start_search(tree8), done], tree8, evaluate)
-
-
 def test_multi_user_needs_users(tree8):
     with pytest.raises(ValueError):
-        multi_user_search([], tree8, lambda cfgs, w: [])
+        multi_user_search(tree8, 0, lambda cfgs, w: [])
     with pytest.raises(ValueError):
         # one report list for two users
-        multi_user_search([start_search(tree8)] * 2, tree8, lambda cfgs, w: [[]])
+        multi_user_search(tree8, 2, lambda cfgs, w: [[]])
