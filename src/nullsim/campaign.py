@@ -37,8 +37,15 @@ TRACE_TYPES = {
 TRACE_COLUMNS = list(TRACE_TYPES)
 
 
+# a float's text with FLOAT_DECIMALS decimals; read back, it has the bits
+# of round(x, FLOAT_DECIMALS) for every float but a NaN (which comes back
+# as the plain NaN), as both take their digits from the same correctly
+# rounded conversion, and it costs less
+_DECIMALS = f".{FLOAT_DECIMALS}f"
+
+
 def _r(x: float) -> float:
-    return round(float(x), FLOAT_DECIMALS)
+    return float(format(x, _DECIMALS))
 
 
 @dataclass
@@ -95,8 +102,8 @@ def records_from_result(
                 "node": cfg.label,
                 "level": len(cfg.node_id),
                 "null_angles_deg": cfg.null_angles_text,
-                "inr_db": round(
-                    10.0 * log10(max(rep.aggregate, MIN_MEASURABLE_POWER)), FLOAT_DECIMALS
+                "inr_db": float(
+                    format(10.0 * log10(max(rep.aggregate, MIN_MEASURABLE_POWER)), _DECIMALS)
                 ),
             }
             for cfg, rep in user.trace

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -82,18 +83,37 @@ class InrReport:
         return 10.0 * math.log10(max(self.aggregate, MIN_MEASURABLE_POWER))
 
 
+# every subcarrier's phase per second of delay, -2j*pi*f_c(s), with the
+# centers in integer hertz as floats
+_SC_DELAY_PHASE = -2j * np.pi * SC_CENTERS_HZ.astype(float)
+
+
+@lru_cache(maxsize=32)
+def _antenna_phases(geom: ArrayGeometry) -> np.ndarray:
+    """Every antenna's phase per unit of sin(angle), 2j*pi*(d/lambda)*k, as
+    a read-only (K, 1) column."""
+    phases = 2j * np.pi * geom.spacing_wavelengths * np.arange(geom.k_antennas)[:, None]
+    phases.flags.writeable = False
+    return phases
+
+
 def channel_response(model: ChannelModel, geom: ArrayGeometry) -> np.ndarray:
-    """Complex response h of shape (antennas, :data:`~nullsim.phy_grid.N_SC`)."""
-    k = np.arange(geom.k_antennas)[:, None]
-    # every subcarrier's center in integer hertz, as floats
-    freqs = SC_CENTERS_HZ.astype(float)
+    """Complex response h of shape (antennas, :data:`~nullsim.phy_grid.N_SC`).
+
+    Every path's spatial terms come from one ``np.exp`` call and every
+    path's spectral terms from another.  The paths' terms are added onto
+    zeros in path order, each with the elementwise arithmetic of a loop
+    over the paths, so every entry has that loop's bits.
+    """
+    # each path's sin(angle), delay and gain, as (paths, 1, 1) columns
+    sin, delay, gain = np.array(
+        [(math.sin(math.radians(p.angle_deg)), p.excess_delay_s, p.gain) for p in model.paths],
+        dtype=complex,
+    ).T[:, :, None, None]
+    terms = gain * np.exp(_antenna_phases(geom) * sin) * np.exp(_SC_DELAY_PHASE * delay)
     h = np.zeros((geom.k_antennas, N_SC), dtype=complex)
-    for p in model.paths:
-        spatial = np.exp(
-            2j * np.pi * geom.spacing_wavelengths * k * math.sin(math.radians(p.angle_deg))
-        )
-        spectral = np.exp(-2j * np.pi * freqs * p.excess_delay_s)[None, :]
-        h += p.gain * spatial * spectral
+    for term in terms:
+        h += term
     if model.antenna_gains is not None:
         if len(model.antenna_gains) != geom.k_antennas:
             raise ValueError("antenna_gains length must match the array")
@@ -247,21 +267,16 @@ def orbit_like_channel(
     noise_power: float = 1e-9,
 ) -> ChannelModel:
     """Indoor-testbed style draw: dominant ray, weak echoes, chain imbalance."""
+    # each echo's level, phase, angle and delay, echo by echo, then every
+    # antenna's gain: the order of one scalar draw each
+    lo, hi = zip(ORBIT_ECHO_DB, (0.0, 2.0 * np.pi), (-80.0, 80.0), ORBIT_ECHO_DELAY_S)
+    echoes = rng.uniform(lo, hi, size=(ORBIT_ECHO_COUNT, len(lo))).tolist()
     paths = [Path(angle_deg, 1.0, 0.0)]
-    for _ in range(ORBIT_ECHO_COUNT):
-        level_db = rng.uniform(*ORBIT_ECHO_DB)
+    for level_db, phase, angle, delay in echoes:
         amp = 10.0 ** (-level_db / 20.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        paths.append(
-            Path(
-                angle_deg=float(rng.uniform(-80.0, 80.0)),
-                gain=amp * complex(np.cos(phase), np.sin(phase)),
-                excess_delay_s=float(rng.uniform(*ORBIT_ECHO_DELAY_S)),
-            )
-        )
+        paths.append(Path(angle, amp * complex(np.cos(phase), np.sin(phase)), delay))
     gains = tuple(
-        float(10.0 ** (rng.normal(0.0, ORBIT_GAIN_SIGMA_DB) / 20.0))
-        for _ in range(k_antennas)
+        10.0 ** (g / 20.0) for g in rng.normal(0.0, ORBIT_GAIN_SIGMA_DB, size=k_antennas).tolist()
     )
     return ChannelModel(
         mode="geometric",

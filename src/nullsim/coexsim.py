@@ -381,31 +381,27 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     """
     geom = scenario.geometry
     search = scenario.search
+    tree = scenario.search_tree()
 
-    w0 = lcmv_weights(geom, scenario.ue_angle_deg, [])
-    w0_matrix = build_weight_matrix(geom, scenario.ue_angle_deg, [], base=w0)
-    models, responses = _calibrated_channels(scenario, geom, w0_matrix)
-    meas_rngs = [
-        np.random.default_rng([scenario.seed, 2000 + u]) for u in range(len(models))
-    ]
+    # the no-null beam's weight matrix, a stack of one: calibration measures
+    # with its row and the baseline with the stack
+    w0_stack = build_weight_matrix(
+        geom, scenario.ue_angle_deg, ((),), base=tree.beam_weights[None]
+    )
+    models, responses = _calibrated_channels(scenario, geom, w0_stack[0])
     sim = scenario.sim
     dc, backhaul = scenario.duty, scenario.backhaul
+    # each user's measurement draws come from its own rng; without jitter
+    # nothing is drawn, and no rng is made
+    meas_rngs = None
+    if sim.noise_jitter:
+        meas_rngs = [
+            np.random.default_rng([scenario.seed, 2000 + u]) for u in range(len(models))
+        ]
 
-    def measure(
-        cfgs: Sequence[NullConfig],
-        weights: np.ndarray,
-        report: np.ndarray | None = None,
-    ) -> list[list[InrReport]]:
-        """Every user's reports for a frontier: one stacked weight-matrix
-        build and one measurement of all users, each user's draws from its
-        own rng."""
-        wm = build_weight_matrix(
-            geom,
-            scenario.ue_angle_deg,
-            tuple(cfg.null_angles_deg for cfg in cfgs),
-            report=report,
-            base=weights,
-        )
+    def sample(wm: np.ndarray) -> list[list[InrReport]]:
+        """Every user's reports on a stack of weight matrices, one
+        measurement of all users, each user's draws from its own rng."""
         return sampled_inr(
             responses,
             wm,
@@ -416,10 +412,24 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             meas_rngs,
         )
 
-    base_cfg = NullConfig((), (), ROOT_SECTOR)
-    baselines = [reps[0] for reps in measure([base_cfg], w0[None])]
+    def measure(
+        cfgs: Sequence[NullConfig],
+        weights: np.ndarray,
+        report: np.ndarray | None = None,
+    ) -> list[list[InrReport]]:
+        """Every user's reports for a frontier, from one stacked
+        weight-matrix build."""
+        wm = build_weight_matrix(
+            geom,
+            scenario.ue_angle_deg,
+            tuple(cfg.null_angles_deg for cfg in cfgs),
+            report=report,
+            base=weights,
+        )
+        return sample(wm)
 
-    tree = scenario.search_tree()
+    baselines = [reps[0] for reps in sample(w0_stack)]
+
     if search.mode == "multiuser":
         timeline, plan = simulate_multi_user(tree, len(models), dc, backhaul, sim, measure)
         states, joint = plan.states, plan.joint_null_angles

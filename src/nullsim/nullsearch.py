@@ -169,9 +169,10 @@ class SearchTree:
     :func:`_check_constraints`), so no node's solve runs the rank test
     again.
 
-    A tree is read-only: ``nodes`` has no setters, and :meth:`stack`, the
-    only way weights leave a tree, hands out copies of its solved rows, so
-    :func:`build_tree` can hand one tree to every caller with the same key.
+    A tree is read-only: ``nodes`` has no setters, :meth:`stack` hands out
+    copies of its solved rows and :attr:`beam_weights` is a read-only
+    array, so :func:`build_tree` can hand one tree to every caller with the
+    same key.
     """
 
     geometry: ArrayGeometry
@@ -218,6 +219,21 @@ class SearchTree:
             q = block.basis[[self.nodes.at[n][1] for n in todo]]
             self._solved.update(zip(todo, min_norm_weights(self._beam[None], q)))
         return cfgs, np.array([self._solved[n] for n in node_ids])
+
+    @cached_property
+    def beam_weights(self) -> np.ndarray:
+        """The beam's weights without nulls, (K,) and read-only: the
+        baseline of every run on the tree.
+
+        Solved on first use by :func:`~nullsim.beamforming.min_norm_weights`
+        on an empty null basis, with the bits of
+        ``lcmv_weights(geometry, beam_angle_deg, [])``, and kept, so every
+        run sharing the tree reuses it.
+        """
+        empty = np.empty((1, self.geometry.k_antennas, 0), dtype=complex)
+        w = min_norm_weights(self._beam[None], empty)[0]
+        w.flags.writeable = False
+        return w
 
     def children(self, node_id: NodeId) -> list[NodeId]:
         if len(node_id) >= self.depth:

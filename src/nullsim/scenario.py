@@ -126,16 +126,27 @@ class Scenario:
 
     def search_tree(self) -> SearchTree:
         """The tree a run descends: in linear mode the scan grid's depth-1
-        tree (see :func:`grid_tree`), otherwise :func:`build_tree`'s."""
-        if self.search.mode == "linear":
-            return grid_tree(self.geometry, self.scan_angles, self.ue_angle_deg)
-        return build_tree(
-            self.geometry,
-            self.ue_angle_deg,
-            fanout=self.search.fanout,
-            depth=self.search.depth,
-            nulls_per_level=self.search.nulls_per_level,
-        )
+        tree (see :func:`grid_tree`), otherwise :func:`build_tree`'s.
+
+        It is built once per scenario and kept in the instance ``__dict__``,
+        which equality, hashing and ``repr`` never read, so validation and
+        the run share one tree; ``dataclasses.replace`` makes a scenario
+        without it.  A tree that raises is not kept.
+        """
+        tree = self.__dict__.get("_search_tree")
+        if tree is None:
+            if self.search.mode == "linear":
+                tree = grid_tree(self.geometry, self.scan_angles, self.ue_angle_deg)
+            else:
+                tree = build_tree(
+                    self.geometry,
+                    self.ue_angle_deg,
+                    fanout=self.search.fanout,
+                    depth=self.search.depth,
+                    nulls_per_level=self.search.nulls_per_level,
+                )
+            self.__dict__["_search_tree"] = tree
+        return tree
 
     def build_channels(self) -> list[ChannelModel]:
         """Per-user channel draws; deterministic in the scenario seed."""
@@ -369,10 +380,18 @@ def validate_scenario(s: Scenario) -> None:
             )
     if not -90.0 <= s.ue_angle_deg <= 90.0:
         raise ScenarioError("ue_angle_out_of_range", "ue_angle_deg must be in [-90, 90]")
+    offset = s.channel.angle_offset_deg
     for a in s.user_angles_deg:
         if not -90.0 <= a <= 90.0:
             raise ScenarioError(
                 "user_angle_out_of_range", f"user angle {a} must be in [-90, 90]"
+            )
+        # every channel's direct path arrives at the user angle plus the offset
+        if not -90.0 <= a + offset <= 90.0:
+            raise ScenarioError(
+                "user_angle_out_of_range",
+                f"user angle {a} plus channel.angle_offset_deg {offset} is "
+                f"{a + offset}, outside [-90, 90]",
             )
     if s.search.mode in ("tree", "linear") and len(s.user_angles_deg) != 1:
         raise ScenarioError(

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import math
 import os
 import stat
+import struct
 import typing
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from nullsim.campaign import (
 )
 from nullsim import campaign
 from nullsim.coexsim import run_full_protocol
-from nullsim.nullsearch import DEFAULT_LINEAR_GRID, build_tree, grid_tree
+from nullsim.nullsearch import DEFAULT_LINEAR_GRID, FLOAT_DECIMALS, build_tree, grid_tree
 from nullsim.presets import PRESET_NAMES, run_repro, scenario_fig9_delay, scenario_fig10_multiuser
 from nullsim.scenario import Scenario, SearchSpec, with_overrides
 
@@ -152,6 +154,32 @@ def test_fig9_is_the_campaign_sweep_of_the_tree_then_the_linear_variant():
 
 # ---------------------------------------------------------------------------
 # export / import
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    x=st.floats()
+    | st.integers(min_value=0, max_value=2**64 - 1).map(_from_bits)
+    # values at and next to a tie of the seventh decimal
+    | st.builds(
+        lambda n, step: math.nextafter(n / 10**6 + 5e-7, step) if step else n / 10**6 + 5e-7,
+        st.integers(min_value=-(10**12), max_value=10**12),
+        st.sampled_from([0, -math.inf, math.inf]),
+    )
+)
+def test_record_floats_have_the_bits_of_round(x):
+    """A record's floats are rounded through their six-decimal text; every
+    float but a NaN reads back with the bits of ``round(x, 6)``, and a NaN
+    stays a NaN (neither export can tell one NaN from another)."""
+    got, want = campaign._r(x), round(x, FLOAT_DECIMALS)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_json_round_trip(tmp_path, default_records):

@@ -1,6 +1,7 @@
 """Ray channels, received power, and INR measurement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from hypothesis import strategies as st
 from nullsim.beamforming import ArrayGeometry, build_weight_matrix, lcmv_weights, normalize
 from nullsim.channel import (
     MIN_MEASURABLE_POWER,
+    ORBIT_ECHO_COUNT,
+    ORBIT_ECHO_DB,
+    ORBIT_ECHO_DELAY_S,
+    ORBIT_GAIN_SIGMA_DB,
     ChannelModel,
     InrReport,
     Path,
@@ -22,7 +27,7 @@ from nullsim.channel import (
     two_ray_channel,
     with_noise_power,
 )
-from nullsim.phy_grid import CENTER_FREQ_HZ, N_SC, SC_BANDWIDTH_HZ, SC_TO_RB
+from nullsim.phy_grid import CENTER_FREQ_HZ, N_SC, SC_BANDWIDTH_HZ, SC_CENTERS_HZ, SC_TO_RB
 
 
 def sc_center_freq(s: int) -> int:
@@ -63,6 +68,51 @@ def test_flat_broadside_response_is_all_ones(geom4):
 def test_zero_delay_gives_identical_columns(angle):
     h = channel_response(flat_channel(angle), ArrayGeometry(k_antennas=4))
     assert np.allclose(h, h[:, :1])
+
+
+def per_path_response(model: ChannelModel, geom: ArrayGeometry) -> np.ndarray:
+    """The response built path by path, two ``np.exp`` calls per path: the
+    oracle that the one-pass build must match bit for bit."""
+    k = np.arange(geom.k_antennas)[:, None]
+    freqs = SC_CENTERS_HZ.astype(float)
+    h = np.zeros((geom.k_antennas, N_SC), dtype=complex)
+    for p in model.paths:
+        spatial = np.exp(
+            2j * np.pi * geom.spacing_wavelengths * k * math.sin(math.radians(p.angle_deg))
+        )
+        spectral = np.exp(-2j * np.pi * freqs * p.excess_delay_s)[None, :]
+        h += p.gain * spatial * spectral
+    if model.antenna_gains is not None:
+        h *= np.asarray(model.antenna_gains, dtype=float)[:, None]
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    preset=st.sampled_from(["flat", "two-ray", "orbit-like"]),
+    k=st.integers(min_value=2, max_value=64),
+    spacing_m=st.floats(min_value=0.005, max_value=0.5),
+    angle=st.sampled_from([0.0, -0.0, 90.0, -90.0]) | st.floats(min_value=-90, max_value=90),
+    gain=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    antenna_gains=st.booleans(),
+)
+def test_the_one_pass_response_has_the_bits_of_the_per_path_sum(
+    preset, k, spacing_m, angle, gain, seed, antenna_gains
+):
+    geom = ArrayGeometry(k_antennas=k, spacing_m=spacing_m)
+    rng = np.random.default_rng(seed)
+    if preset == "flat":
+        model = flat_channel(angle, gain=gain)
+    elif preset == "two-ray":
+        model = two_ray_channel(angle)
+    else:
+        model = orbit_like_channel(rng, k, angle)
+    gains = tuple(rng.uniform(0.5, 2.0, size=k).tolist()) if antenna_gains else None
+    model = replace(model, antenna_gains=gains)
+    h = channel_response(model, geom)
+    assert h.shape == (k, N_SC) and h.dtype == complex
+    assert h.view(np.uint64).tobytes() == per_path_response(model, geom).view(np.uint64).tobytes()
 
 
 def test_two_path_closed_form(geom4):
@@ -275,6 +325,45 @@ def test_orbit_like_draw_is_deterministic(geom4):
     assert a == b
     assert len(a.paths) == 4  # dominant ray plus the echoes
     assert a.antenna_gains is not None and len(a.antenna_gains) == 4
+
+
+def scalar_orbit_draw(rng, k_antennas, angle_deg, noise_power):
+    """The orbit-like draw made one scalar draw at a time: each echo's
+    level, phase, angle and delay, then every antenna's gain."""
+    paths = [Path(angle_deg, 1.0, 0.0)]
+    for _ in range(ORBIT_ECHO_COUNT):
+        level_db = rng.uniform(*ORBIT_ECHO_DB)
+        amp = 10.0 ** (-level_db / 20.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        paths.append(
+            Path(
+                angle_deg=float(rng.uniform(-80.0, 80.0)),
+                gain=amp * complex(np.cos(phase), np.sin(phase)),
+                excess_delay_s=float(rng.uniform(*ORBIT_ECHO_DELAY_S)),
+            )
+        )
+    gains = tuple(
+        float(10.0 ** (rng.normal(0.0, ORBIT_GAIN_SIGMA_DB) / 20.0)) for _ in range(k_antennas)
+    )
+    return ChannelModel("geometric", tuple(paths), noise_power, gains)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    k=st.integers(min_value=2, max_value=64),
+    angle=st.floats(min_value=-90, max_value=90),
+    noise=st.floats(min_value=1e-12, max_value=1.0),
+)
+def test_the_orbit_draw_has_the_bits_and_rng_state_of_scalar_draws(seed, k, angle, noise):
+    drawn, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    model = orbit_like_channel(drawn, k, angle, noise_power=noise)
+    assert repr(model) == repr(scalar_orbit_draw(scalar, k, angle, noise))
+    # every value is a Python float or complex, as a scalar draw gives
+    assert all(type(g) is float for g in model.antenna_gains)
+    assert all(type(p.angle_deg) is float for p in model.paths[1:])
+    # and the generator is left where the scalar draws leave it
+    assert drawn.bit_generator.state == scalar.bit_generator.state
 
 
 def test_orbit_like_echoes_are_below_the_direct_ray():

@@ -48,6 +48,11 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
         ),
         ('{"seed": -1}', "seed_negative"),
         ('{"geometry": {"spacing_m": 1e300}}', "spacing_out_of_range"),
+        (
+            '{"user_angles_deg": [80.0], '
+            '"channel": {"preset": "flat", "angle_offset_deg": 20.0}}',
+            "user_angle_out_of_range",
+        ),
     ],
 )
 def test_validate_rejects_what_the_run_could_not_finish(text, rule, tmp_path, capsys):
@@ -56,6 +61,7 @@ def test_validate_rejects_what_the_run_could_not_finish(text, rule, tmp_path, ca
     assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
     assert f"scenario error: {rule}" in capsys.readouterr().err
     assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert f"scenario error: {rule}" in capsys.readouterr().err
 
 
 def test_a_sweep_duty_without_a_test_slot_fails_validate_and_sweep_up_front(

@@ -14,10 +14,10 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from nullsim import beamforming, nullsearch, scenario as scenario_mod
+from nullsim import beamforming, coexsim, nullsearch, scenario as scenario_mod
 from nullsim.beamforming import (
     ArrayGeometry,
     DegenerateConstraintsError,
@@ -300,16 +300,35 @@ def test_validation_accepts_and_rejects_as_with_eager_trees(raw):
 
 
 def test_validation_checks_the_tree_the_run_builds(monkeypatch):
-    trees = []
-    real = scenario_mod.build_tree
-    monkeypatch.setattr(
-        scenario_mod,
-        "build_tree",
-        lambda *a, **kw: trees.append(real(*a, **kw)) or trees[-1],
-    )
-    run_full_protocol(scenario_from_dict({"ue_angle_deg": 21.4}))
-    validated, ran = trees
-    assert validated is ran
+    """Validation builds the scenario's tree once, and the run descends that
+    very tree without building another, in every mode."""
+    built, descended = [], []
+    for builder in ("build_tree", "grid_tree"):
+        monkeypatch.setattr(
+            scenario_mod,
+            builder,
+            lambda *a, real=getattr(scenario_mod, builder), **kw: (
+                built.append(real(*a, **kw)) or built[-1]
+            ),
+        )
+    for module in (coexsim, nullsearch):
+        monkeypatch.setattr(
+            module,
+            "descend",
+            lambda tree, *a, real=module.descend: descended.append(tree) or real(tree, *a),
+        )
+    for raw in (
+        {"ue_angle_deg": 21.4},
+        {"user_angles_deg": [-20.0, 40.0], "search": {"mode": "multiuser"}},
+        {"search": {"mode": "linear"}},
+    ):
+        built.clear()
+        descended.clear()
+        s = scenario_from_dict(raw)
+        [validated] = built
+        run_full_protocol(s)
+        assert len(built) == 1
+        assert len(descended) == 1 and descended[0] is validated
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +362,50 @@ def union_visited(monkeypatch):
 
     monkeypatch.setattr(nullsearch, "record_results", recording)
     return visited
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.integers(min_value=2, max_value=64),
+    spacing_m=st.floats(min_value=0.005, max_value=0.5),
+    beam=st.sampled_from([0.0, -0.0, 90.0, -90.0]) | st.floats(min_value=-90, max_value=90),
+)
+def test_beam_weights_have_the_bits_of_the_no_null_solve(k, spacing_m, beam):
+    geom = ArrayGeometry(k_antennas=k, spacing_m=spacing_m)
+    try:
+        tree = grid_tree(geom, (-45.0,), beam)
+    except DegenerateConstraintsError:
+        reject()
+    w = tree.beam_weights
+    assert not w.flags.writeable
+    assert w.tobytes() == lcmv_weights(geom, beam, []).tobytes()
+
+
+def test_beam_weights_are_solved_once_per_tree_and_never_at_load(monkeypatch, fresh_trees):
+    """A fig8 ensemble on one beam solves its no-null baseline once, on first
+    use, and never through ``lcmv_weights``."""
+    empty_solves = []
+
+    def counted(a, q):
+        if not q.shape[-1]:
+            empty_solves.append(len(q))
+        return min_norm_weights(a, q)
+
+    for module in (beamforming, nullsearch):
+        monkeypatch.setattr(module, "min_norm_weights", counted)
+    monkeypatch.setattr(coexsim, "lcmv_weights", None)  # a call would raise
+    base = scenario_fig8_powercorr()
+    scenarios = [
+        scenario_from_dict(scenario_to_dict(replace(base, seed=base.seed + i)))
+        for i in range(3)
+    ]
+    tree = scenarios[0].search_tree()
+    assert all(s.search_tree() is tree for s in scenarios)
+    assert empty_solves == [] and "beam_weights" not in vars(tree)
+    for s in scenarios:
+        run_full_protocol(s)
+    assert empty_solves == [1]
+    assert tree.beam_weights is tree.beam_weights
 
 
 def test_loading_a_tree_scenario_solves_nothing(solves):
@@ -531,9 +594,9 @@ def test_a_fig8_ensemble_solves_each_visited_node_once(solves, union_visited):
     for i in range(ORBIT_ENSEMBLE_SIZE):
         s = scenario_from_dict(scenario_to_dict(replace(base, seed=base.seed + i)))
         run_full_protocol(s)
-    # the tree's visited nodes once across the ensemble, the no-null
-    # baseline once per run
-    assert sum(solves) == len(union_visited) + ORBIT_ENSEMBLE_SIZE
+    # the tree's visited nodes and its no-null baseline, each once across
+    # the ensemble
+    assert sum(solves) == len(union_visited) + 1
 
 
 def _export(s, path):

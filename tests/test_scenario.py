@@ -237,6 +237,16 @@ def test_spec_dataclasses_name_their_own_rules():
             },
             "tree_too_large",
         ),
+        # every channel's direct path arrives at a user angle plus the offset
+        (
+            {"user_angles_deg": [80.0], "channel": {"preset": "flat", "angle_offset_deg": 20.0}},
+            "user_angle_out_of_range",
+        ),
+        (
+            {"user_angles_deg": [-20.0, -75.0], "search": {"mode": "multiuser"},
+             "channel": {"preset": "two-ray", "angle_offset_deg": -15.5}},
+            "user_angle_out_of_range",
+        ),
     ],
 )
 def test_validation_rules(raw, rule):
@@ -538,6 +548,17 @@ def test_flat_and_two_ray_channel_builds():
     s2 = scenario_from_dict({"channel": {"preset": "two-ray"}})
     (model2,) = s2.build_channels()
     assert len(model2.paths) == 2
+
+
+def test_a_channel_offset_past_endfire_names_the_offset():
+    raw = {"user_angles_deg": [80.0], "channel": {"angle_offset_deg": 10.0}}
+    (model,) = scenario_from_dict(raw).build_channels()
+    assert model.paths[0].angle_deg == 90.0
+    raw["channel"]["angle_offset_deg"] = 10.5
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(raw)
+    assert rule_of(err) == "user_angle_out_of_range"
+    assert "user angle 80.0 plus channel.angle_offset_deg 10.5 is 90.5" in str(err.value)
 
 
 def test_orbit_channel_streams_are_per_user_and_seeded():
