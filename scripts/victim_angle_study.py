@@ -58,7 +58,7 @@ def main() -> None:
 
     def exhaustive_argmin(scn: Scenario) -> tuple:
         trace = run_full_protocol(replace(scn, search=leaf_scan)).users[0].trace
-        best = min(range(len(trace)), key=lambda i: (trace[i][1].aggregate, i))
+        best = min(range(len(trace)), key=lambda i: (trace[i][1], i))
         return tree.leaf_ids[best]
 
     centers = [sum(tree.nodes[n].sector) / 2 for n in tree.leaf_ids]
@@ -73,7 +73,7 @@ def main() -> None:
         result = run_full_protocol(scn)
         user = result.users[0]
         leaf_rows = [(c, r) for c, r in user.trace if c.level == tree.depth]
-        chosen = min(range(len(leaf_rows)), key=lambda i: (leaf_rows[i][1].aggregate, i))
+        chosen = min(range(len(leaf_rows)), key=lambda i: (leaf_rows[i][1], i))
         agrees = leaf_rows[chosen][0].node_id == exhaustive_argmin(scn)
         rows.append(
             {

@@ -94,7 +94,8 @@ def records_from_result(
     out = []
     for user in result.users:
         # each config's text is its own, built once per layout; the values
-        # of cfg.level and _r(rep.aggregate_db), inline
+        # of cfg.level and of _r on the INR in dB, as InrReport.aggregate_db
+        # gives it, inline
         trace = [
             {
                 "run_id": run_id,
@@ -103,10 +104,10 @@ def records_from_result(
                 "level": len(cfg.node_id),
                 "null_angles_deg": cfg.null_angles_text,
                 "inr_db": float(
-                    format(10.0 * log10(max(rep.aggregate, MIN_MEASURABLE_POWER)), _DECIMALS)
+                    format(10.0 * log10(max(inr, MIN_MEASURABLE_POWER)), _DECIMALS)
                 ),
             }
-            for cfg, rep in user.trace
+            for cfg, inr in user.trace
         ]
         out.append(
             ResultsRecord(

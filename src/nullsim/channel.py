@@ -13,7 +13,7 @@ all ones, in which case the response is exactly the sum above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -42,7 +42,7 @@ class Path:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Ray set plus the receiver noise floor for one WiFi node.
+    """Ray set toward one WiFi node.
 
     mode "flat" requires exactly one zero-delay path; "geometric" allows
     any finite ray set.  ``antenna_gains`` are linear per-antenna factors
@@ -51,7 +51,6 @@ class ChannelModel:
 
     mode: str
     paths: tuple[Path, ...]
-    noise_power: float = 1e-9
     antenna_gains: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -62,8 +61,6 @@ class ChannelModel:
         if self.mode == "flat":
             if len(self.paths) != 1 or self.paths[0].excess_delay_s != 0:
                 raise ValueError("flat mode is a single zero-delay path")
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
         if self.antenna_gains is not None and any(g <= 0 for g in self.antenna_gains):
             raise ValueError("antenna gains must be positive")
 
@@ -160,32 +157,33 @@ def rx_power(h: np.ndarray, weight_matrix: np.ndarray, tx_power: float = 1.0) ->
 def sampled_inr(
     h: np.ndarray,
     weight_matrix: np.ndarray,
-    models: Sequence[ChannelModel],
+    noise_power: Sequence[float],
     tx_power: float = 1.0,
     sample_count: int = 100,
     noise_jitter: float = 0.0,
     rngs: Sequence[np.random.Generator] | None = None,
-) -> list[list[InrReport]]:
-    """Every user's reports on a stack of transmissions, each the average
-    of ``sample_count`` noisy INR draws.
+) -> list[list[float]]:
+    """Every user's linear INRs on a stack of transmissions, each the
+    average of ``sample_count`` noisy INR draws.
 
-    ``h`` stacks the users' responses, (U, K, subcarriers), with one
-    channel model (and, when jittered, one rng) per user in ``models`` and
+    ``h`` stacks the users' responses, (U, K, subcarriers), with one noise
+    power (and, when jittered, one rng) per user in ``noise_power`` and
     ``rngs``; ``weight_matrix`` stacks the configs' matrices,
-    (n, K, 100).  The result holds one list per user, each with one
-    report per config, in order.
+    (n, K, 100).  The result holds one list per user, each with one INR
+    per config, in order.
 
     Each draw perturbs the measured on-phase power by a zero-mean Gaussian
-    of standard deviation ``noise_jitter * noise_power``; the off-phase
-    measurement is the noise floor itself.  With zero jitter the average
-    equals the single-shot value exactly.  The draws are turned into INRs
-    and averaged as one array, in the order the rngs produced them.
+    of standard deviation ``noise_jitter`` times the user's noise power;
+    the off-phase measurement is the noise floor itself.  With zero jitter
+    the average equals the single-shot value exactly.  The draws are turned
+    into INRs and averaged as one array, in the order the rngs produced
+    them.
 
     Every user measures the same transmissions: the users' powers come from
     one product and their INRs from one average.  Each user's draws come
     from one call of its own rng that fills an (n, sample_count) array, the
     same numbers (and the same next draw) as n calls in config order, users
-    in order.  So every report has the bits of a measurement of that user
+    in order.  So every INR has the bits of a measurement of that user
     and config alone, and every rng ends where those measurements leave it.
     """
     if sample_count < 1:
@@ -194,17 +192,19 @@ def sampled_inr(
         raise ValueError("noise jitter cannot be negative")
     if np.ndim(h) != 3 or np.ndim(weight_matrix) != 3:
         raise ValueError("need stacks of responses and of weight matrices")
-    if len(models) != len(h):
-        raise ValueError("need one channel model per user")
+    if len(noise_power) != len(h):
+        raise ValueError("need one noise power per user")
+    if not all(n > 0 for n in noise_power):
+        raise ValueError("noise power must be positive")
     p_sc = rx_power(h, weight_matrix, tx_power)  # (users, configs, subcarriers)
-    noise = np.array([m.noise_power for m in models])[:, None, None]
+    noise = np.array(noise_power, dtype=float)[:, None, None]
     p_on = np.mean(p_sc, axis=-1, keepdims=True) + noise
-    # every model's noise power is positive and every draw is clipped above
-    # zero, so each INR is a plain ratio of positive powers
+    # every noise power is positive and every draw is clipped above zero,
+    # so each INR is a plain ratio of positive powers
     if noise_jitter == 0.0:
         agg = (p_on / noise)[..., 0]
     else:
-        if rngs is None or len(rngs) != len(models) or None in rngs:
+        if rngs is None or len(rngs) != len(noise_power) or None in rngs:
             raise ValueError("jittered measurements need an rng per user")
         z = np.empty(p_sc.shape[:2] + (sample_count,))
         for rng, z_u in zip(rngs, z):
@@ -212,7 +212,7 @@ def sampled_inr(
         draws = p_on + noise_jitter * noise * z
         np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
         agg = np.mean(draws / noise, axis=-1)
-    return [[InrReport(a) for a in row] for row in agg.tolist()]
+    return agg.tolist()
 
 
 def power_report(h: np.ndarray) -> np.ndarray:
@@ -225,11 +225,9 @@ def power_report(h: np.ndarray) -> np.ndarray:
 # presets
 
 
-def flat_channel(angle_deg: float = 0.0, gain: complex = 1.0, noise_power: float = 1e-9) -> ChannelModel:
+def flat_channel(angle_deg: float = 0.0, gain: complex = 1.0) -> ChannelModel:
     """Single ray, no delay spread: the over-cable calibration setup."""
-    return ChannelModel(
-        mode="flat", paths=(Path(angle_deg, gain, 0.0),), noise_power=noise_power
-    )
+    return ChannelModel(mode="flat", paths=(Path(angle_deg, gain, 0.0),))
 
 
 def two_ray_channel(
@@ -237,7 +235,6 @@ def two_ray_channel(
     echo_offset_deg: float = 25.0,
     echo_gain: float = 0.63,
     echo_delay_s: float = 150e-9,
-    noise_power: float = 1e-9,
 ) -> ChannelModel:
     """Dominant ray plus one strong echo; deeply frequency selective."""
     echo_angle = max(-90.0, min(90.0, angle_deg + echo_offset_deg))
@@ -247,7 +244,6 @@ def two_ray_channel(
             Path(angle_deg, 1.0, 0.0),
             Path(echo_angle, echo_gain, echo_delay_s),
         ),
-        noise_power=noise_power,
     )
 
 
@@ -264,7 +260,6 @@ def orbit_like_channel(
     rng: np.random.Generator,
     k_antennas: int,
     angle_deg: float = 0.0,
-    noise_power: float = 1e-9,
 ) -> ChannelModel:
     """Indoor-testbed style draw: dominant ray, weak echoes, chain imbalance."""
     # each echo's level, phase, angle and delay, echo by echo, then every
@@ -278,13 +273,4 @@ def orbit_like_channel(
     gains = tuple(
         10.0 ** (g / 20.0) for g in rng.normal(0.0, ORBIT_GAIN_SIGMA_DB, size=k_antennas).tolist()
     )
-    return ChannelModel(
-        mode="geometric",
-        paths=tuple(paths),
-        noise_power=noise_power,
-        antenna_gains=gains,
-    )
-
-
-def with_noise_power(model: ChannelModel, noise_power: float) -> ChannelModel:
-    return replace(model, noise_power=noise_power)
+    return ChannelModel(mode="geometric", paths=tuple(paths), antenna_gains=gains)

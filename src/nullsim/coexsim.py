@@ -29,14 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .beamforming import build_weight_matrix, lcmv_weights
-from .channel import (
-    InrReport,
-    channel_response,
-    power_report,
-    rx_power,
-    sampled_inr,
-    with_noise_power,
-)
+from .channel import InrReport, channel_response, power_report, rx_power, sampled_inr
 from .nullsearch import (
     ROOT_SECTOR,
     Evaluator,
@@ -329,7 +322,7 @@ class UserOutcome:
     baseline: InrReport
     final: InrReport
     nulls_used: int
-    trace: list[tuple[NullConfig, InrReport]]
+    trace: list[tuple[NullConfig, float]]
 
     @property
     def delta_inr_db(self) -> float:
@@ -345,18 +338,19 @@ class ProtocolResult:
 
 
 def _calibrated_channels(scenario: "Scenario", geom, w0_matrix):
-    """Per-user channels with noise set so the no-null INR hits the target.
+    """Per-user channel responses and noise powers, the noise set so the
+    no-null INR hits the target.
 
-    Returns the models and their responses, stacked (users, antennas,
-    subcarriers); noise does not enter the response, so calibration reuses
-    the one it measured with.
+    Returns the responses, stacked (users, antennas, subcarriers), and one
+    noise power per user: the scenario's without a target, otherwise each
+    user's beam-only power over (target - 1).
     """
     models = scenario.build_channels()
     responses = np.empty((len(models), geom.k_antennas, N_SC), dtype=complex)
     for u, model in enumerate(models):
         responses[u] = channel_response(model, geom)
     if scenario.channel.baseline_inr_db is None:
-        return models, responses
+        return responses, [scenario.channel.noise_power] * len(models)
     target = 10.0 ** (scenario.channel.baseline_inr_db / 10.0)
     p_sc = rx_power(responses, w0_matrix, scenario.tx_power)
     bases = np.mean(p_sc, axis=-1).tolist()
@@ -365,11 +359,7 @@ def _calibrated_channels(scenario: "Scenario", geom, w0_matrix):
             "beam-only pattern has no power toward this user; "
             "cannot calibrate a baseline INR"
         )
-    models = [
-        with_noise_power(model, base / (target - 1.0))
-        for model, base in zip(models, bases)
-    ]
-    return models, responses
+    return responses, [base / (target - 1.0) for base in bases]
 
 
 def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
@@ -388,7 +378,7 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     w0_stack = build_weight_matrix(
         geom, scenario.ue_angle_deg, ((),), base=tree.beam_weights[None]
     )
-    models, responses = _calibrated_channels(scenario, geom, w0_stack[0])
+    responses, noise = _calibrated_channels(scenario, geom, w0_stack[0])
     sim = scenario.sim
     dc, backhaul = scenario.duty, scenario.backhaul
     # each user's measurement draws come from its own rng; without jitter
@@ -396,16 +386,16 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     meas_rngs = None
     if sim.noise_jitter:
         meas_rngs = [
-            np.random.default_rng([scenario.seed, 2000 + u]) for u in range(len(models))
+            np.random.default_rng([scenario.seed, 2000 + u]) for u in range(len(noise))
         ]
 
-    def sample(wm: np.ndarray) -> list[list[InrReport]]:
-        """Every user's reports on a stack of weight matrices, one
-        measurement of all users, each user's draws from its own rng."""
+    def sample(wm: np.ndarray) -> list[list[float]]:
+        """Every user's INRs on a stack of weight matrices, one measurement
+        of all users, each user's draws from its own rng."""
         return sampled_inr(
             responses,
             wm,
-            models,
+            noise,
             scenario.tx_power,
             sim.sample_count,
             sim.noise_jitter,
@@ -416,9 +406,9 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
         cfgs: Sequence[NullConfig],
         weights: np.ndarray,
         report: np.ndarray | None = None,
-    ) -> list[list[InrReport]]:
-        """Every user's reports for a frontier, from one stacked
-        weight-matrix build."""
+    ) -> list[list[float]]:
+        """Every user's INRs for a frontier, from one stacked weight-matrix
+        build."""
         wm = build_weight_matrix(
             geom,
             scenario.ue_angle_deg,
@@ -431,7 +421,7 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     baselines = [reps[0] for reps in sample(w0_stack)]
 
     if search.mode == "multiuser":
-        timeline, plan = simulate_multi_user(tree, len(models), dc, backhaul, sim, measure)
+        timeline, plan = simulate_multi_user(tree, len(noise), dc, backhaul, sim, measure)
         states, joint = plan.states, plan.joint_null_angles
         # every user measures the joint nulls afresh
         joint_cfg = NullConfig((), joint, ROOT_SECTOR)
@@ -449,13 +439,13 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             )
         else:
             timeline, state = simulate_linear_search(tree, dc, backhaul, sim, measure)
-        cfg, rep = state.best
-        states, joint, finals = [state], cfg.null_angles_deg, [rep]
-    if any(f.aggregate >= b.aggregate for f, b in zip(finals, baselines)):
+        cfg, inr = state.best
+        states, joint, finals = [state], cfg.null_angles_deg, [inr]
+    if any(f >= b for f, b in zip(finals, baselines)):
         # never deploy a config that measures worse than not nulling at all
         joint, finals = (), baselines
     outcomes = [
-        UserOutcome(u, baselines[u], finals[u], len(joint), st.tested)
+        UserOutcome(u, InrReport(baselines[u]), InrReport(finals[u]), len(joint), st.tested)
         for u, st in enumerate(states)
     ]
     timeline.emit(

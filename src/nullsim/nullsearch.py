@@ -27,12 +27,12 @@ from .beamforming import (
     ArrayGeometry,
     DegenerateConstraintsError,
     _degenerate,
+    constraint_matrices,
     min_norm_weights,
     null_basis,
     steering_vector,
     steering_vectors,
 )
-from .channel import InrReport
 
 NodeId = tuple[int, ...]
 
@@ -53,14 +53,14 @@ TREE_CACHE_SIZE = 32
 
 # the most nodes a search tree may have.  The presets use 120 (fanout 3,
 # depth 4) and the tests at most 340 (fanout 4, depth 4).  A layout keeps
-# a node's null columns and their basis at its own null count m, about
-# 32 K m bytes a node, and every leaf has one null, so the largest layout
+# the basis of a node's null columns at its own null count m, about
+# 16 K m bytes a node, and every leaf has one null, so the largest layout
 # validation admits (K=64, fanout 2, depth 9, 62 nulls on each of its 510
-# inner nodes) holds 63 MiB, and the widest (fanout 44, depth 2, 62 nulls
-# at the root: 1980 nodes) 9.2 MiB.  Without a cap, fanout 10 and depth 8
-# would ask for 1.1e8 nodes, minutes and tens of GB before a single test
-# slot.  A scan grid is a depth-1 tree, one node per angle, under the same
-# cap; a K=64 grid's layout holds 2 kB an angle.
+# inner nodes) holds 31.6 MiB, and the widest (fanout 44, depth 2, 62
+# nulls at the root: 1980 nodes) 4.6 MiB.  Without a cap, fanout 10 and
+# depth 8 would ask for 1.1e8 nodes, minutes and tens of GB before a
+# single test slot.  A scan grid is a depth-1 tree, one node per angle,
+# under the same cap; a K=64 grid's layout holds 1 kB an angle.
 MAX_TREE_NODES = 2000
 
 
@@ -252,8 +252,8 @@ class SearchTree:
 
 class _Block:
     """A layout's nodes of one null count m, ids depth first, and their null
-    angles (n, m), null columns B (n, m, K), an orthonormal basis Q of
-    their span (n, K, m) from :func:`~nullsim.beamforming.null_basis`, as
+    angles (n, m), an orthonormal basis Q of the span of their null columns
+    B (n, K, m) from :func:`~nullsim.beamforming.null_basis`, as
     :func:`~nullsim.beamforming.lcmv_weights` computes it, and
     s = sigma_min(B) (n,).  A sigma ratio bound at or above ``floor``
     clears a node of the rank test (see :func:`_failing`)."""
@@ -261,26 +261,18 @@ class _Block:
     def __init__(self, configs: Sequence[NullConfig], geom: ArrayGeometry):
         self.ids = [cfg.node_id for cfg in configs]
         self.nulls = np.array([cfg.null_angles_deg for cfg in configs])
-        self.columns = steering_vectors(geom, self.nulls)
-        self.basis, sv = null_basis(self.columns.transpose(0, 2, 1))
+        self.basis, sv = null_basis(steering_vectors(geom, self.nulls).transpose(0, 2, 1))
         self.s_min = sv[:, -1].copy()  # a view would keep all of sv
         m = self.nulls.shape[1]
         self.floor = RANK_SCREEN_MARGIN * RANK_TOL * math.sqrt(geom.k_antennas * (m + 1))
 
-    def constraint_matrices(self, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The constraint matrices of ``rows`` for the beam response ``a``:
-        the bits and memory layout of
-        :func:`~nullsim.beamforming.constraint_matrices` on their nulls."""
-        beam = np.broadcast_to(a, (len(rows), 1, len(a)))
-        return np.concatenate((beam, self.columns[rows]), axis=1).transpose(0, 2, 1)
-
 
 class _Layout(Mapping[NodeId, NullConfig]):
-    """The configs of one tree shape or scan grid, and their null columns on
+    """The configs of one tree shape or scan grid, and their null bases on
     one array: the beam-free half of every tree on them.
 
     It maps node ids to configs, depth first (a grid's in grid order).  A
-    node's null columns do not depend on the beam, so they are kept in one
+    node's null basis does not depend on the beam, so it is kept in one
     :class:`_Block` per null count, with no padding, and ``at`` gives each
     node's (block, row).  A beam's check (:func:`_check_constraints`) then
     costs one stacked projection per block, and its solves are one more
@@ -352,8 +344,9 @@ def _failing(
         on_beam = (block.nulls == beam_angle_deg).any(axis=1)
         suspects = np.flatnonzero(~clears | on_beam)
         if len(suspects):
-            c = block.constraint_matrices(a, suspects)
-            for i, message in _degenerate(c, block.nulls[suspects], beam_angle_deg).items():
+            nulls = block.nulls[suspects]
+            c = constraint_matrices(geom, beam_angle_deg, nulls)
+            for i, message in _degenerate(c, nulls, beam_angle_deg).items():
                 failing[block.ids[suspects[i]]] = message
     return failing
 
@@ -440,7 +433,7 @@ def build_tree(
     Numbers are keyed by type and sign too, so ``0``, ``0.0`` and ``-0.0``
     never share a tree.  The last :data:`TREE_CACHE_SIZE` distinct trees
     are kept; a key that raises is not kept and raises again.  A tree
-    shape's layout on an array (its configs and their null columns) is
+    shape's layout on an array (its configs and their null bases) is
     built once and shared by every beam, so a new beam on a known shape
     and array builds no config and pays only for one stacked projection per
     null count, plus the rank test of the few nodes it cannot clear.
@@ -522,11 +515,11 @@ def _shared_tree(
 # tree traversal
 
 # a frontier's measurements: ``evaluate(cfgs, weights)`` measures every user
-# of the search against the same transmissions and returns one report list
-# per user, each with one report per config, in order; ``weights`` stacks
-# the configs' constraint-domain vectors, one per row.  Tree and linear
-# search are the one-user case.
-Evaluator = Callable[[Sequence[NullConfig], np.ndarray], list[list[InrReport]]]
+# of the search against the same transmissions and returns one list of
+# linear INRs per user, each with one INR per config, in order; ``weights``
+# stacks the configs' constraint-domain vectors, one per row.  Tree and
+# linear search are the one-user case.
+Evaluator = Callable[[Sequence[NullConfig], np.ndarray], list[list[float]]]
 
 
 @dataclass
@@ -534,24 +527,22 @@ class SearchState:
     """Progress of one user's descent.
 
     ``frontier`` lists the nodes to test next and is empty once the user
-    has descended past a leaf.  ``best`` tracks the lowest aggregate INR
-    over everything tested so far, inner nodes included.
+    has descended past a leaf.  ``best`` tracks the lowest INR over
+    everything tested so far, inner nodes included.
     """
 
     frontier: list[NodeId]
-    tested: list[tuple[NullConfig, InrReport]] = field(default_factory=list)
-    best: tuple[NullConfig, InrReport] | None = None
+    tested: list[tuple[NullConfig, float]] = field(default_factory=list)
+    best: tuple[NullConfig, float] | None = None
 
 
-def record_results(
-    state: SearchState, tree: SearchTree, reports: Sequence[InrReport]
-) -> None:
-    """Attach the frontier's measurements, one report per node, to the state."""
-    for node_id, rep in zip(state.frontier, reports):
+def record_results(state: SearchState, tree: SearchTree, reports: Sequence[float]) -> None:
+    """Attach the frontier's measurements, one INR per node, to the state."""
+    for node_id, inr in zip(state.frontier, reports):
         cfg = tree.nodes[node_id]
-        state.tested.append((cfg, rep))
-        if state.best is None or rep.aggregate < state.best[1].aggregate:
-            state.best = (cfg, rep)
+        state.tested.append((cfg, inr))
+        if state.best is None or inr < state.best[1]:
+            state.best = (cfg, inr)
 
 
 def advance(state: SearchState, tree: SearchTree, feedback: int) -> None:
@@ -565,13 +556,9 @@ def advance(state: SearchState, tree: SearchTree, feedback: int) -> None:
     state.frontier = tree.children(state.frontier[feedback])
 
 
-def min_inr_index(reports: Sequence[InrReport]) -> int:
-    """Index of the lowest aggregate INR; ties break toward the lower index."""
-    best, arg = None, 0
-    for i, rep in enumerate(reports):
-        if best is None or rep.aggregate < best:
-            best, arg = rep.aggregate, i
-    return arg
+def min_inr_index(reports: Sequence[float]) -> int:
+    """Index of the lowest INR; ties break toward the lower index."""
+    return reports.index(min(reports))
 
 
 def descend(
@@ -581,7 +568,7 @@ def descend(
 
     Every user starts on the tree's first level.  Per level the union of
     the users' frontiers is solved and stacked once and measured once, for
-    every user by one ``evaluate`` call, which must return one report per
+    every user by one ``evaluate`` call, which must return one INR per
     union node for each user.  Each user then records its own frontier's
     reports (:func:`record_results`) and descends into its winner
     (:func:`advance`).  Every leaf of a tree sits on its last level, so the
@@ -690,9 +677,7 @@ class MultiUserPlan:
     joint_null_angles: tuple[float, ...]
 
 
-def _join_nulls(
-    bests: Sequence[tuple[NullConfig, InrReport]], limit: int
-) -> tuple[float, ...]:
+def _join_nulls(bests: Sequence[tuple[NullConfig, float]], limit: int) -> tuple[float, ...]:
     joint: list[float] = []
     accommodated: list[int] = []
     for u, (cfg, _) in enumerate(bests):

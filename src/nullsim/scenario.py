@@ -154,21 +154,12 @@ class Scenario:
         for u, angle in enumerate(self.user_angles_deg):
             angle = angle + self.channel.angle_offset_deg
             if self.channel.preset == "flat":
-                models.append(flat_channel(angle, noise_power=self.channel.noise_power))
+                models.append(flat_channel(angle))
             elif self.channel.preset == "two-ray":
-                models.append(
-                    two_ray_channel(angle, noise_power=self.channel.noise_power)
-                )
+                models.append(two_ray_channel(angle))
             else:
                 rng = np.random.default_rng([self.seed, 1000 + u])
-                models.append(
-                    orbit_like_channel(
-                        rng,
-                        self.geometry.k_antennas,
-                        angle,
-                        noise_power=self.channel.noise_power,
-                    )
-                )
+                models.append(orbit_like_channel(rng, self.geometry.k_antennas, angle))
         return models
 
 
@@ -438,14 +429,20 @@ def _check_test_slot(duty: DutyCycleConfig, sim: SimConfig) -> None:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                "parse_error", f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-            ) from exc
+    """Parse and validate a scenario file: UTF-8 text holding one JSON object."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # decoded whole, so an error's offset counts from the file's start
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            "parse_error", f"{path}: byte {exc.start} is not UTF-8: {exc.reason}"
+        ) from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(
+            "parse_error", f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
+        ) from exc
     return scenario_from_dict(raw)
 
 

@@ -154,7 +154,7 @@ def reference_run(s) -> Reference:
         return total / N_SC
 
     w0, _ = pinv_weights(geom, s.ue_angle_deg, ())
-    noise = [m.noise_power for m in models]
+    noise = [s.channel.noise_power] * len(models)
     if s.channel.baseline_inr_db is not None:
         target = 10.0 ** (s.channel.baseline_inr_db / 10.0)
         noise = [mean_power(w0, hu) / (target - 1.0) for hu in h]

@@ -19,7 +19,7 @@ from nullsim.beamforming import (
     lcmv_weights,
     steering_vector,
 )
-from nullsim.channel import InrReport, channel_response, flat_channel, rx_power
+from nullsim.channel import channel_response, flat_channel, rx_power
 from nullsim.coexsim import (
     BackhaulConfig,
     DutyCycleConfig,
@@ -135,9 +135,7 @@ def test_criterion_3_tree_agrees_with_the_exhaustive_leaf_argmin():
         result = run_full_protocol(scn)
         leaf_rows = [(c, r) for c, r in result.users[0].trace if c.level == tree.depth]
         assert len(leaf_rows) == tree.fanout
-        chosen = min(
-            range(len(leaf_rows)), key=lambda i: (leaf_rows[i][1].aggregate, i)
-        )
+        chosen = min(range(len(leaf_rows)), key=lambda i: (leaf_rows[i][1], i))
         chosen_leaf = leaf_rows[chosen][0].node_id
 
         if float(angle) not in oracle_cache:
@@ -244,9 +242,7 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
     ]
 
     def stub(i):
-        return lambda cfgs, w: [
-            [InrReport(aggregate=scores[i][cfg.node_id]) for cfg in cfgs]
-        ]
+        return lambda cfgs, w: [[scores[i][cfg.node_id] for cfg in cfgs]]
 
     sim = SimConfig()
     for it in range(1000):
@@ -263,9 +259,7 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
                 dc,
                 bh,
                 sim,
-                lambda cfgs, w: [
-                    [InrReport(aggregate=1.0 + cfg.node_id[0]) for cfg in cfgs]
-                ],
+                lambda cfgs, w: [[1.0 + cfg.node_id[0] for cfg in cfgs]],
             )
         elif it % 10 == 7:
             shift = {0: 0.0, 1: 7.0}
@@ -276,11 +270,7 @@ def test_criterion_7_timeline_matches_the_closed_form_exactly():
                 bh,
                 sim,
                 lambda cfgs, w: [
-                    [
-                        InrReport(aggregate=scores[i][cfg.node_id] + shift[u])
-                        for cfg in cfgs
-                    ]
-                    for u in range(2)
+                    [scores[i][cfg.node_id] + shift[u] for cfg in cfgs] for u in range(2)
                 ],
             )
         else:

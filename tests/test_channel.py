@@ -25,7 +25,6 @@ from nullsim.channel import (
     rx_power,
     sampled_inr,
     two_ray_channel,
-    with_noise_power,
 )
 from nullsim.phy_grid import CENTER_FREQ_HZ, N_SC, SC_BANDWIDTH_HZ, SC_CENTERS_HZ, SC_TO_RB
 
@@ -52,8 +51,6 @@ def test_model_validation():
         ChannelModel(mode="flat", paths=(Path(0.0, excess_delay_s=1e-9),))
     with pytest.raises(ValueError):
         ChannelModel(mode="maze", paths=(Path(0.0),))
-    with pytest.raises(ValueError):
-        ChannelModel(mode="flat", paths=(Path(0.0),), noise_power=0.0)
     with pytest.raises(ValueError):
         ChannelModel(mode="flat", paths=(Path(0.0),), antenna_gains=(1.0, 0.0))
 
@@ -230,13 +227,13 @@ def test_aggregate_db_floor():
 
 
 def test_zero_jitter_sampling_is_exact(geom4):
-    model = flat_channel(15.0, noise_power=1e-6)
+    model = flat_channel(15.0)
     h = channel_response(model, geom4)
     w = build_weight_matrix(geom4, 40.0, (), base=lcmv_weights(geom4, 40.0, ()))
-    ((rep,),) = sampled_inr(h[None], w[None], [model], sample_count=100)
+    ((inr,),) = sampled_inr(h[None], w[None], [1e-6], sample_count=100)
     p = rx_power(h, w)
     expected = (float(np.mean(p)) + 1e-6) / 1e-6
-    assert rep.aggregate == expected
+    assert inr == expected
 
 
 def test_jitter_needs_rng(geom4):
@@ -244,24 +241,24 @@ def test_jitter_needs_rng(geom4):
     h = channel_response(model, geom4)
     w = build_weight_matrix(geom4, 30.0, (), base=lcmv_weights(geom4, 30.0, ()))
     with pytest.raises(ValueError, match="rng per user"):
-        sampled_inr(h[None], w[None], [model], noise_jitter=0.1)
+        sampled_inr(h[None], w[None], [1e-9], noise_jitter=0.1)
     with pytest.raises(ValueError, match="rng per user"):
-        sampled_inr(h[None], w[None], [model], noise_jitter=0.1, rngs=[None])
+        sampled_inr(h[None], w[None], [1e-9], noise_jitter=0.1, rngs=[None])
 
 
 def test_averaging_variance_shrinks_with_sample_count(geom4):
     """Std of the averaged INR scales like 1/sqrt(N)."""
-    model = flat_channel(20.0, noise_power=1e-3)
+    model = flat_channel(20.0)
     h = channel_response(model, geom4)
     w = build_weight_matrix(geom4, 50.0, (), base=lcmv_weights(geom4, 50.0, ()))
 
     def spread(n, trials=200):
         vals = [
             sampled_inr(
-                h[None], w[None], [model],
+                h[None], w[None], [1e-3],
                 sample_count=n, noise_jitter=0.5,
                 rngs=[np.random.default_rng([trial, n])],
-            )[0][0].aggregate
+            )[0][0]
             for trial in range(trials)
         ]
         return float(np.std(vals))
@@ -279,17 +276,17 @@ def test_averaging_variance_shrinks_with_sample_count(geom4):
 )
 def test_jittered_aggregate_matches_per_draw_mean(geom4, seed, noise, jitter, count):
     """The array average equals the per-draw list mean and draws the same numbers."""
-    model = flat_channel(20.0, noise_power=noise)
+    model = flat_channel(20.0)
     h = channel_response(model, geom4)
     w = build_weight_matrix(geom4, 0.0, (), base=lcmv_weights(geom4, 0.0, ()))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ((rep,),) = sampled_inr(
-        h[None], w[None], [model], sample_count=count, noise_jitter=jitter, rngs=[rng]
+    ((inr,),) = sampled_inr(
+        h[None], w[None], [noise], sample_count=count, noise_jitter=jitter, rngs=[rng]
     )
     p_on = float(np.mean(rx_power(h, w))) + noise
     draws = p_on + jitter * noise * ref_rng.standard_normal(count)
     np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
-    assert rep.aggregate == float(np.mean([d / noise for d in draws]))
+    assert inr == float(np.mean([d / noise for d in draws]))
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 
@@ -298,21 +295,24 @@ def test_sample_count_validation(geom4):
     h = channel_response(model, geom4)
     w = build_weight_matrix(geom4, 30.0, (), base=lcmv_weights(geom4, 30.0, ()))
     with pytest.raises(ValueError):
-        sampled_inr(h[None], w[None], [model], sample_count=0)
+        sampled_inr(h[None], w[None], [1e-9], sample_count=0)
     with pytest.raises(ValueError):
-        sampled_inr(h[None], w[None], [model], noise_jitter=-0.1)
+        sampled_inr(h[None], w[None], [1e-9], noise_jitter=-0.1)
+    for noise in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="noise power must be positive"):
+            sampled_inr(h[None], w[None], [noise])
 
 
-def test_a_measurement_takes_stacks_and_one_model_per_user(geom4):
+def test_a_measurement_takes_stacks_and_one_noise_power_per_user(geom4):
     model = flat_channel(0.0)
     h = channel_response(model, geom4)
     w = build_weight_matrix(geom4, 30.0, (), base=lcmv_weights(geom4, 30.0, ()))
     with pytest.raises(ValueError, match="stacks"):
-        sampled_inr(h, w[None], [model])
+        sampled_inr(h, w[None], [1e-9])
     with pytest.raises(ValueError, match="stacks"):
-        sampled_inr(h[None], w, [model])
-    with pytest.raises(ValueError, match="one channel model per user"):
-        sampled_inr(np.array([h, h]), w[None], [model])
+        sampled_inr(h[None], w, [1e-9])
+    with pytest.raises(ValueError, match="one noise power per user"):
+        sampled_inr(np.array([h, h]), w[None], [1e-9])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_orbit_like_draw_is_deterministic(geom4):
     assert a.antenna_gains is not None and len(a.antenna_gains) == 4
 
 
-def scalar_orbit_draw(rng, k_antennas, angle_deg, noise_power):
+def scalar_orbit_draw(rng, k_antennas, angle_deg):
     """The orbit-like draw made one scalar draw at a time: each echo's
     level, phase, angle and delay, then every antenna's gain."""
     paths = [Path(angle_deg, 1.0, 0.0)]
@@ -345,7 +345,7 @@ def scalar_orbit_draw(rng, k_antennas, angle_deg, noise_power):
     gains = tuple(
         float(10.0 ** (rng.normal(0.0, ORBIT_GAIN_SIGMA_DB) / 20.0)) for _ in range(k_antennas)
     )
-    return ChannelModel("geometric", tuple(paths), noise_power, gains)
+    return ChannelModel("geometric", tuple(paths), gains)
 
 
 @settings(max_examples=200, deadline=None)
@@ -353,12 +353,11 @@ def scalar_orbit_draw(rng, k_antennas, angle_deg, noise_power):
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     k=st.integers(min_value=2, max_value=64),
     angle=st.floats(min_value=-90, max_value=90),
-    noise=st.floats(min_value=1e-12, max_value=1.0),
 )
-def test_the_orbit_draw_has_the_bits_and_rng_state_of_scalar_draws(seed, k, angle, noise):
+def test_the_orbit_draw_has_the_bits_and_rng_state_of_scalar_draws(seed, k, angle):
     drawn, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    model = orbit_like_channel(drawn, k, angle, noise_power=noise)
-    assert repr(model) == repr(scalar_orbit_draw(scalar, k, angle, noise))
+    model = orbit_like_channel(drawn, k, angle)
+    assert repr(model) == repr(scalar_orbit_draw(scalar, k, angle))
     # every value is a Python float or complex, as a scalar draw gives
     assert all(type(g) is float for g in model.antenna_gains)
     assert all(type(p.angle_deg) is float for p in model.paths[1:])
@@ -373,10 +372,3 @@ def test_orbit_like_echoes_are_below_the_direct_ray():
     for echo in echoes:
         assert abs(echo.gain) < 0.2
         assert 0 < echo.excess_delay_s < 1e-6
-
-
-def test_with_noise_power_replaces_only_noise():
-    m = flat_channel(5.0)
-    m2 = with_noise_power(m, 0.125)
-    assert m2.noise_power == 0.125
-    assert m2.paths == m.paths

@@ -53,11 +53,16 @@ def test_validate_rejects_bad_schema(tmp_path, capsys):
             '"channel": {"preset": "flat", "angle_offset_deg": 20.0}}',
             "user_angle_out_of_range",
         ),
+        # a file that is not UTF-8, written as bytes
+        (b'{"seed": 1\xff}', "parse_error"),
     ],
 )
 def test_validate_rejects_what_the_run_could_not_finish(text, rule, tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
     assert f"scenario error: {rule}" in capsys.readouterr().err
     assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
@@ -81,6 +86,9 @@ def test_a_sweep_duty_without_a_test_slot_fails_validate_and_sweep_up_front(
 
 def test_validate_missing_file(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "nope.json")]) == cli.EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+    # a directory is no scenario file either
+    assert cli.main(["validate", str(tmp_path)]) == cli.EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
 
 

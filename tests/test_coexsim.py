@@ -19,7 +19,6 @@ from nullsim.beamforming import (
     normalize,
     steering_vector,
 )
-from nullsim.channel import InrReport
 from nullsim.coexsim import (
     PUNCTURE_WINDOW_US,
     BackhaulConfig,
@@ -57,14 +56,10 @@ def tree4():
     return build_tree(ArrayGeometry(k_antennas=4), beam_angle_deg=21.4)
 
 
-def report(value: float) -> InrReport:
-    return InrReport(aggregate=value)
-
-
 def scripted_evaluator(tree, seed: int):
     rng = np.random.default_rng(seed)
     scores = {n: float(rng.uniform(0.1, 100.0)) for n in sorted(tree.nodes)}
-    return lambda cfgs, w: [[report(scores[cfg.node_id]) for cfg in cfgs]]
+    return lambda cfgs, w: [[scores[cfg.node_id] for cfg in cfgs]]
 
 
 def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
@@ -72,7 +67,7 @@ def flat_ray_evaluator(geom, victim_deg, noise=1e-9):
 
     def evaluate(cfgs, weights):
         return [
-            [report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise) for w in weights]
+            [(abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise for w in weights]
         ]
 
     return evaluate
@@ -292,7 +287,7 @@ def test_one_user_parallel_timing_equals_the_plain_descent(
     scores = {n: float(rng.integers(distinct_scores)) + 0.5 for n in sorted(tree.nodes)}
 
     def evaluate(cfgs, w):
-        return [[report(scores[cfg.node_id]) for cfg in cfgs]]
+        return [[scores[cfg.node_id] for cfg in cfgs]]
 
     tl_tree, state = simulate_tree_search(
         tree, dc, bh, sim, evaluate, power_correction=False
@@ -305,8 +300,8 @@ def test_one_user_parallel_timing_equals_the_plain_descent(
     assert tl_mu.total_delay_us == tl_tree.total_delay_us == tl_tree.identity_total_us()
     (mu_state,) = plan.states
     assert [c.node_id for c, _ in mu_state.tested] == [c.node_id for c, _ in state.tested]
-    bits = [np.float64(r.aggregate).tobytes() for _, r in state.tested]
-    assert [np.float64(r.aggregate).tobytes() for _, r in mu_state.tested] == bits
+    bits = [np.float64(r).tobytes() for _, r in state.tested]
+    assert [np.float64(r).tobytes() for _, r in mu_state.tested] == bits
 
 
 def test_timeline_labels_are_the_same_in_every_mode():

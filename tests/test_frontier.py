@@ -34,13 +34,11 @@ from nullsim.beamforming import (
 from nullsim.campaign import export_results, run_scenarios
 from nullsim.channel import (
     MIN_MEASURABLE_POWER,
-    InrReport,
     channel_response,
     orbit_like_channel,
     rx_power,
     sampled_inr,
     two_ray_channel,
-    with_noise_power,
 )
 from nullsim.coexsim import run_full_protocol
 from nullsim.nullsearch import DEFAULT_LINEAR_GRID, grid_tree, linear_search
@@ -460,18 +458,17 @@ def test_frontier_measurement_matches_per_config_calls(k, corrected, jitter, n, 
         assert np.array_equal(row, rx_power_reference(h, wm, 2.0))
 
     rng_stack, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
-    (reports,) = sampled_inr(h[None], stack, [model], 2.0, 50, jitter, [rng_stack])
-    for rep, wm in zip(reports, singles):
-        ((one,),) = sampled_inr(h[None], wm[None], [model], 2.0, 50, jitter, [rng_single])
-        assert rep.aggregate == one.aggregate
+    (inrs,) = sampled_inr(h[None], stack, [1e-9], 2.0, 50, jitter, [rng_stack])
+    for inr, wm in zip(inrs, singles):
+        ((one,),) = sampled_inr(h[None], wm[None], [1e-9], 2.0, 50, jitter, [rng_single])
+        assert inr == one
     assert rng_stack.random() == rng_single.random()
 
 
-def per_user_measurement(h, stack, model, tx_power, count, jitter, rng):
+def per_user_measurement(h, stack, noise, tx_power, count, jitter, rng):
     """One user's reports as a measurement of that user alone makes them:
     per config, the mean subcarrier power plus noise, then ``count`` draws
     from the user's own rng, config by config."""
-    noise = model.noise_power
     reports = []
     for wm in stack:
         p_on = float(np.mean(rx_power_reference(h, wm, tx_power))) + noise
@@ -503,25 +500,24 @@ def test_one_measurement_of_every_user_matches_per_user_measurements(
     stack = build_weight_matrix(geom, 0.0, ((),) * n, report=report, base=weights)
     assert (stack.strides[-1] == 0) == (not corrected)
     # every user its own channel and its own calibrated noise power
-    models = [
-        with_noise_power(
+    models, noise = [], []
+    for u in range(users):
+        models.append(
             orbit_like_channel(rng, k, float(rng.uniform(-80.0, 80.0)))
-            if u % 2 else two_ray_channel(float(rng.uniform(-60.0, 60.0))),
-            float(10.0 ** rng.uniform(-3.0, 1.0)),
+            if u % 2 else two_ray_channel(float(rng.uniform(-60.0, 60.0)))
         )
-        for u in range(users)
-    ]
+        noise.append(float(10.0 ** rng.uniform(-3.0, 1.0)))
     responses = np.array([channel_response(m, geom) for m in models])
     rngs = [np.random.default_rng([seed, u]) for u in range(users)]
     oracle_rngs = [np.random.default_rng([seed, u]) for u in range(users)]
 
-    measured = sampled_inr(responses, stack, models, 2.0, 50, jitter, rngs)
+    measured = sampled_inr(responses, stack, noise, 2.0, 50, jitter, rngs)
     assert len(measured) == users
     for u in range(users):
         expected = per_user_measurement(
-            responses[u], stack, models[u], 2.0, 50, jitter, oracle_rngs[u]
+            responses[u], stack, noise[u], 2.0, 50, jitter, oracle_rngs[u]
         )
-        assert [r.aggregate for r in measured[u]] == expected
+        assert measured[u] == expected
         assert rngs[u].bit_generator.state == oracle_rngs[u].bit_generator.state
 
 
@@ -535,16 +531,12 @@ def test_plain_matrix_is_a_read_only_broadcast(geom4):
 # one evaluator call per frontier
 
 
-def _report(value: float) -> InrReport:
-    return InrReport(aggregate=value)
-
-
 def test_linear_search_measures_its_grid_as_one_frontier(geom8):
     frontiers = []
 
     def distance_to_victim(cfgs, w):
         frontiers.append(w.shape)
-        return [[_report(abs(cfg.null_angles_deg[0] + 20.0)) for cfg in cfgs]]
+        return [[abs(cfg.null_angles_deg[0] + 20.0) for cfg in cfgs]]
 
     state = linear_search(grid_tree(geom8, DEFAULT_LINEAR_GRID, 21.4), distance_to_victim)
     assert frontiers == [(165, 8)]

@@ -11,7 +11,6 @@ from nullsim.beamforming import (
     normalize,
     steering_vector,
 )
-from nullsim.channel import InrReport
 from nullsim.nullsearch import (
     DEFAULT_LINEAR_GRID,
     LINEAR_GRID_RANGE,
@@ -42,10 +41,6 @@ def tree4():
     return build_tree(ArrayGeometry(k_antennas=4), beam_angle_deg=21.4)
 
 
-def report(value: float) -> InrReport:
-    return InrReport(aggregate=value)
-
-
 def scripted_evaluator(tree, seed: int):
     """Fixed positive score per node, drawn once so reruns agree."""
     rng = np.random.default_rng(seed)
@@ -54,7 +49,7 @@ def scripted_evaluator(tree, seed: int):
 
     def evaluate(cfgs, w):
         calls.extend(cfg.node_id for cfg in cfgs)
-        return [[report(scores[cfg.node_id]) for cfg in cfgs]]
+        return [[scores[cfg.node_id] for cfg in cfgs]]
 
     return evaluate, scores, calls
 
@@ -206,7 +201,7 @@ def run_descent(tree, evaluate):
 def winner(state):
     """The node the last feedback picked: the lowest of the last level tested."""
     last = [(cfg, rep) for cfg, rep in state.tested if cfg.level == state.tested[-1][0].level]
-    return min(last, key=lambda t: t[1].aggregate)[0].node_id
+    return min(last, key=lambda t: t[1])[0].node_id
 
 
 def test_descent_tests_fanout_nodes_per_level(tree8):
@@ -222,7 +217,7 @@ def test_best_is_the_minimum_over_everything_tested(tree8):
     evaluate, scores, _ = scripted_evaluator(tree8, seed=6)
     state = run_descent(tree8, evaluate)
     assert state.best is not None
-    assert state.best[1].aggregate == min(rep.aggregate for _, rep in state.tested)
+    assert state.best[1] == min(inr for _, inr in state.tested)
 
 
 def test_descent_follows_the_per_level_minimum(tree8):
@@ -244,7 +239,7 @@ def test_descent_is_deterministic(tree8):
     s2 = run_descent(tree8, ev2)
     assert calls1 == calls2
     assert winner(s1) == winner(s2)
-    assert s1.best[1].aggregate == s2.best[1].aggregate
+    assert s1.best[1] == s2.best[1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -257,7 +252,7 @@ def test_descent_depends_only_on_score_ranking(seed):
 
     def ev_mapped(cfgs, w):
         calls_mapped.extend(cfg.node_id for cfg in cfgs)
-        return [[report(float(np.exp(scores[cfg.node_id] / 50.0))) for cfg in cfgs]]
+        return [[float(np.exp(scores[cfg.node_id] / 50.0)) for cfg in cfgs]]
 
     raw = run_descent(tree, ev_raw)
     mapped = run_descent(tree, ev_mapped)
@@ -269,8 +264,8 @@ _RANK_TREE = build_tree(ArrayGeometry(k_antennas=4), beam_angle_deg=21.4, depth=
 
 
 def test_min_inr_index_breaks_ties_low():
-    assert min_inr_index([report(2.0), report(1.0), report(1.0)]) == 1
-    assert min_inr_index([report(5.0), report(5.0)]) == 0
+    assert min_inr_index([2.0, 1.0, 1.0]) == 1
+    assert min_inr_index([5.0, 5.0]) == 0
 
 
 def test_state_transition_guards(tree8):
@@ -321,7 +316,7 @@ def flat_ray_evaluator(geom, victims_deg, noise=1e-9):
     def evaluate(cfgs, weights):
         return [
             [
-                report((abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise)
+                (abs(np.vdot(normalize(w), sv)) ** 2 + noise) / noise
                 for cfg, w in zip(cfgs, weights)
             ]
             for sv in svs
@@ -334,11 +329,11 @@ def test_linear_scan_lands_on_the_victim(geom8):
     state = linear_search(
         grid_tree(geom8, DEFAULT_LINEAR_GRID, 21.4), flat_ray_evaluator(geom8, [-20.0])
     )
-    (best, rep), tested = state.best, state.tested
+    (best, inr), tested = state.best, state.tested
     assert len(tested) == LINEAR_GRID_SIZE
     assert best.null_angles_deg == (-20.0,)
     assert best.node_id == (82 - 20,)
-    assert rep.aggregate == min(r.aggregate for _, r in tested)
+    assert inr == min(r for _, r in tested)
 
 
 def test_linear_scan_single_angle(geom8):

@@ -167,7 +167,7 @@ def test_a_run_makes_the_reference_runs_decisions_and_measurements(cache, case):
         levels = int(exempt.split()[1])
     assert visited[:levels] == ref.levels[:levels]
     for st_, trace in zip(states, ref.traces, strict=True):
-        tested = [(cfg, rep.aggregate) for cfg, rep in st_.tested]
+        tested = st_.tested
         n = sum(len({*level} & {node for node, _ in trace}) for level in ref.levels[:levels])
         assert [cfg.node_id for cfg, _ in tested[:n]] == [node for node, _ in trace[:n]]
         for (cfg, a), (_, b) in zip(tested[:n], trace[:n]):

@@ -20,7 +20,6 @@ from nullsim.beamforming import (
     SPEED_OF_LIGHT_MPS,
     ArrayGeometry,
     DegenerateConstraintsError,
-    constraint_matrices,
     steering_vector,
 )
 from nullsim.nullsearch import ROOT_SECTOR, build_tree, default_null_schedule, grid_tree
@@ -149,25 +148,6 @@ def test_screened_grid_check_equals_the_full_svd(case):
         assert raised is None
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=tree_cases())
-def test_layout_constraint_matrices_have_the_bits_of_constraint_matrices(case):
-    """A tree's solves start from its layout's basis; its null columns feed
-    only the rank test of the rows the projection screen leaves.  Each
-    block's stack of them has the bits and memory layout
-    ``constraint_matrices`` gives."""
-    geom, beam, layout, _ = case
-    a = steering_vector(geom, beam)
-    for block in layout.blocks:
-        rows = np.arange(len(block.ids))
-        expected = constraint_matrices(
-            geom, beam, [layout[node_id].null_angles_deg for node_id in block.ids]
-        )
-        got = block.constraint_matrices(a, rows)
-        assert np.array_equal(got, expected)
-        assert got.strides == expected.strides
-
-
 def _held_arrays(obj, seen):
     """Every numpy buffer ``obj`` holds, through attributes, containers and
     views; a view yields the array that owns its buffer."""
@@ -190,18 +170,24 @@ def _held_arrays(obj, seen):
 
 @pytest.mark.parametrize(
     "k, fanout, depth, schedule",
-    # the widest layout validation admits (1980 nodes), about 9 MiB
-    [(64, 44, 2, (62, 1)), (8, 3, 4, (6, 4, 2, 1)), (4, 4, 3, (2, 1, 1))],
+    # the widest layout validation admits (1980 nodes), about 4.6 MiB, and
+    # the deepest (1022 nodes), about 31.6 MiB
+    [
+        (64, 44, 2, (62, 1)),
+        (8, 3, 4, (6, 4, 2, 1)),
+        (4, 4, 3, (2, 1, 1)),
+        (64, 2, 9, (62,) * 8 + (1,)),
+    ],
 )
 def test_a_layout_holds_the_bytes_its_nodes_own_null_counts_need(k, fanout, depth, schedule):
-    """Per node of m nulls: its angles (8 m bytes), its null columns and
-    their basis (16 K m each) and its sigma_min (8), with no padding to a
-    wider node."""
+    """Per node of m nulls: its angles (8 m bytes), the basis of its null
+    columns (16 K m) and its sigma_min (8), with no padding to a wider
+    node."""
     geom = ArrayGeometry(k_antennas=k)
     sector = tuple(map(nullsearch._exact, ROOT_SECTOR))
     layout = nullsearch._tree_layout(geom, fanout, depth, schedule, sector)
     counts = [len(cfg.null_angles_deg) for cfg in layout.values()]
-    need = sum(8 * m + 2 * 16 * k * m + 8 for m in counts)
+    need = sum(8 * m + 16 * k * m + 8 for m in counts)
     held = {id(arr): arr.nbytes for arr in _held_arrays(layout, set())}
     assert sum(held.values()) == need
 

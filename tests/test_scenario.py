@@ -480,6 +480,13 @@ def test_load_scenario_reports_parse_position(tmp_path):
         load_scenario(str(path))
     assert rule_of(err) == "parse_error"
     assert "broken.json:1:" in str(err.value)
+    # a byte that is not UTF-8 is named by its offset in the file, past the
+    # first chunk a text reader would decode
+    path.write_bytes(b'{"seed": 1' + b" " * 9000 + b"\xff}")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert rule_of(err) == "parse_error"
+    assert "broken.json: byte 9010 is not UTF-8" in str(err.value)
 
 
 def test_round_trip_preserves_the_scenario(tmp_path):
@@ -574,7 +581,5 @@ def test_orbit_channel_streams_are_per_user_and_seeded():
     models = s.build_channels()
     assert models == s.build_channels()  # rerun draws the same channels
     assert models[0] != models[1]
-    expected = orbit_like_channel(
-        np.random.default_rng([7, 1001]), 8, 35.6, noise_power=s.channel.noise_power
-    )
+    expected = orbit_like_channel(np.random.default_rng([7, 1001]), 8, 35.6)
     assert models[1] == expected
