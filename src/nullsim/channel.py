@@ -172,47 +172,63 @@ def sampled_inr(
     (n, K, 100).  The result holds one list per user, each with one INR
     per config, in order.
 
+    Every user measures the same transmissions: the users' powers come from
+    one product, averaged over the subcarriers, and their INRs from one
+    :func:`averaged_inr` call.
+    """
+    if np.ndim(h) != 3 or np.ndim(weight_matrix) != 3:
+        raise ValueError("need stacks of responses and of weight matrices")
+    p_sc = rx_power(h, weight_matrix, tx_power)  # (users, configs, subcarriers)
+    return averaged_inr(np.mean(p_sc, axis=-1), noise_power, sample_count, noise_jitter, rngs)
+
+
+def averaged_inr(
+    power: np.ndarray,
+    noise_power: Sequence[float],
+    sample_count: int = 100,
+    noise_jitter: float = 0.0,
+    rngs: Sequence[np.random.Generator] | None = None,
+) -> list[list[float]]:
+    """Every user's linear INRs from their mean received powers,
+    (U, configs), each INR the average of ``sample_count`` noisy draws.
+
     Each draw perturbs the measured on-phase power by a zero-mean Gaussian
     of standard deviation ``noise_jitter`` times the user's noise power;
     the off-phase measurement is the noise floor itself.  With zero jitter
     the average equals the single-shot value exactly.  The draws are turned
     into INRs and averaged as one array, in the order the rngs produced
-    them.
+    them, with the arithmetic done in place on the draw buffer.
 
-    Every user measures the same transmissions: the users' powers come from
-    one product and their INRs from one average.  Each user's draws come
-    from one call of its own rng that fills an (n, sample_count) array, the
-    same numbers (and the same next draw) as n calls in config order, users
-    in order.  So every INR has the bits of a measurement of that user
-    and config alone, and every rng ends where those measurements leave it.
+    Each user's draws come from one call of its own rng that fills an
+    (n, sample_count) array, the same numbers (and the same next draw) as
+    n calls in config order, users in order.  So every INR has the bits of
+    a measurement of that user and config alone, and every rng ends where
+    those measurements leave it.
     """
     if sample_count < 1:
         raise ValueError("need at least one measurement sample")
     if noise_jitter < 0:
         raise ValueError("noise jitter cannot be negative")
-    if np.ndim(h) != 3 or np.ndim(weight_matrix) != 3:
-        raise ValueError("need stacks of responses and of weight matrices")
-    if len(noise_power) != len(h):
+    if len(noise_power) != len(power):
         raise ValueError("need one noise power per user")
     if not all(n > 0 for n in noise_power):
         raise ValueError("noise power must be positive")
-    p_sc = rx_power(h, weight_matrix, tx_power)  # (users, configs, subcarriers)
     noise = np.array(noise_power, dtype=float)[:, None, None]
-    p_on = np.mean(p_sc, axis=-1, keepdims=True) + noise
+    p_on = power[..., None] + noise
     # every noise power is positive and every draw is clipped above zero,
     # so each INR is a plain ratio of positive powers
     if noise_jitter == 0.0:
-        agg = (p_on / noise)[..., 0]
-    else:
-        if rngs is None or len(rngs) != len(noise_power) or None in rngs:
-            raise ValueError("jittered measurements need an rng per user")
-        z = np.empty(p_sc.shape[:2] + (sample_count,))
-        for rng, z_u in zip(rngs, z):
-            rng.standard_normal(out=z_u)
-        draws = p_on + noise_jitter * noise * z
-        np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
-        agg = np.mean(draws / noise, axis=-1)
-    return agg.tolist()
+        return (p_on / noise)[..., 0].tolist()
+    if rngs is None or len(rngs) != len(noise_power) or None in rngs:
+        raise ValueError("jittered measurements need an rng per user")
+    draws = np.empty(np.shape(power) + (sample_count,))
+    for rng, z_u in zip(rngs, draws):
+        rng.standard_normal(out=z_u)
+    draws *= noise_jitter * noise
+    draws += p_on
+    np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
+    draws /= noise
+    return np.mean(draws, axis=-1).tolist()
 
 
 def power_report(h: np.ndarray) -> np.ndarray:

@@ -24,12 +24,20 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from typing import TYPE_CHECKING, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .beamforming import build_weight_matrix, lcmv_weights
-from .channel import InrReport, channel_response, power_report, rx_power, sampled_inr
+from .channel import (
+    InrReport,
+    averaged_inr,
+    channel_response,
+    power_report,
+    rx_power,
+    sampled_inr,
+)
 from .nullsearch import (
     ROOT_SECTOR,
     Evaluator,
@@ -153,8 +161,12 @@ def _cycle_slots(dc: DutyCycleConfig, sim: SimConfig) -> list[int]:
     return offsets
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+class TimelineEvent(NamedTuple):
+    """One timeline entry: its time in integer microseconds, its kind
+    (``phase``, ``test_slot``, ``ctc_send``, ``ctc_recv`` or ``apply``) and
+    its label.  A plain named tuple, so a phase's test slots are laid out
+    by one ``map`` over their times and labels."""
+
     t_us: int
     kind: str
     label: str
@@ -211,6 +223,10 @@ def _emit_test_cycles(
     return cycles
 
 
+_slot_label = attrgetter("slot_label")
+_null_angles = attrgetter("null_angles_deg")
+
+
 def _emit_search(
     levels: Sequence[Sequence[NullConfig]],
     dc: DutyCycleConfig,
@@ -237,7 +253,7 @@ def _emit_search(
         t += tl.power_cycles * dc.t_csat_us
     for level, cfgs in enumerate(levels, start=1):
         tl.emit(t, "phase", f"tree_level_{level}")
-        labels = [cfg.slot_label for cfg in cfgs]
+        labels = list(map(_slot_label, cfgs))
         tl.configs_tested += len(labels)
         tl.level_cycles.append(_emit_test_cycles(tl, t, labels, offsets))
         end = t + tl.level_cycles[-1] * dc.t_csat_us
@@ -269,7 +285,7 @@ def simulate_tree_search(
     """
     (state,), visited = descend(tree, 1, evaluate)
     tl = _emit_search(
-        [[tree.nodes[n] for n in nodes] for nodes in visited],
+        [list(map(tree.nodes.config, nodes)) for nodes in visited],
         dc, backhaul, sim,
         sounded_antennas=tree.geometry.k_antennas if power_correction else 0,
     )
@@ -306,7 +322,7 @@ def simulate_multi_user(
     """
     plan = multi_user_search(tree, users, evaluate)
     tl = _emit_search(
-        [[tree.nodes[n] for n in nodes] for nodes in plan.visited_per_level],
+        [list(map(tree.nodes.config, nodes)) for nodes in plan.visited_per_level],
         dc, backhaul, sim,
     )
     return tl, plan
@@ -338,28 +354,29 @@ class ProtocolResult:
 
 
 def _calibrated_channels(scenario: "Scenario", geom, w0_matrix):
-    """Per-user channel responses and noise powers, the noise set so the
-    no-null INR hits the target.
+    """Per-user channel responses, beam-only powers and noise powers, the
+    noise set so the no-null INR hits the target.
 
-    Returns the responses, stacked (users, antennas, subcarriers), and one
-    noise power per user: the scenario's without a target, otherwise each
-    user's beam-only power over (target - 1).
+    Returns the responses, stacked (users, antennas, subcarriers), each
+    user's no-null received power averaged over the subcarriers, (users,),
+    and one noise power per user: the scenario's without a target,
+    otherwise each user's beam-only power over (target - 1).
     """
     models = scenario.build_channels()
     responses = np.empty((len(models), geom.k_antennas, N_SC), dtype=complex)
     for u, model in enumerate(models):
         responses[u] = channel_response(model, geom)
+    beam_power = np.mean(rx_power(responses, w0_matrix, scenario.tx_power), axis=-1)
     if scenario.channel.baseline_inr_db is None:
-        return responses, [scenario.channel.noise_power] * len(models)
+        return responses, beam_power, [scenario.channel.noise_power] * len(models)
     target = 10.0 ** (scenario.channel.baseline_inr_db / 10.0)
-    p_sc = rx_power(responses, w0_matrix, scenario.tx_power)
-    bases = np.mean(p_sc, axis=-1).tolist()
+    bases = beam_power.tolist()
     if min(bases) <= 0:
         raise ValueError(
             "beam-only pattern has no power toward this user; "
             "cannot calibrate a baseline INR"
         )
-    return responses, [base / (target - 1.0) for base in bases]
+    return responses, beam_power, [base / (target - 1.0) for base in bases]
 
 
 def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
@@ -373,12 +390,12 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     search = scenario.search
     tree = scenario.search_tree()
 
-    # the no-null beam's weight matrix, a stack of one: calibration measures
-    # with its row and the baseline with the stack
+    # the no-null beam's weight matrix, a stack of one; calibration's powers
+    # on its row are the baseline's too
     w0_stack = build_weight_matrix(
         geom, scenario.ue_angle_deg, ((),), base=tree.beam_weights[None]
     )
-    responses, noise = _calibrated_channels(scenario, geom, w0_stack[0])
+    responses, beam_power, noise = _calibrated_channels(scenario, geom, w0_stack[0])
     sim = scenario.sim
     dc, backhaul = scenario.duty, scenario.backhaul
     # each user's measurement draws come from its own rng; without jitter
@@ -389,9 +406,21 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             np.random.default_rng([scenario.seed, 2000 + u]) for u in range(len(noise))
         ]
 
-    def sample(wm: np.ndarray) -> list[list[float]]:
-        """Every user's INRs on a stack of weight matrices, one measurement
-        of all users, each user's draws from its own rng."""
+    def measure(
+        cfgs: Sequence[NullConfig],
+        weights: np.ndarray,
+        report: np.ndarray | None = None,
+    ) -> list[list[float]]:
+        """Every user's INRs for a frontier, from one stacked weight-matrix
+        build and one measurement of all users, each user's draws from its
+        own rng."""
+        wm = build_weight_matrix(
+            geom,
+            scenario.ue_angle_deg,
+            tuple(map(_null_angles, cfgs)),
+            report=report,
+            base=weights,
+        )
         return sampled_inr(
             responses,
             wm,
@@ -402,23 +431,14 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
             meas_rngs,
         )
 
-    def measure(
-        cfgs: Sequence[NullConfig],
-        weights: np.ndarray,
-        report: np.ndarray | None = None,
-    ) -> list[list[float]]:
-        """Every user's INRs for a frontier, from one stacked weight-matrix
-        build."""
-        wm = build_weight_matrix(
-            geom,
-            scenario.ue_angle_deg,
-            tuple(cfg.null_angles_deg for cfg in cfgs),
-            report=report,
-            base=weights,
+    # the baseline measures the no-null beam's powers, each user's draws
+    # first from its rng
+    baselines = [
+        reps[0]
+        for reps in averaged_inr(
+            beam_power[:, None], noise, sim.sample_count, sim.noise_jitter, meas_rngs
         )
-        return sample(wm)
-
-    baselines = [reps[0] for reps in sample(w0_stack)]
+    ]
 
     if search.mode == "multiuser":
         timeline, plan = simulate_multi_user(tree, len(noise), dc, backhaul, sim, measure)

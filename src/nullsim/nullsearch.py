@@ -45,6 +45,12 @@ FLOAT_DECIMALS = 6
 # the rank tolerance skips the rank SVD (see _failing)
 RANK_SCREEN_MARGIN = 1e6
 
+# a layout is built and checked a chunk of rows at a time: each chunk's
+# stack of null columns holds about this many bytes, so the transient
+# stacks of its steering vectors, SVDs and constraint matrices stay near it
+# whatever the layout's size (see _chunks)
+CHUNK_BYTES = 1 << 22
+
 # distinct search trees kept per process, with their solved weights; an
 # ensemble or a sweep on one array and beam shares a single tree.  As many
 # layouts of a tree shape or scan grid on an array are kept, each shared by
@@ -158,8 +164,11 @@ class SearchTree:
     The simulated protocol treats every node's weights as precomputed, so
     no solve eats into a 2 ms test slot.  On the host, a node is solved on
     first use, a frontier's unsolved nodes by one stacked call: a descent
-    reads 12 of a default tree's 120 nodes.  A linear scan is a depth-1
-    tree whose nodes are the grid angles (see :func:`grid_tree`).
+    reads 12 of a default tree's 120 nodes.  The solved rows are kept per
+    layout block, one array of the rows solved so far and each block row's
+    place in it, so a frontier is gathered, solved and copied out as one
+    block.  A linear scan is a depth-1 tree whose nodes are the grid
+    angles (see :func:`grid_tree`).
 
     A tree is a beam on a layout: ``nodes`` is the :class:`_Layout` of its
     shape (or scan grid) on its array, shared by every beam, and the beam
@@ -182,9 +191,12 @@ class SearchTree:
     nulls_per_level: tuple[int, ...]
     nodes: _Layout = field(repr=False)
     root_sector: tuple[float, float] = ROOT_SECTOR
-    # each solved node's weights, kept for the tree's lifetime, so a descent
-    # pays for the nodes it tests and every run sharing the tree reuses them
-    _solved: dict[NodeId, np.ndarray] = field(
+    # per layout block, its solved rows' weights (solved, K), in the order
+    # they were solved, and each block row's place among them (-1 while
+    # unsolved), kept for the tree's lifetime, so a descent pays for the
+    # nodes it tests, holds only their rows, and every run sharing the tree
+    # reuses them
+    _solved: dict[_Block, tuple[np.ndarray, np.ndarray]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     # the beam's steering vector, computed once: the check and every
@@ -200,25 +212,36 @@ class SearchTree:
     def stack(self, node_ids: Sequence[NodeId]) -> tuple[list[NullConfig], np.ndarray]:
         """The configs of ``node_ids`` and their weights, one row per node.
 
-        The nodes must share a null count, as a frontier's nodes do; the
-        ones not yet solved are solved by one stacked
+        The nodes must share a null count, as a frontier's nodes do, so
+        they sit in one block of the layout.  The tree keeps each block's
+        solved rows as one (solved, K) array with each block row's place in
+        it; the nodes not yet solved are solved by one stacked
         :func:`~nullsim.beamforming.min_norm_weights` call, which projects
-        the beam off their bases in the layout's block of that count, and
-        the rank test is not run again.  Each row has the bits of the
+        the beam off their bases, and appended, and the rank test is not
+        run again.  The weights come back gathered by one index, a copy, so
+        no caller writes into the tree.  Each row has the bits of the
         node's own :func:`~nullsim.beamforming.lcmv_weights` call.
         """
-        cfgs = [self.nodes[n] for n in node_ids]
-        if len({len(cfg.null_angles_deg) for cfg in cfgs}) > 1:
+        cfgs = list(map(self.nodes.config, node_ids))
+        blocks, rows = zip(*map(self.nodes.at.__getitem__, node_ids))
+        block = blocks[0]
+        if blocks.count(block) != len(blocks):
             counts = ", ".join(f"{cfg.node_id}: {len(cfg.null_angles_deg)}" for cfg in cfgs)
             raise ValueError(
                 f"a stack's nodes must share one null count; nulls per node {counts}"
             )
-        todo = [n for n in node_ids if n not in self._solved]
-        if todo:
-            block = self.nodes.at[todo[0]][0]
-            q = block.basis[[self.nodes.at[n][1] for n in todo]]
-            self._solved.update(zip(todo, min_norm_weights(self._beam[None], q)))
-        return cfgs, np.array([self._solved[n] for n in node_ids])
+        if block not in self._solved:
+            empty = np.empty((0, self.geometry.k_antennas), dtype=complex)
+            self._solved[block] = (empty, np.full(len(block.ids), -1))
+        weights, place = self._solved[block]
+        rows = np.array(rows)
+        todo = rows[place[rows] < 0]
+        if len(todo):
+            place[todo] = np.arange(len(weights), len(weights) + len(todo))
+            solved = min_norm_weights(self._beam[None], block.basis[todo])
+            weights = np.concatenate((weights, solved))
+            self._solved[block] = (weights, place)
+        return cfgs, weights[place[rows]]
 
     @cached_property
     def beam_weights(self) -> np.ndarray:
@@ -243,7 +266,7 @@ class SearchTree:
     def level_ids(self, level: int) -> list[NodeId]:
         if not 1 <= level <= self.depth:
             raise IndexError(f"level {level} outside 1..{self.depth}")
-        return sorted(n for n in self.nodes if len(n) == level)
+        return list(self.nodes.levels[level - 1])
 
     @property
     def leaf_ids(self) -> list[NodeId]:
@@ -256,34 +279,61 @@ class _Block:
     B (n, K, m) from :func:`~nullsim.beamforming.null_basis`, as
     :func:`~nullsim.beamforming.lcmv_weights` computes it, and
     s = sigma_min(B) (n,).  A sigma ratio bound at or above ``floor``
-    clears a node of the rank test (see :func:`_failing`)."""
+    clears a node of the rank test (see :func:`_failing`).  Q and s are
+    computed a chunk of rows at a time (``chunks``, from :func:`_chunks`),
+    and checked the same way, so the steering columns, the SVD's discarded
+    right singular vectors and the constraint matrices of a large block
+    never exist for all its rows at once."""
 
     def __init__(self, configs: Sequence[NullConfig], geom: ArrayGeometry):
         self.ids = [cfg.node_id for cfg in configs]
         self.nulls = np.array([cfg.null_angles_deg for cfg in configs])
-        self.basis, sv = null_basis(steering_vectors(geom, self.nulls).transpose(0, 2, 1))
-        self.s_min = sv[:, -1].copy()  # a view would keep all of sv
-        m = self.nulls.shape[1]
+        n, m = self.nulls.shape
+        self.basis = np.empty((n, geom.k_antennas, m), dtype=complex)
+        self.s_min = np.empty(n)
+        self.chunks = _chunks(self.basis)
+        for rows in self.chunks:
+            b = steering_vectors(geom, self.nulls[rows]).transpose(0, 2, 1)
+            self.basis[rows], sv = null_basis(b)
+            self.s_min[rows] = sv[:, -1]
         self.floor = RANK_SCREEN_MARGIN * RANK_TOL * math.sqrt(geom.k_antennas * (m + 1))
+
+
+def _chunks(stack: np.ndarray) -> list[slice]:
+    """Slices of a stack's rows, each about :data:`CHUNK_BYTES` of it.
+
+    Every stacked step of a layout's build and check has each row's bits
+    of its own call, so a row's result does not depend on its chunk.
+    """
+    n = len(stack)
+    step = max(1, CHUNK_BYTES * n // max(stack.nbytes, 1))
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 class _Layout(Mapping[NodeId, NullConfig]):
     """The configs of one tree shape or scan grid, and their null bases on
     one array: the beam-free half of every tree on them.
 
-    It maps node ids to configs, depth first (a grid's in grid order).  A
-    node's null basis does not depend on the beam, so it is kept in one
-    :class:`_Block` per null count, with no padding, and ``at`` gives each
-    node's (block, row).  A beam's check (:func:`_check_constraints`) then
-    costs one stacked projection per block, and its solves are one more
-    (see :meth:`SearchTree.stack`).  A scan grid's layout names a failing
-    node by its scan angle.
+    It maps node ids to configs, depth first (a grid's in grid order);
+    ``config`` is the same lookup as the dict's own method, so a map over a
+    whole frontier makes no Python-level call per node, and ``levels``
+    holds each level's ids, sorted.  A node's null basis does not depend on
+    the beam, so it is kept in one :class:`_Block` per null count, with no
+    padding, and ``at`` gives each node's (block, row).  A beam's check
+    (:func:`_check_constraints`) then costs one stacked projection per
+    block, and its solves are one more (see :meth:`SearchTree.stack`).  A
+    scan grid's layout names a failing node by its scan angle.
     """
 
     def __init__(
         self, configs: Sequence[NullConfig], geom: ArrayGeometry, scan_grid: bool = False
     ):
         self._configs = {cfg.node_id: cfg for cfg in configs}
+        self.config = self._configs.__getitem__
+        by_level: dict[int, list[NodeId]] = {}
+        for n in sorted(self._configs):
+            by_level.setdefault(len(n), []).append(n)
+        self.levels = [tuple(by_level[lev]) for lev in sorted(by_level)]
         self.scan_grid = scan_grid
         by_count: dict[int, list[NullConfig]] = {}
         for cfg in configs:
@@ -332,22 +382,23 @@ def _failing(
     RANK_TOL (1e-3) cannot fail the SVD rank test at RANK_TOL, whose
     singular values and this bound are off by about K * eps.  Every other
     node, and every node with a null exactly on the beam (where rho is 0),
-    goes through the rank test of its own solve, one stacked test per null
-    count.
+    goes through the rank test of its own solve, one stacked test per
+    chunk of a null count's block (:func:`_chunks`).
     """
     sqrt_k = math.sqrt(geom.k_antennas)
     failing: dict[NodeId, str] = {}
     for block in nodes.blocks:
-        q, s = block.basis, block.s_min
-        rho = np.linalg.norm(a - (q @ (a @ q.conj())[..., None])[..., 0], axis=-1)
-        clears = rho * s >= block.floor * (s + sqrt_k + rho)
-        on_beam = (block.nulls == beam_angle_deg).any(axis=1)
-        suspects = np.flatnonzero(~clears | on_beam)
-        if len(suspects):
-            nulls = block.nulls[suspects]
-            c = constraint_matrices(geom, beam_angle_deg, nulls)
-            for i, message in _degenerate(c, nulls, beam_angle_deg).items():
-                failing[block.ids[suspects[i]]] = message
+        for rows in block.chunks:
+            q, s, nulls = block.basis[rows], block.s_min[rows], block.nulls[rows]
+            rho = np.linalg.norm(a - (q @ (a @ q.conj())[..., None])[..., 0], axis=-1)
+            clears = rho * s >= block.floor * (s + sqrt_k + rho)
+            on_beam = (nulls == beam_angle_deg).any(axis=1)
+            suspects = np.flatnonzero(~clears | on_beam)
+            if len(suspects):
+                suspect_nulls = nulls[suspects]
+                c = constraint_matrices(geom, beam_angle_deg, suspect_nulls)
+                for i, message in _degenerate(c, suspect_nulls, beam_angle_deg).items():
+                    failing[block.ids[rows.start + suspects[i]]] = message
     return failing
 
 
@@ -537,12 +588,18 @@ class SearchState:
 
 
 def record_results(state: SearchState, tree: SearchTree, reports: Sequence[float]) -> None:
-    """Attach the frontier's measurements, one INR per node, to the state."""
-    for node_id, inr in zip(state.frontier, reports):
-        cfg = tree.nodes[node_id]
-        state.tested.append((cfg, inr))
-        if state.best is None or inr < state.best[1]:
-            state.best = (cfg, inr)
+    """Attach the frontier's measurements, one INR per node, to the state.
+
+    The whole frontier is filed in one pass.  Its lowest INR, the first in
+    frontier order on a tie, becomes the best only if it is strictly lower
+    than the best so far, so an equal INR at a later level never replaces
+    an earlier best.
+    """
+    cfgs = list(map(tree.nodes.config, state.frontier))
+    state.tested.extend(zip(cfgs, reports))
+    low = min(reports)
+    if state.best is None or low < state.best[1]:
+        state.best = (cfgs[reports.index(low)], low)
 
 
 def advance(state: SearchState, tree: SearchTree, feedback: int) -> None:
@@ -581,7 +638,9 @@ def descend(
     states = [SearchState(frontier=list(first)) for _ in range(users)]
     visited_per_level: list[list[NodeId]] = []
     while states[0].frontier:
-        union = sorted({n for st in states for n in st.frontier})
+        # one user's frontier is its own union
+        frontiers = [st.frontier for st in states]
+        union = sorted(set().union(*frontiers) if users > 1 else frontiers[0])
         visited_per_level.append(union)
         cfgs, weights = tree.stack(union)
         per_user = evaluate(cfgs, weights)
@@ -595,8 +654,9 @@ def descend(
                     f"user {u} got {len(reports)} reports "
                     f"for a frontier of {len(union)} nodes"
                 )
-            measured = dict(zip(union, reports))
-            reports = [measured[n] for n in st.frontier]
+            if st.frontier != union:
+                measured = dict(zip(union, reports))
+                reports = [measured[n] for n in st.frontier]
             # both steps are looked up in this module's globals on every
             # call, where the benchmark's tracer rebinds them
             record_results(st, tree, reports)

@@ -25,6 +25,8 @@ from nullsim.coexsim import (
     DutyCycleConfig,
     SimConfig,
     SimTimeline,
+    TimelineEvent,
+    _emit_search,
     _emit_test_cycles,
     configs_per_cycle,
     run_full_protocol,
@@ -372,7 +374,40 @@ def test_a_batched_phase_lays_the_slots_emit_lays_one_by_one(n_labels, duty):
     cycles = _emit_test_cycles(batched, 7, labels, offsets)
     assert cycles == _slots_one_by_one(single, 7, labels, offsets)
     assert batched.events == single.events
+    assert all(type(e) is TimelineEvent for e in batched.events)
     assert all(type(e.t_us) is int for e in batched.events)
+
+
+@pytest.mark.parametrize("sounded", [0, 8])
+def test_a_search_timeline_equals_the_one_by_one_emit_path(sounded):
+    """A 165-config level and a small one, laid by the emitter, match every
+    event laid by ``emit`` alone, field by field and by type."""
+    tree = grid_tree(ArrayGeometry(k_antennas=8), DEFAULT_LINEAR_GRID, 21.4)
+    grid = [tree.nodes[n] for n in tree.level_ids(1)]
+    levels = [grid, grid[:3]]
+    dc, backhaul = DutyCycleConfig(duty=0.2), BackhaulConfig(delay_ms=5.0)
+    tl = _emit_search(levels, dc, backhaul, SIM, sounded_antennas=sounded)
+
+    ref = SimTimeline(t_csat_us=dc.t_csat_us, delta_b_us=backhaul.delay_us)
+    offsets = slot_offsets_in_cycle(dc, SIM)
+    t = 0
+    ref.emit(t, "phase", "protocol_start")
+    if sounded:
+        ref.emit(t, "phase", "power_measurement")
+        labels = [f"antenna:{k}" for k in range(sounded)]
+        t += _slots_one_by_one(ref, t, labels, offsets) * dc.t_csat_us
+    for level, cfgs in enumerate(levels, start=1):
+        ref.emit(t, "phase", f"tree_level_{level}")
+        t += _slots_one_by_one(ref, t, [cfg.slot_label for cfg in cfgs], offsets) * dc.t_csat_us
+        note = f"level {level} feedback" + (" + power report" if sounded and level == 1 else "")
+        ref.emit(t, "ctc_send", note)
+        t += backhaul.delay_us
+        ref.emit(t, "ctc_recv", note)
+    assert tl.events == ref.events
+    assert [type(e) for e in tl.events] == [TimelineEvent] * len(ref.events)
+    assert [e._asdict() for e in tl.events] == [e._asdict() for e in ref.events]
+    assert tl.total_delay_us == t == tl.identity_total_us()
+    assert tl.count("test_slot") == sounded + 168
 
 
 # mode: (configs_tested, test slots), the counts each emitter has laid

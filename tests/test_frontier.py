@@ -34,6 +34,7 @@ from nullsim.beamforming import (
 from nullsim.campaign import export_results, run_scenarios
 from nullsim.channel import (
     MIN_MEASURABLE_POWER,
+    averaged_inr,
     channel_response,
     orbit_like_channel,
     rx_power,
@@ -527,6 +528,38 @@ def test_plain_matrix_is_a_read_only_broadcast(geom4):
     assert not m.flags.writeable
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    users=st.integers(min_value=1, max_value=4),
+    k=st.sampled_from([2, 4, 8]),
+    jitter=st.sampled_from([0.0, 0.5, 4.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_baseline_on_calibration_powers_is_the_stacked_measurement(users, k, jitter, seed):
+    """The no-null beam's powers that calibration averages give every
+    user's baseline the bits, and leave every rng in the state, of a
+    measurement of the beam's stack of one."""
+    rng = np.random.default_rng(seed)
+    geom = ArrayGeometry(k_antennas=k)
+    beam = float(rng.uniform(-60.0, 60.0))
+    w0 = build_weight_matrix(geom, beam, ((),), base=lcmv_weights(geom, beam, ())[None])
+    responses = np.array(
+        [channel_response(two_ray_channel(float(rng.uniform(-60.0, 60.0))), geom)
+         for _ in range(users)]
+    )
+    noise = [float(10.0 ** rng.uniform(-3.0, 1.0)) for _ in range(users)]
+    rngs, stack_rngs = (
+        [np.random.default_rng([seed, u]) for u in range(users)] if jitter else None
+        for _ in range(2)
+    )
+    power = np.mean(rx_power(responses, w0[0], 2.0), axis=-1)
+    reused = averaged_inr(power[:, None], noise, 50, jitter, rngs)
+    measured = sampled_inr(responses, w0, noise, 2.0, 50, jitter, stack_rngs)
+    assert np.array(reused).tobytes() == np.array(measured).tobytes()
+    for a, b in zip(rngs or (), stack_rngs or ()):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # one evaluator call per frontier
 
@@ -552,28 +585,33 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_tree_run_measures_one_frontier_per_level(monkeypatch):
+    baselines = _count_calls(monkeypatch, coexsim, "averaged_inr")
     measured = _count_calls(monkeypatch, coexsim, "sampled_inr")
     result = run_full_protocol(Scenario())
-    # the no-null baseline, then one stacked measurement per level
-    assert len(measured) == 1 + Scenario().search.depth
+    # the no-null baseline, on calibration's powers, then one stacked
+    # measurement per level
+    assert [np.shape(a[0]) for a in baselines] == [(1, 1)]
+    assert len(measured) == Scenario().search.depth
     assert [np.ndim(a[1]) for a in measured] == [3] * len(measured)
-    assert len(result.users[0].trace) == sum(np.shape(a[1])[0] for a in measured[1:])
+    assert len(result.users[0].trace) == sum(np.shape(a[1])[0] for a in measured)
 
 
 def test_multi_user_run_measures_each_user_once_per_level(monkeypatch):
     s = load_scenario(str(SCENARIOS / "multiuser_four.json"))
+    baselines = _count_calls(monkeypatch, coexsim, "averaged_inr")
     measured = _count_calls(monkeypatch, coexsim, "sampled_inr")
     result = run_full_protocol(s)
     users = len(s.user_angles_deg)
     levels = len(result.timeline.level_cycles)
-    # one measurement of every user each: the baselines, the union frontier
-    # of each level, the joint config
-    assert len(measured) == 1 + levels + 1
+    # one measurement of every user each: the baselines (on calibration's
+    # powers), the union frontier of each level, the joint config
+    assert [(np.shape(a[0]), len(a[1])) for a in baselines] == [((users, 1), users)]
+    assert len(measured) == levels + 1
     k = s.geometry.k_antennas
     assert [np.shape(a[0]) for a in measured] == [(users, k, N_SC)] * len(measured)
     assert [len(a[2]) for a in measured] == [users] * len(measured)
     # each level's measurement holds every config its test slots sent
-    assert sum(np.shape(a[1])[0] for a in measured[1:-1]) == result.timeline.count(
+    assert sum(np.shape(a[1])[0] for a in measured[:-1]) == result.timeline.count(
         "test_slot"
     )
 

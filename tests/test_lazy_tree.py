@@ -29,6 +29,7 @@ from nullsim.beamforming import (
 from nullsim.campaign import export_results, records_from_result
 from nullsim.coexsim import run_full_protocol
 from nullsim.nullsearch import (
+    DEFAULT_LINEAR_GRID,
     MAX_TREE_NODES,
     ROOT_SECTOR,
     DofExhaustedError,
@@ -218,6 +219,61 @@ def test_a_frontier_stack_solves_its_unsolved_nodes_in_one_call(monkeypatch, fre
         assert np.array_equal(w, expected)
     tree.stack(level)
     assert len(calls) == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    beam=st.floats(min_value=-90.0, max_value=90.0),
+    order=st.permutations(range(len(DEFAULT_LINEAR_GRID))),
+    first=st.integers(min_value=1, max_value=len(DEFAULT_LINEAR_GRID)),
+)
+def test_a_grid_stack_has_each_angles_lcmv_bits(beam, order, first):
+    """A scan grid's 165 rows, stacked out of order after part of the
+    block was solved, and stacked again, are each angle's own
+    ``lcmv_weights`` bits, handed out as copies."""
+    geom = ArrayGeometry(k_antennas=8)
+    try:
+        tree = grid_tree(geom, DEFAULT_LINEAR_GRID, beam)
+    except DegenerateConstraintsError:
+        reject()
+    ids = [tree.level_ids(1)[i] for i in order]
+    expected = np.array([lcmv_weights(geom, beam, tree.nodes[n].null_angles_deg) for n in ids])
+    _, part = tree.stack(ids[:first])
+    assert part.tobytes() == expected[:first].tobytes()
+    part[:] = np.nan
+    for _ in range(2):
+        cfgs, weights = tree.stack(ids)
+        assert [cfg.node_id for cfg in cfgs] == ids
+        assert weights.shape == (len(ids), 8)
+        assert weights.tobytes() == expected.tobytes()
+        # a caller's writes never reach the tree's rows
+        weights[:] = np.nan
+
+
+def test_a_layout_built_row_by_row_has_the_bits_of_one_chunk(monkeypatch):
+    """Chunking a layout's build and check bounds its transient memory and
+    changes no basis bit, no sigma, and no decision or message."""
+    geom = ArrayGeometry(k_antennas=8)
+    configs = list(build_tree(geom, 21.4).nodes.values())
+    beams = (21.4, configs[0].null_angles_deg[2], configs[-1].null_angles_deg[0])
+    whole = nullsearch._Layout(configs, geom)
+    assert all(len(nullsearch._chunks(b.basis)) == 1 for b in whole.blocks)
+    checks = [
+        nullsearch._failing(geom, beam, whole, steering_vector(geom, beam)) for beam in beams
+    ]
+    assert not checks[0] and all(checks[1:])
+    monkeypatch.setattr(nullsearch, "CHUNK_BYTES", 1)
+    rows = nullsearch._Layout(configs, geom)
+    assert [len(nullsearch._chunks(b.basis)) for b in rows.blocks] == [
+        len(b.ids) for b in rows.blocks
+    ]
+    for a, b in zip(whole.blocks, rows.blocks):
+        assert a.ids == b.ids
+        assert a.basis.tobytes() == b.basis.tobytes()
+        assert a.s_min.tobytes() == b.s_min.tobytes()
+    assert checks == [
+        nullsearch._failing(geom, beam, rows, steering_vector(geom, beam)) for beam in beams
+    ]
 
 
 def test_a_stack_of_nodes_with_different_null_counts_names_the_rule_and_nodes(

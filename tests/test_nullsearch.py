@@ -18,6 +18,7 @@ from nullsim.nullsearch import (
     ROOT_SECTOR,
     DofExhaustedError,
     NullConfig,
+    SearchState,
     TreeShapeError,
     build_tree,
     default_null_schedule,
@@ -26,6 +27,7 @@ from nullsim.nullsearch import (
     linear_search,
     min_inr_index,
     multi_user_search,
+    record_results,
 )
 
 LEAF_WIDTH = 180.0 / 81.0
@@ -266,6 +268,51 @@ _RANK_TREE = build_tree(ArrayGeometry(k_antennas=4), beam_angle_deg=21.4, depth=
 def test_min_inr_index_breaks_ties_low():
     assert min_inr_index([2.0, 1.0, 1.0]) == 1
     assert min_inr_index([5.0, 5.0]) == 0
+
+
+def test_record_results_keeps_the_first_of_tied_minima(tree8):
+    state = SearchState(frontier=tree8.level_ids(1))
+    record_results(state, tree8, [5.0, 2.0, 2.0])
+    assert [(cfg.node_id, inr) for cfg, inr in state.tested] == [
+        ((0,), 5.0), ((1,), 2.0), ((2,), 2.0)
+    ]
+    assert state.best == (tree8.nodes[(1,)], 2.0)
+    # an equal INR at a later level never replaces the best
+    state.frontier = tree8.children((2,))
+    record_results(state, tree8, [3.0, 2.0, 2.0])
+    assert state.best == (tree8.nodes[(1,)], 2.0)
+    # a strictly lower one does, the first of its ties
+    state.frontier = tree8.children((2, 1))
+    record_results(state, tree8, [1.5, 1.0, 1.0])
+    assert state.best == (tree8.nodes[(2, 1, 1)], 1.0)
+    assert len(state.tested) == 9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    levels=st.lists(
+        st.lists(st.integers(0, 3).map(float), min_size=3, max_size=3), min_size=1, max_size=4
+    ),
+    picks=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+)
+def test_record_results_files_a_frontier_as_a_per_node_loop_does(levels, picks):
+    """Few distinct INRs, so ties within and across levels are common."""
+    tree = _RANK_TREE_K8
+    state = SearchState(frontier=tree.level_ids(1))
+    tested, best = [], None
+    for reports, pick in zip(levels, picks):
+        for node_id, inr in zip(state.frontier, reports):
+            cfg = tree.nodes[node_id]
+            tested.append((cfg, inr))
+            if best is None or inr < best[1]:
+                best = (cfg, inr)
+        record_results(state, tree, reports)
+        assert state.tested == tested
+        assert state.best == best and state.best[0] is best[0]
+        state.frontier = tree.children(state.frontier[pick])
+
+
+_RANK_TREE_K8 = build_tree(ArrayGeometry(k_antennas=8), beam_angle_deg=21.4)
 
 
 def test_state_transition_guards(tree8):
