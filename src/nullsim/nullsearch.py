@@ -42,8 +42,9 @@ ROOT_SECTOR = (-90.0, 90.0)
 FLOAT_DECIMALS = 6
 
 # a node whose projection bound puts its sigma ratio this many times above
-# the rank tolerance skips the rank SVD (see _failing)
-RANK_SCREEN_MARGIN = 1e6
+# the rank tolerance skips the rank SVD; the error of the bound's rho, not
+# of the SVD, sets how small it may be (see _failing)
+RANK_SCREEN_MARGIN = 1e3
 
 # a layout is built and checked a chunk of rows at a time: each chunk's
 # stack of null columns holds about this many bytes, so the transient
@@ -220,8 +221,11 @@ class SearchTree:
         the beam off their bases, and appended, and the rank test is not
         run again.  The weights come back gathered by one index, a copy, so
         no caller writes into the tree.  Each row has the bits of the
-        node's own :func:`~nullsim.beamforming.lcmv_weights` call.
+        node's own :func:`~nullsim.beamforming.lcmv_weights` call.  An
+        empty ``node_ids`` has no block and raises a ValueError.
         """
+        if not node_ids:
+            raise ValueError("a stack needs at least one node id")
         cfgs = list(map(self.nodes.config, node_ids))
         blocks, rows = zip(*map(self.nodes.at.__getitem__, node_ids))
         block = blocks[0]
@@ -274,39 +278,44 @@ class SearchTree:
 
 
 class _Block:
-    """A layout's nodes of one null count m, ids depth first, and their null
-    angles (n, m), an orthonormal basis Q of the span of their null columns
-    B (n, K, m) from :func:`~nullsim.beamforming.null_basis`, as
+    """A layout's nodes of one null count m, ids depth first, and views of
+    the layout's arrays at their rows: their null angles (n, m), an
+    orthonormal basis Q of the span of their null columns B (n, K, m) from
+    :func:`~nullsim.beamforming.null_basis`, as
     :func:`~nullsim.beamforming.lcmv_weights` computes it, and
-    s = sigma_min(B) (n,).  A sigma ratio bound at or above ``floor``
-    clears a node of the rank test (see :func:`_failing`).  Q and s are
-    computed a chunk of rows at a time (``chunks``, from :func:`_chunks`),
-    and checked the same way, so the steering columns, the SVD's discarded
-    right singular vectors and the constraint matrices of a large block
-    never exist for all its rows at once."""
+    s = sigma_min(B) (n,).  Q and s are computed a chunk of rows at a time
+    (:func:`_chunks`), so the steering columns and the SVD's discarded
+    right singular vectors of a large block never exist for all its rows at
+    once."""
 
-    def __init__(self, configs: Sequence[NullConfig], geom: ArrayGeometry):
+    def __init__(
+        self,
+        configs: Sequence[NullConfig],
+        geom: ArrayGeometry,
+        nulls: np.ndarray,
+        columns: np.ndarray,
+        s_min: np.ndarray,
+    ):
         self.ids = [cfg.node_id for cfg in configs]
-        self.nulls = np.array([cfg.null_angles_deg for cfg in configs])
-        n, m = self.nulls.shape
-        self.basis = np.empty((n, geom.k_antennas, m), dtype=complex)
-        self.s_min = np.empty(n)
-        self.chunks = _chunks(self.basis)
-        for rows in self.chunks:
+        n, m = len(configs), len(configs[0].null_angles_deg)
+        self.nulls = nulls.reshape(n, m)
+        self.nulls[:] = [cfg.null_angles_deg for cfg in configs]
+        self.basis = columns.reshape(n, m, geom.k_antennas).transpose(0, 2, 1)
+        self.s_min = s_min
+        for rows in _chunks(n, self.basis[0].nbytes):
             b = steering_vectors(geom, self.nulls[rows]).transpose(0, 2, 1)
             self.basis[rows], sv = null_basis(b)
             self.s_min[rows] = sv[:, -1]
-        self.floor = RANK_SCREEN_MARGIN * RANK_TOL * math.sqrt(geom.k_antennas * (m + 1))
 
 
-def _chunks(stack: np.ndarray) -> list[slice]:
-    """Slices of a stack's rows, each about :data:`CHUNK_BYTES` of it.
+def _chunks(n: int, row_bytes: int) -> list[slice]:
+    """Slices of a stack's ``n`` rows of ``row_bytes`` each, about
+    :data:`CHUNK_BYTES` a slice.
 
     Every stacked step of a layout's build and check has each row's bits
     of its own call, so a row's result does not depend on its chunk.
     """
-    n = len(stack)
-    step = max(1, CHUNK_BYTES * n // max(stack.nbytes, 1))
+    step = max(1, CHUNK_BYTES // max(row_bytes, 1))
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
@@ -318,11 +327,17 @@ class _Layout(Mapping[NodeId, NullConfig]):
     ``config`` is the same lookup as the dict's own method, so a map over a
     whole frontier makes no Python-level call per node, and ``levels``
     holds each level's ids, sorted.  A node's null basis does not depend on
-    the beam, so it is kept in one :class:`_Block` per null count, with no
-    padding, and ``at`` gives each node's (block, row).  A beam's check
-    (:func:`_check_constraints`) then costs one stacked projection per
-    block, and its solves are one more (see :meth:`SearchTree.stack`).  A
-    scan grid's layout names a failing node by its scan angle.
+    the beam, so the layout keeps every node's null angles and basis
+    columns once, stacked node after node: ``nulls`` (one angle per
+    column), ``columns`` (the columns of each node's basis Q, one K-vector
+    a row) and ``s_min`` (one per node).  The nodes of one null count are consecutive
+    there, and their :class:`_Block` holds views of its rows, with no
+    padding; ``widths`` and ``sizes`` give each block's null count and node
+    count, and ``at`` each node's (block, row).  A beam's check
+    (:func:`_check_constraints`) then costs one product over ``columns``,
+    and its solves one stacked projection per frontier (see
+    :meth:`SearchTree.stack`).  A scan grid's layout names a failing node
+    by its scan angle.
     """
 
     def __init__(
@@ -338,7 +353,21 @@ class _Layout(Mapping[NodeId, NullConfig]):
         by_count: dict[int, list[NullConfig]] = {}
         for cfg in configs:
             by_count.setdefault(len(cfg.null_angles_deg), []).append(cfg)
-        self.blocks = [_Block(cfgs, geom) for cfgs in by_count.values()]
+        self.widths = tuple(by_count)
+        self.sizes = tuple(map(len, by_count.values()))
+        n_columns = sum(m * n for m, n in zip(self.widths, self.sizes))
+        self.nulls = np.empty(n_columns)
+        self.columns = np.empty((n_columns, geom.k_antennas), dtype=complex)
+        self.s_min = np.empty(len(configs))
+        self.blocks = []
+        col = node = 0
+        for m, cfgs in by_count.items():
+            cols = slice(col, col + m * len(cfgs))
+            rows = slice(node, node + len(cfgs))
+            self.blocks.append(
+                _Block(cfgs, geom, self.nulls[cols], self.columns[cols], self.s_min[rows])
+            )
+            col, node = cols.stop, rows.stop
         self.at = {n: (block, row) for block in self.blocks for row, n in enumerate(block.ids)}
 
     def __getitem__(self, node_id: NodeId) -> NullConfig:
@@ -379,26 +408,57 @@ def _failing(
                       = rho s / (s + sqrt(K) + rho),
     and sigma_max(C) <= sqrt(K (m + 1)), every column having norm sqrt K.
     A node whose bound on the sigma ratio reaches RANK_SCREEN_MARGIN *
-    RANK_TOL (1e-3) cannot fail the SVD rank test at RANK_TOL, whose
-    singular values and this bound are off by about K * eps.  Every other
-    node, and every node with a null exactly on the beam (where rho is 0),
-    goes through the rank test of its own solve, one stacked test per
-    chunk of a null count's block (:func:`_chunks`).
+    RANK_TOL (1e-6) is cleared of the rank test.  The screen is one pass
+    over the layout: one product gives conj(Q^H a) for the null columns of
+    every node, and each node's rho^2 = ||a||^2 - ||c||^2 is a segment sum
+    of it.
+
+    The margin is set by rounding, with u = 2^-53 and p a modest
+    polynomial in K and m (LAPACK's backward error):
+      * the SVD test's singular values are off by at most p u sigma_max,
+        so it rejects no node whose exact ratio exceeds RANK_TOL + p u;
+      * s, and the span of Q, are off by at most p u sqrt(K m), which
+        moves sigma_min(C) by no more.  The bound is below both s and rho,
+        so a node that clears has both above 1e-6 sqrt(2 K): a relative
+        error under p u / 1e-6, about 1e-10 p;
+      * rho^2 cancels: its error is about p u K, against rho^2 above
+        2e-12 K, a relative 5.5e-5 p, and half that on rho and the bound.
+    So a node that clears has an exact ratio of at least 1e-6 (1 - 1e-4 p),
+    a thousand times RANK_TOL for any p short of thousands, and the SVD
+    test passes it.  The cancellation in rho^2 sets the margin: at 1e2 its
+    relative error would be 5.5e-3 p, at 10 about p.
+
+    Every other node, and every node with a null exactly on the beam
+    (where rho is 0), goes through the rank test of its own solve: one
+    constraint stack and one stacked SVD per null count (per chunk of it,
+    :func:`_chunks`), so every decision and message is the SVD's.  At the
+    benchmark's beams the screen leaves about one of a K=8 tree's 120
+    nodes (about 7 at the former margin of 1e6).
     """
-    sqrt_k = math.sqrt(geom.k_antennas)
+    k = geom.k_antennas
+    m = np.repeat(nodes.widths, nodes.sizes)
+    ends = np.cumsum(m)
+    qa = nodes.columns @ a.conj()
+    c2 = np.add.reduceat(qa.real**2 + qa.imag**2, ends - m)
+    rho = np.sqrt(np.maximum(np.vdot(a, a).real - c2, 0.0))
+    s = nodes.s_min
+    floor = RANK_SCREEN_MARGIN * RANK_TOL * np.sqrt(k * (m + 1))
+    clears = rho * s >= floor * (s + math.sqrt(k) + rho)
+    on_beam = np.flatnonzero(nodes.nulls == beam_angle_deg)
+    clears[np.searchsorted(ends, on_beam, side="right")] = False
+    suspects = np.flatnonzero(~clears)
     failing: dict[NodeId, str] = {}
-    for block in nodes.blocks:
-        for rows in block.chunks:
-            q, s, nulls = block.basis[rows], block.s_min[rows], block.nulls[rows]
-            rho = np.linalg.norm(a - (q @ (a @ q.conj())[..., None])[..., 0], axis=-1)
-            clears = rho * s >= block.floor * (s + sqrt_k + rho)
-            on_beam = (nulls == beam_angle_deg).any(axis=1)
-            suspects = np.flatnonzero(~clears | on_beam)
-            if len(suspects):
-                suspect_nulls = nulls[suspects]
-                c = constraint_matrices(geom, beam_angle_deg, suspect_nulls)
-                for i, message in _degenerate(c, suspect_nulls, beam_angle_deg).items():
-                    failing[block.ids[rows.start + suspects[i]]] = message
+    if not len(suspects):
+        return failing
+    firsts = np.cumsum((0,) + nodes.sizes)
+    per_block = np.split(suspects, np.searchsorted(suspects, firsts[1:-1]))
+    for block, first, rows in zip(nodes.blocks, firsts, per_block):
+        for part in _chunks(len(rows), 16 * k * (block.nulls.shape[1] + 1)):
+            picked = rows[part] - first
+            nulls = block.nulls[picked]
+            c = constraint_matrices(geom, beam_angle_deg, nulls)
+            for i, message in _degenerate(c, nulls, beam_angle_deg).items():
+                failing[block.ids[picked[i]]] = message
     return failing
 
 

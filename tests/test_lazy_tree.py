@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from test_rank_screen import beams_near
 
 from nullsim import beamforming, coexsim, nullsearch, scenario as scenario_mod
 from nullsim.beamforming import (
@@ -257,14 +258,14 @@ def test_a_layout_built_row_by_row_has_the_bits_of_one_chunk(monkeypatch):
     configs = list(build_tree(geom, 21.4).nodes.values())
     beams = (21.4, configs[0].null_angles_deg[2], configs[-1].null_angles_deg[0])
     whole = nullsearch._Layout(configs, geom)
-    assert all(len(nullsearch._chunks(b.basis)) == 1 for b in whole.blocks)
+    assert all(len(nullsearch._chunks(len(b.ids), b.basis[0].nbytes)) == 1 for b in whole.blocks)
     checks = [
         nullsearch._failing(geom, beam, whole, steering_vector(geom, beam)) for beam in beams
     ]
     assert not checks[0] and all(checks[1:])
     monkeypatch.setattr(nullsearch, "CHUNK_BYTES", 1)
     rows = nullsearch._Layout(configs, geom)
-    assert [len(nullsearch._chunks(b.basis)) for b in rows.blocks] == [
+    assert [len(nullsearch._chunks(len(b.ids), b.basis[0].nbytes)) for b in rows.blocks] == [
         len(b.ids) for b in rows.blocks
     ]
     for a, b in zip(whole.blocks, rows.blocks):
@@ -294,6 +295,18 @@ def test_a_stack_of_nodes_with_different_null_counts_names_the_rule_and_nodes(
     with pytest.raises(ValueError, match="must share one null count"):
         tree.stack([(0,), (0, 0)])
     assert len(calls) == 1
+
+
+def test_an_empty_stack_is_refused_by_name(monkeypatch, fresh_trees):
+    tree = build_tree(ArrayGeometry(k_antennas=8), 21.4)
+    calls = []
+    monkeypatch.setattr(
+        nullsearch, "min_norm_weights", lambda a, q: calls.append(q) or min_norm_weights(a, q)
+    )
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="^a stack needs at least one node id$"):
+            tree.stack(empty)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -584,41 +597,69 @@ def test_a_cold_tree_runs_the_rank_test_per_null_count_when_built_only(
         lambda c, *a: checked.append((c.shape[-1] - 1, len(c))) or real(c, *a),
     )
     geom = ArrayGeometry(k_antennas=8)
-    tree = build_tree(geom, 21.4)
-    # at most one stacked test per null count, on the rows the projection
-    # screen leaves: a few of the 120
+    # the projection screen clears every node of a beam far from all nulls
+    far = build_tree(geom, 21.4)
+    assert checked == []
+    # a beam 0.01 deg off a 6-null node's null leaves that node, and a few
+    # others, to the rank test: at most one stacked test per null count
+    tree = build_tree(geom, far.nodes[(0,)].null_angles_deg[1] + 1e-2)
     counts = [count for count, _ in checked]
+    assert 6 in counts
     assert len(counts) == len(set(counts)) <= len(set(tree.nulls_per_level))
-    assert 0 < sum(rows for _, rows in checked) <= len(tree.nodes) // 10
+    assert sum(rows for _, rows in checked) <= len(tree.nodes) // 10
     # solving every frontier a descent can test runs no rank test again
     for level in range(1, tree.depth + 1):
         tree.stack(tree.level_ids(level))
     assert len(checked) == len(counts)
 
 
-def test_the_screen_clears_only_nodes_far_above_the_rank_tolerance(monkeypatch):
+# (K, fanout, depth, nulls per level): default trees on 4 and 8 antennas,
+# a 16-antenna tree with 14 root nulls, and the deepest (1022 nodes) and
+# widest (1980 nodes) 64-antenna layouts validation admits
+SCREENED_LAYOUTS = [
+    (4, 3, 4, (2, 2, 2, 1)),
+    (8, 3, 4, (6, 4, 2, 1)),
+    (16, 3, 4, (14, 4, 2, 1)),
+    (64, 2, 9, (62,) * 8 + (1,)),
+    (64, 44, 2, (62, 1)),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_screen_clears_only_nodes_far_above_the_rank_tolerance(data):
     """A node the projection screen clears has an SVD sigma ratio of at
-    least ``RANK_SCREEN_MARGIN * RANK_TOL`` (1e-3), at every beam here."""
-    screened = []
-    real = nullsearch._degenerate
-    monkeypatch.setattr(
-        nullsearch,
-        "_degenerate",
-        lambda c, nulls, beam: screened.extend(map(tuple, nulls)) or real(c, nulls, beam),
-    )
-    geom = ArrayGeometry(k_antennas=8)
+    least ``RANK_SCREEN_MARGIN * RANK_TOL`` (1e-6), at beams free, on a
+    null or its alias, or 1e-12 to 1e-2 deg off either."""
+    k, fanout, depth, schedule = data.draw(st.sampled_from(SCREENED_LAYOUTS))
+    geom = ArrayGeometry(k_antennas=k)
     layout = nullsearch._tree_layout(
-        geom, 3, 4, (6, 4, 2, 1), (nullsearch._exact(-90.0), nullsearch._exact(90.0))
+        geom, fanout, depth, schedule, tuple(map(nullsearch._exact, ROOT_SECTOR))
     )
+    # one of the layout's nulls, then a beam free, on it or its aliases, or
+    # near either: beams_near over all of a 64-antenna layout's 32 000 nulls
+    # would compute their aliases at every draw
+    nulls = [a for cfg in layout.values() for a in cfg.null_angles_deg]
+    beam = data.draw(beams_near([data.draw(st.sampled_from(nulls))], geom.spacing_wavelengths))
+    screened = set()
+    real = nullsearch._degenerate
+
+    def degenerate(c, null_sets, beam):
+        screened.update(map(tuple, null_sets))
+        return real(c, null_sets, beam)
+
+    with patch.object(nullsearch, "_degenerate", degenerate):
+        nullsearch._failing(geom, beam, layout, steering_vector(geom, beam))
     floor = nullsearch.RANK_SCREEN_MARGIN * beamforming.RANK_TOL
-    for beam in np.linspace(-60.0, 60.0, 13):
-        screened.clear()
-        nullsearch._failing(geom, float(beam), layout, steering_vector(geom, float(beam)))
-        for cfg in layout.values():
-            if cfg.null_angles_deg not in screened:
-                c = beamforming.constraint_matrices(geom, float(beam), [cfg.null_angles_deg])
-                sv = np.linalg.svd(c[0], compute_uv=False)
-                assert sv[-1] >= floor * sv[0]
+    by_count = {}
+    for cfg in layout.values():
+        if cfg.null_angles_deg not in screened:
+            by_count.setdefault(len(cfg.null_angles_deg), []).append(cfg.null_angles_deg)
+    for cleared in by_count.values():
+        for i in range(0, len(cleared), 64):
+            c = beamforming.constraint_matrices(geom, beam, cleared[i : i + 64])
+            sv = np.linalg.svd(c, compute_uv=False)
+            assert (sv[:, -1] >= floor * sv[:, 0]).all()
 
 
 def test_trees_of_one_shape_share_its_layout_and_signed_zero_sectors_do_not(

@@ -109,6 +109,11 @@ def grid_cases(draw):
     return geom, beam, grid
 
 
+# a tier-1 run draws 250 examples of each screened check; a profile with a
+# larger budget raises it (CI runs them with --hypothesis-profile=screen)
+SCREENED_EXAMPLES = max(250, settings.default.max_examples)
+
+
 def _raised(build):
     try:
         build()
@@ -117,7 +122,7 @@ def _raised(build):
     return None
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=SCREENED_EXAMPLES, deadline=None)
 @given(case=tree_cases())
 def test_screened_tree_check_equals_the_full_svd(case):
     geom, beam, layout, (fanout, depth, schedule, sector) = case
@@ -133,7 +138,7 @@ def test_screened_tree_check_equals_the_full_svd(case):
     assert raised == (expected[min(expected)] if expected else None)
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=SCREENED_EXAMPLES, deadline=None)
 @given(case=grid_cases())
 def test_screened_grid_check_equals_the_full_svd(case):
     geom, beam, grid = case
@@ -182,10 +187,11 @@ def _held_arrays(obj, seen):
 def test_a_layout_holds_the_bytes_its_nodes_own_null_counts_need(k, fanout, depth, schedule):
     """Per node of m nulls: its angles (8 m bytes), the basis of its null
     columns (16 K m) and its sigma_min (8), with no padding to a wider
-    node."""
+    node, and nothing more once a beam's check has read them."""
     geom = ArrayGeometry(k_antennas=k)
     sector = tuple(map(nullsearch._exact, ROOT_SECTOR))
     layout = nullsearch._tree_layout(geom, fanout, depth, schedule, sector)
+    nullsearch._failing(geom, 21.4, layout, steering_vector(geom, 21.4))
     counts = [len(cfg.null_angles_deg) for cfg in layout.values()]
     need = sum(8 * m + 16 * k * m + 8 for m in counts)
     held = {id(arr): arr.nbytes for arr in _held_arrays(layout, set())}
