@@ -172,6 +172,11 @@ class TimelineEvent(NamedTuple):
     label: str
 
 
+# a TimelineEvent from a (t_us, kind, label) tuple, made by tuple's own C
+# constructor rather than the named tuple's Python-level __new__
+_new_event = partial(tuple.__new__, TimelineEvent)
+
+
 @dataclass
 class SimTimeline:
     """Event log plus the closed-form accounting it must match."""
@@ -219,7 +224,7 @@ def _emit_test_cycles(
     times = [start_us + c * tl.t_csat_us + off for c in range(cycles) for off in offsets]
     if labels:
         tl._check_from(times[0])
-    tl.events.extend(map(TimelineEvent, times, repeat("test_slot"), labels))
+    tl.events.extend(map(_new_event, zip(times, repeat("test_slot"), labels)))
     return cycles
 
 

@@ -1,19 +1,23 @@
 """Campaign execution and result serialization round trips."""
 
+import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import struct
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullsim.beamforming import ArrayGeometry
+from nullsim.channel import InrReport
 from nullsim.campaign import (
     SUMMARY_COLUMNS,
     TRACE_COLUMNS,
@@ -26,7 +30,13 @@ from nullsim.campaign import (
 )
 from nullsim import campaign
 from nullsim.coexsim import run_full_protocol
-from nullsim.nullsearch import DEFAULT_LINEAR_GRID, FLOAT_DECIMALS, build_tree, grid_tree
+from nullsim.nullsearch import (
+    DEFAULT_LINEAR_GRID,
+    FLOAT_DECIMALS,
+    NullConfig,
+    build_tree,
+    grid_tree,
+)
 from nullsim.presets import PRESET_NAMES, run_repro, scenario_fig9_delay, scenario_fig10_multiuser
 from nullsim.scenario import Scenario, SearchSpec, with_overrides
 
@@ -273,12 +283,19 @@ def test_an_export_through_a_symlink_rewrites_its_target(fmt, tmp_path, default_
     assert target.read_bytes() == fresh[0]
 
 
+def _with_entry(rec, i, entry):
+    """``rec`` with its ``i``-th trace entry replaced by ``entry``."""
+    trace = list(rec.trace)
+    trace[i] = entry
+    return dataclasses.replace(rec, trace=trace)
+
+
 def test_a_failed_csv_export_leaves_the_old_files_alone(tmp_path, default_records):
     files = export_results(default_records * 3, "csv", str(tmp_path / "out.csv"))
     old = [Path(f).read_bytes() for f in files]
     (rec,) = default_records
-    bad = dataclasses.replace(rec, trace=[dict(row, extra=1) for row in rec.trace])
-    with pytest.raises(ValueError, match="extra"):
+    bad = _with_entry(rec, 0, (rec.trace[0][0], 3))
+    with pytest.raises(ValueError, match="trace entry 0's INR"):
         export_results([bad], "csv", str(tmp_path / "out.csv"))
     assert [Path(f).read_bytes() for f in files] == old
 
@@ -287,20 +304,43 @@ def test_a_failed_json_export_leaves_the_old_file_alone(tmp_path, default_record
     (path,) = export_results(default_records * 3, "json", str(tmp_path / "out.json"))
     old = Path(path).read_bytes()
     (rec,) = default_records
-    bad = dataclasses.replace(rec, trace=[dict(row, extra=1) for row in rec.trace])
-    with pytest.raises(ValueError, match="extra"):
+    bad = _with_entry(rec, 0, (rec.trace[0][0], 3))
+    with pytest.raises(ValueError, match="trace entry 0's INR"):
         export_results([bad], "json", path)
     assert Path(path).read_bytes() == old
 
 
-# each fault, as (the field it names, the row it makes of a good one)
+# each fault, as (the text its error names, the record it makes of a good
+# one); a trace entry pairs a config with its INR, so the fields of a trace
+# row can only be mistyped in the record's summary
 TRACE_FAULTS = {
-    "an extra field": ("extra", lambda row: dict(row, extra=1)),
-    "a missing field": ("inr_db", lambda row: {k: v for k, v in row.items() if k != "inr_db"}),
-    "a bool for an int": ("level", lambda row: dict(row, level=True)),
-    "an int for a float": ("inr_db", lambda row: dict(row, inr_db=3)),
-    "a float for a str": ("node", lambda row: dict(row, node=1.5)),
-    "a None": ("user", lambda row: dict(row, user=None)),
+    "an extra field": ("trace entry 5 is", lambda rec: _with_entry(rec, 5, rec.trace[5] + (0,))),
+    "a missing field": ("trace entry 5 is", lambda rec: _with_entry(rec, 5, rec.trace[5][:1])),
+    "a bool for an int": ("'run_id'", lambda rec: dataclasses.replace(rec, run_id=True)),
+    "an int for a float": (
+        "trace entry 5's INR", lambda rec: _with_entry(rec, 5, (rec.trace[5][0], 3))
+    ),
+    "a float for a str": ("'mode'", lambda rec: dataclasses.replace(rec, mode=1.5)),
+    "a None": ("'user'", lambda rec: dataclasses.replace(rec, user=None)),
+    "an int duty": ("'duty'", lambda rec: dataclasses.replace(rec, duty=1)),
+    "a tuple for the trace": (
+        "the trace", lambda rec: dataclasses.replace(rec, trace=tuple(rec.trace))
+    ),
+    "a dict row for an entry": (
+        "trace entry 5 is", lambda rec: _with_entry(rec, 5, rec.trace_rows()[5])
+    ),
+    "a list for a pair": ("trace entry 5 is", lambda rec: _with_entry(rec, 5, list(rec.trace[5]))),
+    "a label for a config": (
+        "trace entry 5's config", lambda rec: _with_entry(rec, 5, (rec.trace[5][0].label, 1.5))
+    ),
+    "a None config": ("trace entry 5's config", lambda rec: _with_entry(rec, 5, (None, 1.5))),
+    "a bool for the INR": (
+        "trace entry 5's INR", lambda rec: _with_entry(rec, 5, (rec.trace[5][0], False))
+    ),
+    "a numpy float for the INR": (
+        "trace entry 5's INR",
+        lambda rec: _with_entry(rec, 5, (rec.trace[5][0], np.float64(rec.trace[5][1]))),
+    ),
 }
 
 
@@ -309,19 +349,19 @@ TRACE_FAULTS = {
 def test_both_formats_refuse_a_trace_row_before_opening_a_file(
     fmt, fault, tmp_path, default_records
 ):
-    """Each trace row holds exactly the trace columns, each of its type.
+    """Every field of a trace row holds exactly its type: each summary field
+    holds its annotated type, and each trace entry is a pair of exactly a
+    config and a float.
 
-    JSON would spell a bool ``true`` and an int in a float field without a
-    decimal point, and CSV reads neither back, so both formats refuse the
-    row, naming the field, and write no file.
+    JSON would spell a bool ``true``, an int in a float field without a
+    decimal point and a numpy float by its repr, and CSV reads none of them
+    back, so both formats refuse the record, naming the fault, and write no
+    file.
     """
-    name, spoil = TRACE_FAULTS[fault]
+    named, spoil = TRACE_FAULTS[fault]
     (rec,) = default_records
-    trace = [dict(row) for row in rec.trace]
-    trace[5] = spoil(trace[5])
-    bad = dataclasses.replace(rec, trace=trace)
-    with pytest.raises(ValueError, match=repr(name)):
-        export_results([bad], fmt, str(tmp_path / f"out.{fmt}"))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        export_results([rec, spoil(rec)], fmt, str(tmp_path / f"out.{fmt}"))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -349,18 +389,33 @@ def test_a_whole_run_exports_as_json_dumps_with_the_inline_text(name, tmp_path):
     if name.startswith("linear"):
         assert scenario.scan_angles == DEFAULT_LINEAR_GRID
     (path,) = export_results(records, "json", str(tmp_path / "run.json"))
-    payload = [dict(r.summary_row(), trace=r.trace) for r in records]
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert Path(path).read_bytes() == expected.encode("utf-8")
+    assert Path(path).read_bytes() == _json_dumps(records)
     for user, rec in zip(result.users, records):
         assert len(rec.trace) == len(user.trace)
-        for row, (cfg, _) in zip(rec.trace, user.trace):
+        for row, (cfg, inr_db), (tested, inr) in zip(rec.trace_rows(), rec.trace, user.trace):
+            assert cfg is tested  # the layout's own config
+            assert inr_db == campaign._r(InrReport(inr).aggregate_db)
             assert row["node"] == _inline_node(cfg)
             assert row["null_angles_deg"] == _inline_nulls(cfg)
+            assert row["level"] == len(cfg.node_id)
 
 
-def _output_text(scenario):
-    """Per tested node id: its trace row's two texts and its slot label."""
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=0.0)
+        | st.sampled_from([math.nan, -0.0, 1e-30, 1e-31, 5e-324, 1e-05, 1e16])
+    )
+)
+def test_the_trace_db_conversion_is_aggregate_db_then_r(inrs):
+    got = list(campaign._trace_db(inrs))
+    want = [campaign._r(InrReport(x).aggregate_db) for x in inrs]
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+def _tested_configs(scenario):
+    """The run's record and its tested configs by node id, with each
+    config's row texts and its slot label."""
     result = run_full_protocol(scenario)
     (rec,) = records_from_result(result, scenario)
     slots = {
@@ -368,24 +423,32 @@ def _output_text(scenario):
         for e in result.timeline.events
         if e.label.startswith("config:")
     }
-    return {
-        row["node"]: (row["node"], row["null_angles_deg"], slots[row["node"]])
-        for row in rec.trace
+    texts = {
+        row["node"]: (cfg, row["node"], row["null_angles_deg"], slots[row["node"]])
+        for row, (cfg, _) in zip(rec.trace_rows(), rec.trace)
     }
+    return rec, texts
 
 
 @pytest.mark.parametrize("mode", ["tree", "linear"])
-def test_two_beams_on_one_layout_share_each_configs_text(mode):
+def test_two_beams_on_one_layout_share_each_configs_text(mode, tmp_path):
     """The text of a config is built once per layout: a second beam on the
-    same array and tree shape (or scan grid) gets the same string objects."""
+    same array and tree shape (or scan grid) tests the same config objects,
+    with the same string objects, and its JSON export builds no config's
+    part of a trace row that the first beam's export built."""
     geom = ArrayGeometry(k_antennas=8)
     base = Scenario(geometry=geom, search=SearchSpec(mode=mode, power_correction=False))
-    first = _output_text(base)
-    second = _output_text(dataclasses.replace(base, ue_angle_deg=-37.3))
+    first_rec, first = _tested_configs(base)
+    second_rec, second = _tested_configs(dataclasses.replace(base, ue_angle_deg=-37.3))
     shared = first.keys() & second.keys()
     assert len(shared) == (165 if mode == "linear" else 12)  # both descend toward -20°
     for node in shared:
         assert all(a is b for a, b in zip(first[node], second[node]))
+    export_results([first_rec], "json", str(tmp_path / "first.json"))
+    built = campaign._config_json.cache_info().misses
+    export_results([second_rec], "json", str(tmp_path / "second.json"))
+    assert second.keys() == shared
+    assert campaign._config_json.cache_info().misses == built
 
 
 @pytest.mark.parametrize(
@@ -414,22 +477,45 @@ def test_unknown_format(tmp_path, default_records):
 # ---------------------------------------------------------------------------
 # the JSON writer is json.dumps with indent=2 and sorted keys, byte for byte
 
+
+def _json_dumps(records):
+    """The bytes ``json.dumps`` writes for ``records``, trace rows inline."""
+    payload = [dict(r.summary_row(), trace=r.trace_rows()) for r in records]
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 TEXTS = st.text() | st.sampled_from(
     ['"', "\\", "\n", "caf\u00e9 \u2603 \U0001f4e1", "},\n        {", '"trace": 0', ""]
 )
+SPECIAL_INRS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-05, 1e16]
 VALUES = {
     "int": st.integers() | st.sampled_from([0, -1, 10**30, -(10**40)]),
     "float": st.floats() | st.sampled_from([-0.0, 5e-324, 1e-310, 1.7976931348623157e308]),
     "str": TEXTS,
 }
-# a trace row's fields and the types records_from_result gives them
-TRACE_TYPES = {"run_id": "int", "user": "int", "node": "str", "level": "int",
-               "null_angles_deg": "str", "inr_db": "float"}
-TRACE_ROWS = st.fixed_dictionaries({k: VALUES[t] for k, t in TRACE_TYPES.items()})
+# the configs of real layouts: two trees, the default scan grid and a grid
+# of awkward angles
+LAYOUT_CONFIGS = [
+    cfg
+    for tree in (
+        build_tree(ArrayGeometry(k_antennas=4), 21.4),
+        build_tree(ArrayGeometry(k_antennas=8), -7.25, fanout=2, depth=3),
+        grid_tree(ArrayGeometry(k_antennas=8), DEFAULT_LINEAR_GRID, 21.4),
+        grid_tree(ArrayGeometry(k_antennas=8), (-0.0, 1e-7, -33.3333335, 80.0000005), 21.4),
+    )
+    for cfg in tree.nodes.values()
+]
+TRACES = st.lists(
+    st.tuples(
+        st.sampled_from(LAYOUT_CONFIGS),
+        st.floats() | st.sampled_from(SPECIAL_INRS),
+    ),
+    max_size=6,
+)
 RECORDS = st.builds(
     ResultsRecord,
     **{f.name: VALUES[f.type] for f in dataclasses.fields(ResultsRecord) if f.name != "trace"},
-    trace=st.lists(TRACE_ROWS, max_size=4),
+    trace=TRACES,
 )
 
 
@@ -438,29 +524,63 @@ RECORDS = st.builds(
 def test_json_export_is_json_dumps_with_indent_two(records, tmp_path_factory):
     path = tmp_path_factory.mktemp("export") / "written.json"
     export_results(records, "json", str(path))
-    payload = [dict(r.summary_row(), trace=r.trace) for r in records]
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert path.read_bytes() == _json_dumps(records)
 
 
+def _odd_config(node_id, nulls):
+    return NullConfig(node_id, nulls, (-math.inf, math.inf))
+
+
+# per case, the record it makes of a good one
 SPECIAL_VALUES = {
-    "inr_db": [
-        float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1.7976931348623157e308
-    ],
-    "run_id": [0, -1, 10**30, -(10**40)],
-    "node": ["", '"', "\\", "\n", "\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001f4e1", "},\n        {"],
+    "inr_db": lambda rec: dataclasses.replace(
+        rec, trace=[(rec.trace[0][0], x) for x in SPECIAL_INRS + [1.7976931348623157e308]]
+    ),
+    "run_id": lambda rec: dataclasses.replace(rec, run_id=-(10**40)),
+    "user": lambda rec: dataclasses.replace(rec, user=10**30),
+    # node ids whose text needs escaping, and null angles of awkward text
+    "node": lambda rec: dataclasses.replace(
+        rec,
+        trace=[
+            (_odd_config(node_id, nulls), 1.5)
+            for node_id, nulls in [
+                ((), ()),
+                (('"',), (-0.0,)),
+                (("\\", "\n"), (5e-324, -1e300)),
+                (("\x00\x1f\x7f",), (math.inf,)),
+                (("caf\u00e9 \u2603 \U0001f4e1", 10**30, -1), (-math.inf, 1e16)),
+                (("},\n        {",), (0.1234565,)),
+            ]
+        ],
+    ),
 }
 
 
 @pytest.mark.parametrize("name", SPECIAL_VALUES)
 def test_the_trace_template_spells_special_values_as_json_does(name, tmp_path, default_records):
     (rec,) = default_records
-    trace = [dict(rec.trace[0], **{name: v}) for v in SPECIAL_VALUES[name]]
-    records = [dataclasses.replace(rec, trace=trace)]
+    records = [SPECIAL_VALUES[name](rec)] * 2
     (path,) = export_results(records, "json", str(tmp_path / "special.json"))
-    payload = [dict(r.summary_row(), trace=r.trace) for r in records]
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert Path(path).read_bytes() == expected.encode("utf-8")
+    assert Path(path).read_bytes() == _json_dumps(records)
+
+
+@pytest.mark.parametrize("name", WHOLE_RUNS)
+def test_the_trace_csv_reads_back_as_the_trace_rows(name, tmp_path):
+    """``<stem>_trace.csv``, each column typed by TRACE_TYPES, reads back as
+    every record's ``trace_rows()``, value for value and type for type."""
+    scenario = WHOLE_RUNS[name]
+    records = run_scenarios([scenario], repeats=2)
+    cfg = records[0].trace[0][0]
+    records.append(dataclasses.replace(records[0], trace=[(cfg, x) for x in SPECIAL_INRS]))
+    _, trace_path = export_results(records, "csv", str(tmp_path / "run.csv"))
+    assert trace_path == str(tmp_path / "run_trace.csv")
+    with open(trace_path, encoding="utf-8", newline="") as fh:
+        rows = [
+            {k: campaign.TRACE_TYPES[k](v) for k, v in row.items()}
+            for row in csv.DictReader(fh)
+        ]
+    want = [row for r in records for row in r.trace_rows()]
+    assert repr(rows) == repr(want)
 
 
 def test_a_linear_run_exports_without_the_pure_python_encoder(tmp_path, monkeypatch):
