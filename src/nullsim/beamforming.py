@@ -25,6 +25,21 @@ SPEED_OF_LIGHT_MPS = 299_792_458.0
 # power reports are floored here so correction ratios stay finite
 POWER_REPORT_FLOOR = 1e-12
 
+
+def _distinct_blocks() -> tuple[np.ndarray, np.ndarray]:
+    """The first block of each distinct :data:`RB_TO_SC` subcarrier (58 of
+    the 100 blocks), and each block's row among those.
+
+    Blocks on one subcarrier get one correction.  Built without
+    ``np.unique``, whose first call costs about 0.5 MB of peak RSS.
+    """
+    scs = RB_TO_SC.tolist()
+    row = {sc: i for i, sc in enumerate(dict.fromkeys(scs))}
+    return np.array([scs.index(sc) for sc in row]), np.array([row[sc] for sc in scs])
+
+
+_SC_BLOCKS, _BLOCK_ROW = _distinct_blocks()
+
 # constraint directions closer than this (relative singular value) are
 # treated as one direction and rejected
 RANK_TOL = 1e-9
@@ -291,9 +306,12 @@ def build_weight_matrix(
     Every column is the unit-norm, optionally power-corrected weight vector
     for that resource block, conjugated into the transmit domain.  Without
     a report all columns are one vector, normalized once and broadcast: the
-    result is a read-only view whose last stride is 0.  With a report, all
-    blocks are corrected by a single :func:`power_correct` call and
-    normalized together.  Either way each column has the bits of
+    result is a read-only view whose last stride is 0.  With a report,
+    blocks that :data:`~nullsim.phy_grid.RB_TO_SC` maps to one subcarrier
+    get one correction, so only the first block of each of the 58 distinct
+    subcarriers is corrected, by a single :func:`power_correct` call, and
+    normalized; each block's column is then gathered from those 58 rows.
+    Either way each column has the bits of
     ``conj(normalize(power_correct(w, report, r)))``, where ``w`` is
     ``base``, the constraint-domain vector already solved (the search tree
     solves each node once).
@@ -310,6 +328,8 @@ def build_weight_matrix(
     if report is None:
         cols = np.conj(normalize(w))[..., None]
         return np.broadcast_to(cols, w.shape + (N_RB,))
-    # (..., blocks, antennas): one corrected vector per block, then per column
-    rows = normalize(power_correct(w[..., None, :], report, np.arange(N_RB)))
-    return np.conj(rows).swapaxes(-1, -2)
+    # (..., distinct blocks, antennas): one corrected vector per subcarrier
+    # the blocks map to, then one per block (``take`` gathers in half the
+    # time of an index array), then per column
+    rows = normalize(power_correct(w[..., None, :], report, _SC_BLOCKS))
+    return rows.conj().take(_BLOCK_ROW, axis=-2).swapaxes(-1, -2)

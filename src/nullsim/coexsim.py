@@ -21,6 +21,7 @@ feedback, so it contributes cycles but no extra delta_b.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -45,6 +46,7 @@ from .nullsearch import (
     NullConfig,
     SearchState,
     SearchTree,
+    _exact,
     descend,
     linear_search,
     multi_user_search,
@@ -358,22 +360,76 @@ class ProtocolResult:
     joint_null_angles: tuple[float, ...]
 
 
+# the last few channel calibrations, by their exact inputs, least recently
+# used first; the lock guards their bookkeeping, not a calibration
+CALIBRATION_CACHE_SIZE = 4
+_calibrations: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[float, ...]]] = {}
+_calibrations_lock = threading.Lock()
+
+
+def _channel_key(scenario: "Scenario") -> tuple:
+    """What a calibration reads of a scenario: its channel preset and
+    baseline INR, then its seed, beam, transmit power, channel offset and
+    noise power, array geometry and user angles, every number keyed by
+    :func:`~nullsim.nullsearch._exact`, so by type and sign too."""
+    ch, geom = scenario.channel, scenario.geometry
+    return (
+        ch.preset,
+        None if ch.baseline_inr_db is None else _exact(ch.baseline_inr_db),
+        *map(_exact, (
+            scenario.seed,
+            scenario.ue_angle_deg,
+            scenario.tx_power,
+            ch.angle_offset_deg,
+            ch.noise_power,
+            geom.k_antennas,
+            geom.spacing_m,
+            geom.carrier_freq_hz,
+            *scenario.user_angles_deg,
+        )),
+    )
+
+
 def _calibrated_channels(scenario: "Scenario", geom, w0_matrix):
     """Per-user channel responses, beam-only powers and noise powers, the
     noise set so the no-null INR hits the target.
 
     Returns the responses, stacked (users, antennas, subcarriers), each
     user's no-null received power averaged over the subcarriers, (users,),
-    and one noise power per user: the scenario's without a target,
-    otherwise each user's beam-only power over (target - 1).
+    both read-only, and a tuple of one noise power per user: the
+    scenario's without a target, otherwise each user's beam-only power
+    over (target - 1).
+
+    A run shares the calibration of any of the last
+    :data:`CALIBRATION_CACHE_SIZE` distinct channel keys
+    (:func:`_channel_key`), so runs that differ only in their search,
+    duty cycle, backhaul or measurement build no channel; ``w0_matrix``,
+    the beam's no-null matrix, follows from the key.  A calibration that
+    raises is not kept and raises again.
     """
+    key = _channel_key(scenario)
+    with _calibrations_lock:
+        calibration = _calibrations.pop(key, None)
+    if calibration is None:
+        calibration = _calibrate(scenario, geom, w0_matrix)
+    with _calibrations_lock:
+        _calibrations[key] = calibration
+        if len(_calibrations) > CALIBRATION_CACHE_SIZE:
+            del _calibrations[next(iter(_calibrations))]
+    return calibration
+
+
+def _calibrate(scenario: "Scenario", geom, w0_matrix):
+    """:func:`_calibrated_channels`, computed."""
     models = scenario.build_channels()
     responses = np.empty((len(models), geom.k_antennas, N_SC), dtype=complex)
     for u, model in enumerate(models):
         responses[u] = channel_response(model, geom)
     beam_power = np.mean(rx_power(responses, w0_matrix, scenario.tx_power), axis=-1)
+    responses.flags.writeable = False
+    beam_power.flags.writeable = False
     if scenario.channel.baseline_inr_db is None:
-        return responses, beam_power, [scenario.channel.noise_power] * len(models)
+        return responses, beam_power, (scenario.channel.noise_power,) * len(models)
     target = 10.0 ** (scenario.channel.baseline_inr_db / 10.0)
     bases = beam_power.tolist()
     if min(bases) <= 0:
@@ -381,7 +437,7 @@ def _calibrated_channels(scenario: "Scenario", geom, w0_matrix):
             "beam-only pattern has no power toward this user; "
             "cannot calibrate a baseline INR"
         )
-    return responses, beam_power, [base / (target - 1.0) for base in bases]
+    return responses, beam_power, tuple(base / (target - 1.0) for base in bases)
 
 
 def run_full_protocol(scenario: "Scenario") -> ProtocolResult:

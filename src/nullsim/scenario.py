@@ -465,9 +465,18 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
 
 
 def scenario_hash(s: Scenario) -> str:
-    """Stable short id of the scenario contents (seed included)."""
-    canon = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    """Stable short id of the scenario contents (seed included).
+
+    It is computed once per scenario and kept in the instance ``__dict__``
+    beside its search tree (:meth:`Scenario.search_tree`), so reruns of one
+    scenario hash it once; ``dataclasses.replace`` makes a scenario
+    without it.
+    """
+    digest = s.__dict__.get("_scenario_hash")
+    if digest is None:
+        canon = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
+        digest = s.__dict__["_scenario_hash"] = hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return digest
 
 
 def with_overrides(s: Scenario, **kwargs) -> Scenario:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nullsim import beamforming
 from nullsim.beamforming import (
     SPEED_OF_LIGHT_MPS,
     ArrayGeometry,
@@ -313,3 +314,20 @@ def test_matrix_report_too_short_for_the_map(geom4):
     w = lcmv_weights(geom4, 0.0, (30.0,))
     with pytest.raises(ValueError, match="power report"):
         build_weight_matrix(geom4, 0.0, (30.0,), report=flat_report(4, 10), base=w)
+
+
+def test_a_corrected_matrix_corrects_each_distinct_block_once(geom4, monkeypatch):
+    """Blocks on one subcarrier share a correction, so only the first block
+    of each of the 58 distinct subcarriers is corrected."""
+    corrected = []
+    real = beamforming.power_correct
+    monkeypatch.setattr(
+        beamforming, "power_correct", lambda w, report, r: corrected.append(r) or real(w, report, r)
+    )
+    w = lcmv_weights(geom4, 21.4, (-30.0,))
+    report = np.random.default_rng(7).exponential(size=(4, 64))
+    m = build_weight_matrix(geom4, 21.4, (-30.0,), report=report, base=w)
+    (blocks,) = corrected
+    assert blocks.tolist() == np.unique(RB_TO_SC, return_index=True)[1].tolist()
+    assert len(blocks) == 58
+    assert np.array_equal(m, per_block_reference(w, report))

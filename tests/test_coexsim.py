@@ -1,9 +1,10 @@
 """Duty-cycle timing, reconfiguration delay, and the full protocol driver."""
 
 import sys
+import threading
 import traceback
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nullsim
+from nullsim import coexsim
 from nullsim.beamforming import (
     ArrayGeometry,
     DegenerateConstraintsError,
@@ -43,7 +45,15 @@ from nullsim.nullsearch import (
 )
 from nullsim.campaign import records_from_result
 from nullsim.presets import scenario_fig8_powercorr, scenario_fig10_multiuser
-from nullsim.scenario import CHANNEL_PRESETS, Scenario, ScenarioError, scenario_from_dict
+from nullsim.phy_grid import N_SC
+from nullsim.scenario import (
+    CHANNEL_PRESETS,
+    ChannelSpec,
+    Scenario,
+    ScenarioError,
+    SearchSpec,
+    scenario_from_dict,
+)
 
 SIM = SimConfig()
 
@@ -639,3 +649,176 @@ def test_one_user_multiuser_run_deploys_what_the_plain_tree_deploys(
         run_full_protocol(multi_run).joint_null_angles
         == run_full_protocol(tree_run).joint_null_angles
     )
+
+
+# ---------------------------------------------------------------------------
+# the channel calibration memo
+
+
+@pytest.fixture
+def channel_builds(monkeypatch):
+    """An empty calibration memo for the test, and every scenario whose
+    channels are built while it runs."""
+    monkeypatch.setattr(coexsim, "_calibrations", {})
+    builds = []
+    real = Scenario.build_channels
+    monkeypatch.setattr(Scenario, "build_channels", lambda s: builds.append(s) or real(s))
+    return builds
+
+
+# a scan that keeps every grid angle off a beam of 0
+OFF_ZERO = SearchSpec(mode="linear", linear_grid=(-20.0, 30.0))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Scenario(ue_angle_deg=0.0, search=OFF_ZERO), Scenario(ue_angle_deg=-0.0, search=OFF_ZERO)),
+        (Scenario(user_angles_deg=(0.0,)), Scenario(user_angles_deg=(-0.0,))),
+        (
+            Scenario(channel=ChannelSpec(angle_offset_deg=0.0)),
+            Scenario(channel=ChannelSpec(angle_offset_deg=-0.0)),
+        ),
+        (Scenario(tx_power=1.0), Scenario(tx_power=1)),
+    ],
+    ids=["beam", "user-angle", "angle-offset", "tx-power"],
+)
+def test_a_channel_key_tells_apart_numbers_that_compare_equal(a, b, channel_builds):
+    assert a == b
+    assert coexsim._channel_key(a) != coexsim._channel_key(b)
+    for s in (a, b, a, b):
+        run_full_protocol(s)
+    assert channel_builds == [a, b]
+
+
+def test_runs_that_differ_only_past_the_channel_share_its_calibration(channel_builds):
+    base = scenario_fig8_powercorr()
+    siblings = [
+        base,
+        replace(base, search=replace(base.search, power_correction=False)),
+        replace(base, search=replace(base.search, mode="linear")),
+        replace(base, duty=replace(base.duty, duty=0.5)),
+        replace(base, backhaul=BackhaulConfig(delay_ms=50.0)),
+        replace(base, sim=replace(base.sim, noise_jitter=0.5)),
+    ]
+    for s in siblings:
+        run_full_protocol(s)
+    assert channel_builds == [base]
+
+
+# another value of every field a calibration reads, by section
+CHANNEL_INPUTS = {
+    None: {"seed": 1, "ue_angle_deg": 20.0, "tx_power": 2.0, "user_angles_deg": (-21.0,)},
+    "channel": {
+        "preset": "two-ray",
+        "angle_offset_deg": 1.0,
+        "baseline_inr_db": None,
+        "noise_power": 2e-9,
+    },
+    "geometry": {"k_antennas": 8, "spacing_m": 0.06, "carrier_freq_hz": 2.4e9},
+}
+
+
+def test_every_field_a_calibration_reads_is_in_its_key():
+    base = Scenario()
+    # a field added to either section must be keyed, or shown not to matter
+    for name in ("channel", "geometry"):
+        assert {f.name for f in fields(getattr(base, name))} == set(CHANNEL_INPUTS[name])
+    for name, values in CHANNEL_INPUTS.items():
+        for key, value in values.items():
+            if name is None:
+                changed = replace(base, **{key: value})
+            else:
+                changed = replace(base, **{name: replace(getattr(base, name), **{key: value})})
+            assert coexsim._channel_key(changed) != coexsim._channel_key(base), key
+
+
+def test_a_shared_calibration_gives_the_records_of_a_cold_one(channel_builds):
+    base = scenario_fig8_powercorr()
+    uncorrected = replace(base, search=replace(base.search, power_correction=False))
+    run_full_protocol(base)
+    warm = run_full_protocol(uncorrected)
+    coexsim._calibrations.clear()
+    cold = run_full_protocol(uncorrected)
+    assert len(channel_builds) == 2
+    assert records_from_result(warm, uncorrected) == records_from_result(cold, uncorrected)
+
+
+def test_a_kept_calibration_refuses_writes(channel_builds):
+    run_full_protocol(scenario_fig10_multiuser())
+    ((responses, beam_power, noise),) = coexsim._calibrations.values()
+    for array in (responses, beam_power):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert type(noise) is tuple and len(noise) == len(responses)
+
+
+def test_the_calibration_memo_keeps_the_last_few_channels(channel_builds):
+    cap = coexsim.CALIBRATION_CACHE_SIZE
+    assert 1 < cap <= 8
+    scenarios = [Scenario(seed=i) for i in range(cap + 1)]
+    for s in scenarios[:cap]:
+        run_full_protocol(s)
+    run_full_protocol(scenarios[0])  # a hit makes the oldest the newest
+    run_full_protocol(scenarios[cap])  # and this drops the least recent
+    assert len(coexsim._calibrations) == cap
+    assert channel_builds == scenarios
+    run_full_protocol(scenarios[0])
+    assert channel_builds == scenarios
+    run_full_protocol(scenarios[1])
+    assert channel_builds == scenarios + [scenarios[1]]
+    assert len(coexsim._calibrations) == cap
+
+
+def test_a_calibration_that_raises_is_not_kept(channel_builds, monkeypatch):
+    s = Scenario()
+    real = coexsim.rx_power
+    monkeypatch.setattr(coexsim, "rx_power", lambda h, w, tx: np.zeros(h.shape[:-2] + (N_SC,)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="beam-only pattern has no power"):
+            run_full_protocol(s)
+    assert coexsim._calibrations == {}
+    assert channel_builds == [s, s]
+    monkeypatch.setattr(coexsim, "rx_power", real)
+    run_full_protocol(s)
+    assert len(coexsim._calibrations) == 1 and channel_builds == [s, s, s]
+
+
+def test_threads_sharing_the_calibration_memo_get_cold_results(channel_builds):
+    """More threads than cores run more channels than the memo keeps, with
+    a short switch interval: every run gives its cold run's records, and the
+    memo never outgrows its cap."""
+    cap = coexsim.CALIBRATION_CACHE_SIZE
+    orbit = ChannelSpec(preset="orbit-like")
+    scenarios = [Scenario(seed=i, channel=orbit) for i in range(cap + 3)]
+    cold = []
+    for s in scenarios:
+        coexsim._calibrations.clear()
+        cold.append(records_from_result(run_full_protocol(s), s))
+    coexsim._calibrations.clear()
+    errors, sizes = [], []
+
+    def work(offset):
+        try:
+            for i in range(3 * len(scenarios)):
+                j = (offset + i * (1 + offset)) % len(scenarios)
+                s = scenarios[j]
+                assert records_from_result(run_full_protocol(s), s) == cold[j]
+                with coexsim._calibrations_lock:
+                    sizes.append(len(coexsim._calibrations))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(sizes) == 4 * 3 * len(scenarios) and max(sizes) <= cap

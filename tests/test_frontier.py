@@ -623,11 +623,18 @@ def test_multi_user_run_measures_each_user_once_per_level(monkeypatch):
 )
 def test_each_user_channel_response_is_computed_once(scenario, monkeypatch):
     assert scenario.search.mode == "multiuser" or scenario.search.power_correction
+    monkeypatch.setattr(coexsim, "_calibrations", {})
     # a call through the channel module's own name counts too
     responses = _count_calls(monkeypatch, coexsim, "channel_response")
     via_channel = _count_calls(monkeypatch, channel, "channel_response")
-    run_full_protocol(scenario)
+    first = run_full_protocol(scenario)
     assert len(responses) + len(via_channel) == len(scenario.user_angles_deg)
+    # an identical run shares the first one's calibration
+    responses.clear()
+    via_channel.clear()
+    again = run_full_protocol(scenario)
+    assert len(responses) + len(via_channel) == 0
+    assert again.users == first.users
 
 
 @pytest.mark.parametrize(

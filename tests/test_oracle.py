@@ -13,9 +13,12 @@ near it: no float64 solve pins such a config's INR to ``INR_TOL_DB``
 solve's accuracy there is the kernel property's to check
 (``tests/test_frontier.py``).
 
-Each scenario runs once on cleared tree caches and once on caches warmed
-by another beam on the same shape or grid, the negated beam among them,
-so a cache key that confused two beams would show.  Angles lie on the
+Each scenario runs once on cleared caches and once on caches warmed by
+another beam on the same shape or grid, the negated beam among them, so a
+cache key that confused two beams would show.  The warm run also follows
+a sibling run on the same channel, with power correction or the duty
+cycle flipped, so it reuses the sibling's channel calibration and the
+comparison with the reference run covers that reuse.  Angles lie on the
 0.1 deg grid of the presets and the benchmark workloads.
 
 Locally the property draws ``LOCAL_EXAMPLES`` scenarios per cache state;
@@ -23,6 +26,7 @@ the ``oracle`` hypothesis profile (``tests/conftest.py``) draws its own,
 larger budget.
 """
 
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -90,13 +94,18 @@ def oracle_cases(draw):
         assume(False)
     beam = s.ue_angle_deg
     other = draw(st.sampled_from([-beam, round(beam + 0.1, 1), round(beam - 0.1, 1)]) | angles)
-    return s, other
+    if draw(st.sampled_from(["correction", "duty"])) == "correction":
+        flipped = {"search": replace(s.search, power_correction=not s.search.power_correction)}
+    else:
+        flipped = {"duty": replace(s.duty, duty=0.5 if s.duty.duty != 0.5 else 0.2)}
+    return s, other, replace(s, **flipped)
 
 
 def _clear_caches():
     nullsearch._shared_tree.cache_clear()
     nullsearch._tree_layout.cache_clear()
     nullsearch._grid_layout.cache_clear()
+    coexsim._calibrations.clear()
 
 
 def _warm(s, beam):
@@ -150,12 +159,19 @@ def _close(a: float, b: float) -> bool:
 )
 @given(case=oracle_cases())
 def test_a_run_makes_the_reference_runs_decisions_and_measurements(cache, case):
-    s, other = case
+    s, other, sibling = case
     _clear_caches()
     if cache == "warm":
         _warm(s, other)
+        try:
+            run_full_protocol(sibling)
+        except DofExhaustedError:
+            pass
+        assert len(coexsim._calibrations) == 1
     ref = reference_run(s)
     states, visited, result, excluded = _run(s)
+    # one calibration is kept: a warm run shared its sibling's
+    assert len(coexsim._calibrations) == 1
     event(f"mode {s.search.mode}, {'DOF limit' if ref.excluded else 'served'}")
 
     exempt = next((name for name, margin in ref.margins if margin < INR_TOL_DB), None)

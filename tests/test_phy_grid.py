@@ -161,6 +161,11 @@ def test_maps_match_the_per_slot_scan():
     assert SC_TO_RB.tolist() == [nearest_rrb(sc_center_freq(s)) for s in range(N_SC)]
 
 
+def test_the_blocks_map_to_58_distinct_subcarriers():
+    """A corrected weight matrix corrects one block per distinct subcarrier."""
+    assert len(np.unique(RB_TO_SC)) == 58
+
+
 def test_the_plan_is_read_only():
     built = build_rb_sc_map(), build_sc_rb_map()
     assert np.array_equal(built[0], RB_TO_SC) and np.array_equal(built[1], SC_TO_RB)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,31 @@ def test_hash_tracks_every_field():
     assert scenario_hash(with_overrides(s, seed=1)) != scenario_hash(s)
     assert scenario_hash(with_overrides(s, tx_power=2.0)) != scenario_hash(s)
     assert scenario_hash(with_overrides(s, seed=0)) == scenario_hash(s)
+
+
+def test_a_scenario_hashes_once_and_a_replaced_one_afresh(monkeypatch):
+    dumps = []
+    real = scenario_mod.scenario_to_dict
+    monkeypatch.setattr(scenario_mod, "scenario_to_dict", lambda s: dumps.append(s) or real(s))
+    s = Scenario()
+    digest = scenario_hash(s)
+    assert scenario_hash(s) == digest and dumps == [s]
+    # the digest is kept where equality, hashing and repr never look
+    assert s == Scenario() and hash(s) == hash(Scenario()) and "_scenario_hash" not in repr(s)
+    other = replace(s, seed=1)
+    assert scenario_hash(other) != digest
+    assert scenario_hash(other) == scenario_hash(Scenario(seed=1))
+    assert dumps == [s, other, Scenario(seed=1)]
+
+
+def test_reruns_of_a_scenario_hash_it_once(monkeypatch):
+    dumps = []
+    real = scenario_mod.scenario_to_dict
+    monkeypatch.setattr(scenario_mod, "scenario_to_dict", lambda s: dumps.append(s) or real(s))
+    s = Scenario(seed=7)
+    records = run_scenarios([s], repeats=3)
+    assert len(dumps) == 1
+    assert len({r.scenario_hash for r in records}) == 1
 
 
 def test_with_overrides_validates():
