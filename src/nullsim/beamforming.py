@@ -259,14 +259,14 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
-def floor_power_report(report: np.ndarray, floor: float = POWER_REPORT_FLOOR) -> np.ndarray:
-    """Clamp a per-antenna, per-subcarrier power report away from zero."""
+def floor_power_report(report: np.ndarray) -> np.ndarray:
+    """Clamp a per-antenna, per-subcarrier power report up to :data:`POWER_REPORT_FLOOR`."""
     report = np.asarray(report, dtype=float)
     if report.ndim != 2:
         raise ValueError("power report must be (antennas, subcarriers)")
     if (report < 0).any():
         raise ValueError("power report entries must be non-negative")
-    return np.maximum(report, floor)
+    return np.maximum(report, POWER_REPORT_FLOOR)
 
 
 def power_correct(w: np.ndarray, report: np.ndarray, r: int | np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Any, Iterable, Iterator, get_type_hints
 from .channel import MIN_MEASURABLE_POWER
 from .coexsim import ProtocolResult, run_full_protocol
 from .nullsearch import FLOAT_DECIMALS, MAX_TREE_NODES, NullConfig
-from .scenario import Scenario, scenario_hash, validate_scenario
+from .scenario import Scenario, ScenarioError, scenario_hash, validate_scenario
 
 # a trace row's fields, in column order, and their types, as
 # ResultsRecord.trace_rows gives them
@@ -171,10 +171,10 @@ def sweep_points(scenario: Scenario) -> list[Scenario]:
     """The scenario's declared grid, duty-major, one scenario per point.
 
     A missing grid holds the scenario's own value; the points carry no
-    grids of their own.
+    grids of their own.  A scenario without grids fails ``no_sweep_grids``.
     """
     if not scenario.sweep_backhaul_ms and not scenario.sweep_duty:
-        raise ValueError("sweep mode needs sweep grids in the scenario")
+        raise ScenarioError("no_sweep_grids", "the scenario declares no sweep grid to sweep")
     duties = scenario.sweep_duty or (scenario.duty.duty,)
     backhauls = scenario.sweep_backhaul_ms or (scenario.backhaul.delay_ms,)
     return [
@@ -297,7 +297,9 @@ def _check_records(records: list[ResultsRecord]) -> None:
     Every summary field must hold exactly its annotated type (so a bool is
     no int), the trace must be a list, and each trace entry a tuple of
     exactly a :class:`NullConfig` and a ``float``: the types both formats
-    spell and read back.  Both check this before they open a file.
+    spell and read back.  JSON would spell a mistyped value (a bool as
+    ``true``, an int in a float field without a point) in a way the CSV
+    reader does not read back.  Both check this before they open a file.
     """
     for record in records:
         for name, kind in _SUMMARY_TYPES.items():

@@ -241,24 +241,25 @@ def power_report(h: np.ndarray) -> np.ndarray:
 # presets
 
 
-def flat_channel(angle_deg: float = 0.0, gain: complex = 1.0) -> ChannelModel:
+def flat_channel(angle_deg: float = 0.0) -> ChannelModel:
     """Single ray, no delay spread: the over-cable calibration setup."""
-    return ChannelModel(mode="flat", paths=(Path(angle_deg, gain, 0.0),))
+    return ChannelModel(mode="flat", paths=(Path(angle_deg, 1.0, 0.0),))
 
 
-def two_ray_channel(
-    angle_deg: float = 0.0,
-    echo_offset_deg: float = 25.0,
-    echo_gain: float = 0.63,
-    echo_delay_s: float = 150e-9,
-) -> ChannelModel:
+# the two-ray preset's echo: its angle off the direct path, gain and delay
+TWO_RAY_ECHO_OFFSET_DEG = 25.0
+TWO_RAY_ECHO_GAIN = 0.63
+TWO_RAY_ECHO_DELAY_S = 150e-9
+
+
+def two_ray_channel(angle_deg: float = 0.0) -> ChannelModel:
     """Dominant ray plus one strong echo; deeply frequency selective."""
-    echo_angle = max(-90.0, min(90.0, angle_deg + echo_offset_deg))
+    echo_angle = max(-90.0, min(90.0, angle_deg + TWO_RAY_ECHO_OFFSET_DEG))
     return ChannelModel(
         mode="geometric",
         paths=(
             Path(angle_deg, 1.0, 0.0),
-            Path(echo_angle, echo_gain, echo_delay_s),
+            Path(echo_angle, TWO_RAY_ECHO_GAIN, TWO_RAY_ECHO_DELAY_S),
         ),
     )
 

@@ -84,13 +84,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed is not None:
                 scenario = with_overrides(scenario, seed=args.seed)
             if args.verb == "sweep":
-                if not scenario.sweep_backhaul_ms and not scenario.sweep_duty:
-                    print(
-                        f"error: {args.scenario} declares no sweep grids "
-                        f"(sweep.duty or sweep.backhaul_ms) to sweep",
-                        file=sys.stderr,
-                    )
-                    return EXIT_VALIDATION
                 records = run_scenarios(sweep_points(scenario))
             else:
                 records = run_scenarios([scenario], args.repeats)

@@ -241,7 +241,8 @@ def _emit_search(
     sim: SimConfig,
     sounded_antennas: int = 0,
 ) -> SimTimeline:
-    """The timeline of a search that tested ``levels``, one feedback each.
+    """The timeline of a search that tested ``levels``, one feedback each,
+    laid out with the same labels in every mode.
 
     With ``sounded_antennas`` the power-measurement phase comes first: each
     antenna transmits alone for one slot, and the WiFi node's power report
@@ -361,7 +362,9 @@ class ProtocolResult:
 
 
 # the last few channel calibrations, by their exact inputs, least recently
-# used first; the lock guards their bookkeeping, not a calibration
+# used first; the lock guards their bookkeeping, not a calibration.  The cap
+# is small on purpose: each entry holds its users' responses, and a stream
+# of new channels misses at any cap
 CALIBRATION_CACHE_SIZE = 4
 _calibrations: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[float, ...]]] = {}
 _calibrations_lock = threading.Lock()
@@ -504,7 +507,8 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     if search.mode == "multiuser":
         timeline, plan = simulate_multi_user(tree, len(noise), dc, backhaul, sim, measure)
         states, joint = plan.states, plan.joint_null_angles
-        # every user measures the joint nulls afresh
+        # every user measures the joint nulls afresh, solved by the run's
+        # only lcmv_weights call
         joint_cfg = NullConfig((), joint, ROOT_SECTOR)
         w_joint = lcmv_weights(geom, scenario.ue_angle_deg, joint)
         finals = [reps[0] for reps in measure([joint_cfg], w_joint[None])]
@@ -525,6 +529,7 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     if any(f >= b for f, b in zip(finals, baselines)):
         # never deploy a config that measures worse than not nulling at all
         joint, finals = (), baselines
+    # the only place a run wraps INRs in InrReport
     outcomes = [
         UserOutcome(u, InrReport(baselines[u]), InrReport(finals[u]), len(joint), st.tested)
         for u, st in enumerate(states)

@@ -582,7 +582,8 @@ def _tree_layout(
     every beam.
 
     Its root sector is keyed by :func:`_exact`, as trees are, so a root
-    edge of ``-0.0`` never shares a layout with one of ``0.0``.
+    edge of ``-0.0`` never shares a layout with one of ``0.0``.  A layout
+    holds no beam, so it stays cached when a beam's check on it fails.
     """
     configs: list[NullConfig] = []
 
@@ -687,7 +688,8 @@ def descend(
     the users' frontiers is solved and stacked once and measured once, for
     every user by one ``evaluate`` call, which must return one INR per
     union node for each user.  Each user then records its own frontier's
-    reports (:func:`record_results`) and descends into its winner
+    reports, picked out of the union's only where the two differ
+    (:func:`record_results`), and descends into its winner
     (:func:`advance`).  Every leaf of a tree sits on its last level, so the
     users finish together.  Returns the users' finished states and the
     union tested at each level.

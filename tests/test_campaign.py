@@ -38,7 +38,7 @@ from nullsim.nullsearch import (
     grid_tree,
 )
 from nullsim.presets import PRESET_NAMES, run_repro, scenario_fig9_delay, scenario_fig10_multiuser
-from nullsim.scenario import Scenario, SearchSpec, with_overrides
+from nullsim.scenario import Scenario, ScenarioError, SearchSpec, with_overrides
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +102,9 @@ def test_sweep_iterates_duty_major():
 
 
 def test_sweep_needs_grids():
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioError) as exc:
         sweep_points(Scenario())
+    assert exc.value.rule == "no_sweep_grids"
 
 
 def _positions(records):

@@ -15,6 +15,9 @@ from nullsim.channel import (
     ORBIT_ECHO_DB,
     ORBIT_ECHO_DELAY_S,
     ORBIT_GAIN_SIGMA_DB,
+    TWO_RAY_ECHO_DELAY_S,
+    TWO_RAY_ECHO_GAIN,
+    TWO_RAY_ECHO_OFFSET_DEG,
     ChannelModel,
     InrReport,
     Path,
@@ -100,7 +103,7 @@ def test_the_one_pass_response_has_the_bits_of_the_per_path_sum(
     geom = ArrayGeometry(k_antennas=k, spacing_m=spacing_m)
     rng = np.random.default_rng(seed)
     if preset == "flat":
-        model = flat_channel(angle, gain=gain)
+        model = ChannelModel(mode="flat", paths=(Path(angle, gain, 0.0),))
     elif preset == "two-ray":
         model = two_ray_channel(angle)
     else:
@@ -114,8 +117,9 @@ def test_the_one_pass_response_has_the_bits_of_the_per_path_sum(
 
 def test_two_path_closed_form(geom4):
     """Antenna 0 sees 1 + g*exp(-j*2*pi*f*tau) exactly."""
-    g, tau = 0.63, 150e-9
-    model = two_ray_channel(0.0, echo_offset_deg=25.0, echo_gain=g, echo_delay_s=tau)
+    g, tau = TWO_RAY_ECHO_GAIN, TWO_RAY_ECHO_DELAY_S
+    model = two_ray_channel(0.0)
+    assert model.paths[1].angle_deg == TWO_RAY_ECHO_OFFSET_DEG
     h = channel_response(model, geom4)
     for s in range(N_SC):
         expected = 1.0 + g * np.exp(-2j * np.pi * sc_center_freq(s) * tau)
@@ -190,7 +194,7 @@ def test_path_gain_scales_power_quadratically(re, im):
     geom = ArrayGeometry(k_antennas=4)
     w = build_weight_matrix(geom, 10.0, (), base=lcmv_weights(geom, 10.0, ()))
     p1 = rx_power(channel_response(flat_channel(40.0), geom), w)
-    p2 = rx_power(channel_response(flat_channel(40.0, gain=c), geom), w)
+    p2 = rx_power(channel_response(ChannelModel(mode="flat", paths=(Path(40.0, c, 0.0),)), geom), w)
     assert np.allclose(p2, abs(c) ** 2 * p1)
 
 

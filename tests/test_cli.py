@@ -129,7 +129,7 @@ def test_sweep_runs_declared_grids(tmp_path, capsys):
 
 def test_sweep_without_grids_is_an_argument_error(scenario_file, capsys):
     assert cli.main(["sweep", scenario_file]) == cli.EXIT_VALIDATION
-    assert "declares no sweep grids" in capsys.readouterr().err
+    assert "scenario error: no_sweep_grids: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])
