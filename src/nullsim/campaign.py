@@ -190,21 +190,18 @@ def sweep_points(scenario: Scenario) -> list[Scenario]:
     ]
 
 
-def run_scenarios(scenarios: list[Scenario], repeats: int = 1) -> list[ResultsRecord]:
-    """Validate each scenario once and run it ``repeats`` times, in order.
+def run_scenarios(scenarios: list[Scenario]) -> list[ResultsRecord]:
+    """Validate and run each scenario, in order.
 
     A run's records get ``run_id`` = the number of records before them, so
     ``run_id + user`` is a record's position and the records of one run
-    share their ``run_id``.  Repeats rerun the identical seed and must
-    reproduce identical records.
+    share their ``run_id``.  A scenario listed twice reruns its identical
+    seed and must reproduce identical records apart from ``run_id``.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
     records: list[ResultsRecord] = []
     for s in scenarios:
         validate_scenario(s)
-        for _ in range(repeats):
-            records.extend(records_from_result(run_full_protocol(s), s, run_id=len(records)))
+        records.extend(records_from_result(run_full_protocol(s), s, run_id=len(records)))
     return records
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -85,15 +84,6 @@ class InrReport:
 _SC_DELAY_PHASE = -2j * np.pi * SC_CENTERS_HZ.astype(float)
 
 
-@lru_cache(maxsize=32)
-def _antenna_phases(geom: ArrayGeometry) -> np.ndarray:
-    """Every antenna's phase per unit of sin(angle), 2j*pi*(d/lambda)*k, as
-    a read-only (K, 1) column."""
-    phases = 2j * np.pi * geom.spacing_wavelengths * np.arange(geom.k_antennas)[:, None]
-    phases.flags.writeable = False
-    return phases
-
-
 def channel_response(model: ChannelModel, geom: ArrayGeometry) -> np.ndarray:
     """Complex response h of shape (antennas, :data:`~nullsim.phy_grid.N_SC`).
 
@@ -107,7 +97,10 @@ def channel_response(model: ChannelModel, geom: ArrayGeometry) -> np.ndarray:
         [(math.sin(math.radians(p.angle_deg)), p.excess_delay_s, p.gain) for p in model.paths],
         dtype=complex,
     ).T[:, :, None, None]
-    terms = gain * np.exp(_antenna_phases(geom) * sin) * np.exp(_SC_DELAY_PHASE * delay)
+    # every antenna's phase per unit of sin(angle), 2j*pi*(d/lambda)*k, as a
+    # (K, 1) column
+    phases = 2j * np.pi * geom.spacing_wavelengths * np.arange(geom.k_antennas)[:, None]
+    terms = gain * np.exp(phases * sin) * np.exp(_SC_DELAY_PHASE * delay)
     h = np.zeros((geom.k_antennas, N_SC), dtype=complex)
     for term in terms:
         h += term

@@ -19,16 +19,6 @@ EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nullsim",
@@ -39,7 +29,6 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario file")
     run.add_argument("scenario")
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument("--repeats", type=_positive_int, default=1)
     run.add_argument("--out", default=None, help="results file path")
     run.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -83,10 +72,9 @@ def main(argv: list[str] | None = None) -> int:
             scenario = load_scenario(args.scenario)
             if args.seed is not None:
                 scenario = with_overrides(scenario, seed=args.seed)
-            if args.verb == "sweep":
-                records = run_scenarios(sweep_points(scenario))
-            else:
-                records = run_scenarios([scenario], args.repeats)
+            records = run_scenarios(
+                sweep_points(scenario) if args.verb == "sweep" else [scenario]
+            )
             print(_summarize(records))
             if args.out:
                 for f in export_results(records, args.format, args.out):

@@ -21,7 +21,6 @@ feedback, so it contributes cycles but no extra delta_b.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -361,13 +360,11 @@ class ProtocolResult:
     joint_null_angles: tuple[float, ...]
 
 
-# the last few channel calibrations, by their exact inputs, least recently
-# used first; the lock guards their bookkeeping, not a calibration.  The cap
-# is small on purpose: each entry holds its users' responses, and a stream
-# of new channels misses at any cap
-CALIBRATION_CACHE_SIZE = 4
-_calibrations: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[float, ...]]] = {}
-_calibrations_lock = threading.Lock()
+# the last calibrated channel's key and calibration.  A run reads the pair
+# whole and rebinds it whole, so no thread sees one channel's key with
+# another's calibration, and threads that race to rebind it need no lock:
+# the loser's channel is only calibrated again by its next run
+_last_calibration: tuple[tuple, tuple | None] = ((), None)
 
 
 def _channel_key(scenario: "Scenario") -> tuple:
@@ -403,22 +400,18 @@ def _calibrated_channels(scenario: "Scenario", geom, w0_matrix):
     scenario's without a target, otherwise each user's beam-only power
     over (target - 1).
 
-    A run shares the calibration of any of the last
-    :data:`CALIBRATION_CACHE_SIZE` distinct channel keys
-    (:func:`_channel_key`), so runs that differ only in their search,
-    duty cycle, backhaul or measurement build no channel; ``w0_matrix``,
-    the beam's no-null matrix, follows from the key.  A calibration that
-    raises is not kept and raises again.
+    A run whose channel key (:func:`_channel_key`) matches the last
+    calibrated channel's shares its calibration, so runs that differ only
+    in their search, duty cycle, backhaul or measurement build no channel;
+    ``w0_matrix``, the beam's no-null matrix, follows from the key.  A
+    calibration that raises is not kept and raises again.
     """
+    global _last_calibration
     key = _channel_key(scenario)
-    with _calibrations_lock:
-        calibration = _calibrations.pop(key, None)
-    if calibration is None:
+    last_key, calibration = _last_calibration
+    if last_key != key:
         calibration = _calibrate(scenario, geom, w0_matrix)
-    with _calibrations_lock:
-        _calibrations[key] = calibration
-        if len(_calibrations) > CALIBRATION_CACHE_SIZE:
-            del _calibrations[next(iter(_calibrations))]
+        _last_calibration = key, calibration
     return calibration
 
 

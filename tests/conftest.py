@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from nullsim import campaign, coexsim, nullsearch
 from nullsim.beamforming import ArrayGeometry
 
 # the whole-run reference check of tests/test_oracle.py with a larger budget
@@ -10,6 +11,18 @@ settings.register_profile("oracle", max_examples=1000, deadline=None)
 # the screened rank checks of tests/test_rank_screen.py against the full SVD,
 # ten times their tier-1 budget: pytest --hypothesis-profile=screen
 settings.register_profile("screen", max_examples=2500, deadline=None)
+
+
+def clear_caches():
+    """Empty every process-wide cache, so the next run starts as a fresh
+    process's does: the tree layouts and trees, the exported configs' text
+    and the kept channel calibration.  A scenario's own tree and hash stay
+    in the instance; a fresh copy (``dataclasses.replace(s)``) has neither."""
+    nullsearch._shared_tree.cache_clear()
+    nullsearch._tree_layout.cache_clear()
+    nullsearch._grid_layout.cache_clear()
+    campaign._config_json.cache_clear()
+    coexsim._last_calibration = ((), None)
 
 
 @pytest.fixture(scope="session")

@@ -58,16 +58,11 @@ def test_one_run_one_record(default_records):
 
 
 def test_repeats_reproduce_identical_rows():
-    rows = [r.summary_row() for r in run_scenarios([Scenario()], repeats=3)]
+    rows = [r.summary_row() for r in run_scenarios([Scenario()] * 3)]
     assert [r["run_id"] for r in rows] == [0, 1, 2]
     for row in rows:
         row.pop("run_id")
     assert rows[0] == rows[1] == rows[2]
-
-
-def test_repeats_must_be_positive():
-    with pytest.raises(ValueError):
-        run_scenarios([Scenario()], repeats=0)
 
 
 def test_linear_override_tests_the_whole_grid():
@@ -122,7 +117,7 @@ def test_run_id_plus_user_is_the_record_position_in_every_repro_table(figure):
 
 
 def test_multi_user_repeats_number_runs_by_record_offset():
-    records = run_scenarios([scenario_fig10_multiuser()], repeats=2)
+    records = run_scenarios([scenario_fig10_multiuser()] * 2)
     assert [r.run_id for r in records] == [0] * 4 + [4] * 4
     assert _positions(records) == list(range(8))
     rows = _rows_without_run_id(records)
@@ -136,15 +131,14 @@ def test_multi_user_sweep_numbers_runs_by_record_offset():
     assert _positions(records) == list(range(8))
 
 
-@pytest.mark.parametrize("repeats", [1, 3])
-def test_each_scenario_is_validated_once_whatever_the_repeats(repeats, monkeypatch):
+def test_each_listed_scenario_is_validated_and_run_in_order(monkeypatch):
     validated = []
     monkeypatch.setattr(campaign, "validate_scenario", validated.append)
-    scenarios = [Scenario(seed=seed) for seed in (1, 2, 3)]
-    records = run_scenarios(scenarios, repeats=repeats)
+    scenarios = [Scenario(seed=seed) for seed in (1, 2, 2, 3)]
+    records = run_scenarios(scenarios)
     assert validated == scenarios
-    assert [r.seed for r in records] == [s.seed for s in scenarios for _ in range(repeats)]
-    assert [r.run_id for r in records] == list(range(3 * repeats))
+    assert [r.seed for r in records] == [1, 2, 2, 3]
+    assert [r.run_id for r in records] == list(range(4))
 
 
 def test_fig9_is_the_campaign_sweep_of_the_tree_then_the_linear_variant():
@@ -570,7 +564,7 @@ def test_the_trace_csv_reads_back_as_the_trace_rows(name, tmp_path):
     """``<stem>_trace.csv``, each column typed by TRACE_TYPES, reads back as
     every record's ``trace_rows()``, value for value and type for type."""
     scenario = WHOLE_RUNS[name]
-    records = run_scenarios([scenario], repeats=2)
+    records = run_scenarios([scenario] * 2)
     cfg = records[0].trace[0][0]
     records.append(dataclasses.replace(records[0], trace=[(cfg, x) for x in SPECIAL_INRS]))
     _, trace_path = export_results(records, "csv", str(tmp_path / "run.csv"))

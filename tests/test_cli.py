@@ -140,14 +140,6 @@ def test_a_negative_seed_override_is_an_argument_error(verb, tmp_path, capsys):
     assert "scenario error: seed_negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("repeats", ["0", "-2", "x"])
-def test_repeats_must_be_a_positive_integer(repeats, scenario_file, capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["run", scenario_file, "--repeats", repeats])
-    assert err.value.code == cli.EXIT_VALIDATION
-    assert "argument --repeats:" in capsys.readouterr().err
-
-
 def test_repro_prints_a_table(capsys):
     assert cli.main(["repro", "fig7-cable"]) == cli.EXIT_OK
     assert capsys.readouterr().out.strip()

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import clear_caches
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -43,16 +44,18 @@ from nullsim.nullsearch import (
     build_tree,
     grid_tree,
 )
-from nullsim.campaign import records_from_result
+from nullsim.campaign import _record_json, records_from_result
 from nullsim.presets import scenario_fig8_powercorr, scenario_fig10_multiuser
 from nullsim.phy_grid import N_SC
 from nullsim.scenario import (
     CHANNEL_PRESETS,
+    SEARCH_MODES,
     ChannelSpec,
     Scenario,
     ScenarioError,
     SearchSpec,
     scenario_from_dict,
+    validate_scenario,
 )
 
 SIM = SimConfig()
@@ -592,6 +595,41 @@ def test_multiuser_runs_never_deploy_nulls_that_leave_a_user_worse(scenario):
     assert apply.label == "apply nulls:" + ";".join(f"{a:.2f}" for a in joint)
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        Scenario(),
+        Scenario(search=SearchSpec(power_correction=False)),
+        Scenario(search=SearchSpec(mode="linear")),
+        scenario_fig10_multiuser(),
+    ],
+    ids=["tree-corrected", "tree-uncorrected", "linear", "multiuser"],
+)
+def test_a_config_that_only_ties_the_baseline_is_not_deployed(scenario, monkeypatch):
+    """The fallback fires when the final INR is not below the baseline, so
+    a search whose every config measures exactly the baseline deploys no
+    null."""
+    assert scenario.sim.noise_jitter == 0.0
+    baselines = []
+    real = coexsim.averaged_inr
+
+    def recording(*args):
+        inrs = real(*args)
+        baselines[:] = [reps[0] for reps in inrs]
+        return inrs
+
+    def ties(h, weight_matrix, *args):
+        return [[b] * len(weight_matrix) for b in baselines]
+
+    monkeypatch.setattr(coexsim, "averaged_inr", recording)
+    monkeypatch.setattr(coexsim, "sampled_inr", ties)
+    result = run_full_protocol(scenario)
+    assert result.joint_null_angles == ()
+    assert [u.nulls_used for u in result.users] == [0] * len(baselines)
+    assert [u.final.aggregate for u in result.users] == baselines
+    assert all(u.trace for u in result.users)
+
+
 def test_a_rank_deficient_joint_union_raises_in_the_joint_solve_itself():
     """The one multi-user ``DegenerateConstraintsError`` that
     ``raised_by_joint_solve`` in ``perfbench/run.py`` lets through: its
@@ -657,9 +695,9 @@ def test_one_user_multiuser_run_deploys_what_the_plain_tree_deploys(
 
 @pytest.fixture
 def channel_builds(monkeypatch):
-    """An empty calibration memo for the test, and every scenario whose
-    channels are built while it runs."""
-    monkeypatch.setattr(coexsim, "_calibrations", {})
+    """Empty caches for the test, and every scenario whose channels are
+    built while it runs."""
+    clear_caches()
     builds = []
     real = Scenario.build_channels
     monkeypatch.setattr(Scenario, "build_channels", lambda s: builds.append(s) or real(s))
@@ -686,7 +724,8 @@ OFF_ZERO = SearchSpec(mode="linear", linear_grid=(-20.0, 30.0))
 def test_a_channel_key_tells_apart_numbers_that_compare_equal(a, b, channel_builds):
     assert a == b
     assert coexsim._channel_key(a) != coexsim._channel_key(b)
-    for s in (a, b, a, b):
+    # one channel is kept, so each key's second run shows whether it hit
+    for s in (a, a, b, b):
         run_full_protocol(s)
     assert channel_builds == [a, b]
 
@@ -738,7 +777,7 @@ def test_a_shared_calibration_gives_the_records_of_a_cold_one(channel_builds):
     uncorrected = replace(base, search=replace(base.search, power_correction=False))
     run_full_protocol(base)
     warm = run_full_protocol(uncorrected)
-    coexsim._calibrations.clear()
+    clear_caches()
     cold = run_full_protocol(uncorrected)
     assert len(channel_builds) == 2
     assert records_from_result(warm, uncorrected) == records_from_result(cold, uncorrected)
@@ -746,28 +785,19 @@ def test_a_shared_calibration_gives_the_records_of_a_cold_one(channel_builds):
 
 def test_a_kept_calibration_refuses_writes(channel_builds):
     run_full_protocol(scenario_fig10_multiuser())
-    ((responses, beam_power, noise),) = coexsim._calibrations.values()
+    _, (responses, beam_power, noise) = coexsim._last_calibration
     for array in (responses, beam_power):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     assert type(noise) is tuple and len(noise) == len(responses)
 
 
-def test_the_calibration_memo_keeps_the_last_few_channels(channel_builds):
-    cap = coexsim.CALIBRATION_CACHE_SIZE
-    assert 1 < cap <= 8
-    scenarios = [Scenario(seed=i) for i in range(cap + 1)]
-    for s in scenarios[:cap]:
+def test_a_run_on_another_channel_replaces_the_kept_one(channel_builds):
+    a, b = Scenario(seed=0), Scenario(seed=1)
+    for s in (a, b, b, a):
         run_full_protocol(s)
-    run_full_protocol(scenarios[0])  # a hit makes the oldest the newest
-    run_full_protocol(scenarios[cap])  # and this drops the least recent
-    assert len(coexsim._calibrations) == cap
-    assert channel_builds == scenarios
-    run_full_protocol(scenarios[0])
-    assert channel_builds == scenarios
-    run_full_protocol(scenarios[1])
-    assert channel_builds == scenarios + [scenarios[1]]
-    assert len(coexsim._calibrations) == cap
+    assert coexsim._last_calibration[0] == coexsim._channel_key(a)
+    assert channel_builds == [a, b, a]
 
 
 def test_a_calibration_that_raises_is_not_kept(channel_builds, monkeypatch):
@@ -777,26 +807,25 @@ def test_a_calibration_that_raises_is_not_kept(channel_builds, monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="beam-only pattern has no power"):
             run_full_protocol(s)
-    assert coexsim._calibrations == {}
+    assert coexsim._last_calibration == ((), None)
     assert channel_builds == [s, s]
     monkeypatch.setattr(coexsim, "rx_power", real)
     run_full_protocol(s)
-    assert len(coexsim._calibrations) == 1 and channel_builds == [s, s, s]
+    assert coexsim._last_calibration[0] == coexsim._channel_key(s)
+    assert channel_builds == [s, s, s]
 
 
 def test_threads_sharing_the_calibration_memo_get_cold_results(channel_builds):
-    """More threads than cores run more channels than the memo keeps, with
-    a short switch interval: every run gives its cold run's records, and the
-    memo never outgrows its cap."""
-    cap = coexsim.CALIBRATION_CACHE_SIZE
+    """More threads than cores run several channels through the one kept
+    calibration, with a short switch interval: every run gives its cold
+    run's records."""
     orbit = ChannelSpec(preset="orbit-like")
-    scenarios = [Scenario(seed=i, channel=orbit) for i in range(cap + 3)]
+    scenarios = [Scenario(seed=i, channel=orbit) for i in range(5)]
     cold = []
     for s in scenarios:
-        coexsim._calibrations.clear()
+        clear_caches()
         cold.append(records_from_result(run_full_protocol(s), s))
-    coexsim._calibrations.clear()
-    errors, sizes = [], []
+    errors = []
 
     def work(offset):
         try:
@@ -804,8 +833,6 @@ def test_threads_sharing_the_calibration_memo_get_cold_results(channel_builds):
                 j = (offset + i * (1 + offset)) % len(scenarios)
                 s = scenarios[j]
                 assert records_from_result(run_full_protocol(s), s) == cold[j]
-                with coexsim._calibrations_lock:
-                    sizes.append(len(coexsim._calibrations))
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -821,4 +848,74 @@ def test_threads_sharing_the_calibration_memo_get_cold_results(channel_builds):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(sizes) == 4 * 3 * len(scenarios) and max(sizes) <= cap
+
+
+# ---------------------------------------------------------------------------
+# every cache that stays, against cold runs
+
+
+@st.composite
+def cache_sequences(draw):
+    """A few scenarios on one or two channels and tree shapes, and an order
+    that runs them, some more than once.  Beside a drawn base they are its
+    seed's neighbour (every other channel input alike), its correction-off
+    or duty sibling (the same channel), its negated beam (the same tree
+    shape) and another tree shape or scan grid."""
+    mode = draw(st.sampled_from(SEARCH_MODES))
+    base = Scenario(
+        seed=draw(st.integers(0, 2**31 - 2)),
+        ue_angle_deg=draw(st.sampled_from([21.4, 10.3])),
+        user_angles_deg=(-20.0, 35.0) if mode == "multiuser" else (-20.0,),
+        geometry=ArrayGeometry(k_antennas=draw(st.sampled_from([4, 8]))),
+        channel=ChannelSpec(preset=draw(st.sampled_from(CHANNEL_PRESETS))),
+        sim=SimConfig(noise_jitter=draw(st.sampled_from([0.0, 0.5]))),
+        search=SearchSpec(mode=mode, power_correction=mode == "tree" and draw(st.booleans())),
+    )
+    search = base.search
+    if mode == "tree":
+        sibling = replace(base, search=replace(search, power_correction=not search.power_correction))
+    else:
+        sibling = replace(base, duty=replace(base.duty, duty=0.5))
+    if mode == "linear":
+        shape = replace(search, linear_grid=(-30.0, -10.0, 0.0, 15.0, 40.0))
+    else:
+        shape = replace(search, fanout=2, depth=3)
+    pool = []
+    for s in (
+        base,
+        replace(base, seed=base.seed + 1),
+        sibling,
+        replace(base, ue_angle_deg=-base.ue_angle_deg),
+        replace(base, search=shape),
+    ):
+        try:
+            validate_scenario(s)
+        except ScenarioError:
+            continue
+        pool.append(s)
+    assume(pool)
+    return pool, draw(st.lists(st.sampled_from(range(len(pool))), min_size=2, max_size=8))
+
+
+def _outcome(s):
+    """A run's records and their JSON text, or what it raised."""
+    try:
+        records = records_from_result(run_full_protocol(s), s)
+    except (DofExhaustedError, DegenerateConstraintsError) as exc:
+        return type(exc), str(exc)
+    return records, list(map(_record_json, records))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=cache_sequences())
+def test_every_run_of_a_shuffled_sequence_gives_its_cold_runs_records(case):
+    """Each run on warm caches, in a drawn order, gives the records and
+    JSON text that a fresh copy of its scenario gives on cleared caches."""
+    pool, order = case
+    cold = []
+    for s in pool:
+        clear_caches()
+        cold.append(_outcome(replace(s)))
+    clear_caches()
+    for i in order:
+        assert _outcome(pool[i]) == cold[i]

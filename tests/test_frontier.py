@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import degenerate_rows
@@ -623,7 +624,7 @@ def test_multi_user_run_measures_each_user_once_per_level(monkeypatch):
 )
 def test_each_user_channel_response_is_computed_once(scenario, monkeypatch):
     assert scenario.search.mode == "multiuser" or scenario.search.power_correction
-    monkeypatch.setattr(coexsim, "_calibrations", {})
+    clear_caches()
     # a call through the channel module's own name counts too
     responses = _count_calls(monkeypatch, coexsim, "channel_response")
     via_channel = _count_calls(monkeypatch, channel, "channel_response")

@@ -14,6 +14,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from conftest import clear_caches
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from test_rank_screen import beams_near
@@ -114,8 +115,7 @@ def test_tree_matches_the_eager_solve(case, cold):
     geom, beam, fanout, depth, schedule, nulls = case
     if cold:
         # no shared layout either: the tree's shape is laid out anew
-        nullsearch._tree_layout.cache_clear()
-        nullsearch._shared_tree.cache_clear()
+        clear_caches()
     try:
         eager = eager_weights(geom, beam, nulls)
     except DegenerateConstraintsError as exc:
@@ -159,8 +159,8 @@ def test_steering_vectors_have_the_bits_of_single_calls():
 
 @pytest.fixture
 def fresh_trees():
-    """An empty tree cache: every tree is built, and every node solved, anew."""
-    nullsearch._shared_tree.cache_clear()
+    """Empty caches: every tree is laid out, built, and every node solved, anew."""
+    clear_caches()
 
 
 def test_weights_are_read_only_and_solved_once(monkeypatch, fresh_trees):
@@ -360,9 +360,9 @@ def _rule(raw):
 @given(raw=tree_scenario_dicts())
 def test_validation_accepts_and_rejects_as_with_eager_trees(raw):
     # a cached tree skips the check, so each side builds its tree anew
-    nullsearch._shared_tree.cache_clear()
+    clear_caches()
     rule = _rule(raw)
-    nullsearch._shared_tree.cache_clear()
+    clear_caches()
     with patch.object(nullsearch, "_check_constraints", _check_constraints_eagerly):
         rule_before = _rule(raw)
     assert rule == rule_before
@@ -588,7 +588,6 @@ def test_loading_then_running_fig8_checks_its_tree_once(monkeypatch, fresh_trees
 def test_a_cold_tree_runs_the_rank_test_per_null_count_when_built_only(
     monkeypatch, fresh_trees
 ):
-    nullsearch._tree_layout.cache_clear()
     checked = []
     real = nullsearch._degenerate
     monkeypatch.setattr(
@@ -666,7 +665,6 @@ def test_trees_of_one_shape_share_its_layout_and_signed_zero_sectors_do_not(
     fresh_trees,
 ):
     layouts = nullsearch._tree_layout.cache_info
-    nullsearch._tree_layout.cache_clear()
     # two beams on one array share its layout, configs and all; an array
     # of another size (K=16 resolves to K=8's schedule) gets its own
     trees = [
@@ -709,9 +707,9 @@ def test_a_run_exports_the_bytes_of_a_fresh_process(first, then, tmp_path):
     """A cleared cache stands for a fresh process: the run on the beam
     ``then`` exports the same bytes after a run on the beam ``first``."""
     base = scenario_from_dict({"search": {"fanout": 2}})
-    nullsearch._shared_tree.cache_clear()
+    clear_caches()
     fresh = _export(replace(base, ue_angle_deg=then), tmp_path / "fresh.json")
-    nullsearch._shared_tree.cache_clear()
+    clear_caches()
     _export(replace(base, ue_angle_deg=first), tmp_path / "first.json")
     assert _export(replace(base, ue_angle_deg=then), tmp_path / "then.json") == fresh
 
@@ -737,9 +735,9 @@ def test_scan_grids_of_either_zero_sign_get_their_own_layout(first, then, tmp_pa
     def on(z):
         return replace(base, search=replace(base.search, linear_grid=grid(z)))
 
-    nullsearch._grid_layout.cache_clear()
+    clear_caches()
     fresh = _export(on(then), tmp_path / "fresh.json")
     assert _export(on(first), tmp_path / "first.json") != fresh  # the sign shows
-    nullsearch._grid_layout.cache_clear()
+    clear_caches()
     _export(on(first), tmp_path / "first.json")
     assert _export(on(then), tmp_path / "then.json") == fresh

@@ -30,6 +30,7 @@ from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
+from conftest import clear_caches
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 from oracle import db, reference_run
@@ -101,13 +102,6 @@ def oracle_cases(draw):
     return s, other, replace(s, **flipped)
 
 
-def _clear_caches():
-    nullsearch._shared_tree.cache_clear()
-    nullsearch._tree_layout.cache_clear()
-    nullsearch._grid_layout.cache_clear()
-    coexsim._calibrations.clear()
-
-
 def _warm(s, beam):
     """Cache the tree of ``beam`` on ``s``'s shape or grid, every node solved."""
     if not -90.0 <= beam <= 90.0:
@@ -160,18 +154,20 @@ def _close(a: float, b: float) -> bool:
 @given(case=oracle_cases())
 def test_a_run_makes_the_reference_runs_decisions_and_measurements(cache, case):
     s, other, sibling = case
-    _clear_caches()
+    clear_caches()
     if cache == "warm":
         _warm(s, other)
         try:
             run_full_protocol(sibling)
         except DofExhaustedError:
             pass
-        assert len(coexsim._calibrations) == 1
+        # the sibling calibrated the channel, so the run below shares it
+        assert coexsim._last_calibration[0] == coexsim._channel_key(s)
+    kept = coexsim._last_calibration
     ref = reference_run(s)
     states, visited, result, excluded = _run(s)
-    # one calibration is kept: a warm run shared its sibling's
-    assert len(coexsim._calibrations) == 1
+    assert coexsim._last_calibration[0] == coexsim._channel_key(s)
+    assert cache == "cold" or coexsim._last_calibration is kept
     event(f"mode {s.search.mode}, {'DOF limit' if ref.excluded else 'served'}")
 
     exempt = next((name for name, margin in ref.margins if margin < INR_TOL_DB), None)

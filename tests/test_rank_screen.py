@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import degenerate_rows
@@ -128,7 +129,7 @@ def test_screened_tree_check_equals_the_full_svd(case):
     geom, beam, layout, (fanout, depth, schedule, sector) = case
     expected = full_svd_failing(geom, beam, layout)
     assert nullsearch._failing(geom, beam, layout, steering_vector(geom, beam)) == expected
-    nullsearch._shared_tree.cache_clear()
+    clear_caches()
     raised = _raised(
         lambda: build_tree(
             geom, beam, fanout=fanout, depth=depth, nulls_per_level=schedule,
@@ -203,7 +204,7 @@ def test_a_beam_on_a_null_raises_without_warnings():
     with no division by it."""
     geom = ArrayGeometry(k_antennas=4)
     leaf_null = build_tree(geom, 21.4).nodes[(1, 1, 1, 0)].null_angles_deg[0]
-    nullsearch._shared_tree.cache_clear()
+    clear_caches()
     with np.errstate(all="raise"):
         with pytest.raises(DegenerateConstraintsError, match="coincides with the beam"):
             build_tree(geom, leaf_null)

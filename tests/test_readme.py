@@ -61,8 +61,6 @@ def _nullsim_heads() -> dict[str, object]:
     """Every nullsim module and every class a nullsim module defines, by name."""
     heads: dict[str, object] = {"nullsim": nullsim}
     for info in pkgutil.iter_modules(nullsim.__path__):
-        if info.name == "__main__":  # importing it runs the command line
-            continue
         module = importlib.import_module(f"nullsim.{info.name}")
         heads[info.name] = module
         for name, obj in vars(module).items():

@@ -559,7 +559,7 @@ def test_reruns_of_a_scenario_hash_it_once(monkeypatch):
     real = scenario_mod.scenario_to_dict
     monkeypatch.setattr(scenario_mod, "scenario_to_dict", lambda s: dumps.append(s) or real(s))
     s = Scenario(seed=7)
-    records = run_scenarios([s], repeats=3)
+    records = run_scenarios([s] * 3)
     assert len(dumps) == 1
     assert len({r.scenario_hash for r in records}) == 1
 
