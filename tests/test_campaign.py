@@ -131,14 +131,17 @@ def test_multi_user_sweep_numbers_runs_by_record_offset():
     assert _positions(records) == list(range(8))
 
 
-def test_each_listed_scenario_is_validated_and_run_in_order(monkeypatch):
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_each_scenario_is_validated_once_whatever_the_repeats(repeats, monkeypatch):
+    """A scenario repeated by listing it ``repeats`` times in a row is
+    validated once per listing and run in the listed order."""
     validated = []
     monkeypatch.setattr(campaign, "validate_scenario", validated.append)
-    scenarios = [Scenario(seed=seed) for seed in (1, 2, 2, 3)]
+    scenarios = [Scenario(seed=seed) for seed in (1, 2, 3) for _ in range(repeats)]
     records = run_scenarios(scenarios)
     assert validated == scenarios
-    assert [r.seed for r in records] == [1, 2, 2, 3]
-    assert [r.run_id for r in records] == list(range(4))
+    assert [r.seed for r in records] == [seed for seed in (1, 2, 3) for _ in range(repeats)]
+    assert [r.run_id for r in records] == list(range(3 * repeats))
 
 
 def test_fig9_is_the_campaign_sweep_of_the_tree_then_the_linear_variant():
