@@ -242,7 +242,7 @@ def normalize(w: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(w)
     n = _row_norms(w)[..., None]
-    if (n == 0).any():
+    if np.count_nonzero(n) < n.size:
         raise ValueError("cannot normalize an all-zero weight vector")
     return w / n
 
@@ -251,12 +251,11 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of every vector along the last axis of ``w``, bit for bit.
 
     The norm of one complex vector is sqrt(re.re + im.im), each dot a BLAS
-    call.  A stacked row-times-column matmul makes that same dot call per
-    row; a reduction along an axis would sum in another order.
+    call.  ``np.vecdot`` makes that same dot call per row; a reduction
+    along an axis would sum in another order.
     """
     re, im = w.real, w.imag
-    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
-    return np.sqrt(sq[..., 0, 0])
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def floor_power_report(report: np.ndarray) -> np.ndarray:
@@ -275,12 +274,14 @@ def power_correct(w: np.ndarray, report: np.ndarray, r: int | np.ndarray) -> np.
     Antenna k is scaled by sqrt(report[0, s] / report[k, s]) where s is
     the subcarrier mapped to block r (:data:`~nullsim.phy_grid.RB_TO_SC`),
     equalizing the per-antenna received power around the reference
-    antenna 0.  The report is (antennas, 64).  An integer array ``r``
-    corrects all its blocks in one pass and returns one corrected vector
-    per row, shape (len(r), antennas); the report is floored and checked
-    once.  The antennas are the last axis of ``w``; a stack of vectors of
-    shape (n, 1, antennas) against an array ``r`` gives (n, len(r),
-    antennas).
+    antenna 0.  The report is (antennas, 64), floored at
+    :data:`POWER_REPORT_FLOOR` and checked once per call.  An integer
+    array ``r`` corrects all its blocks in one pass and returns one
+    corrected vector per row, shape (len(r), antennas).  The antennas are
+    the last axis of ``w``; a stack of vectors of shape (n, 1, antennas)
+    against an array ``r`` gives (n, len(r), antennas).  This is the one
+    definition of the gains: :func:`correction_gains` is it applied to
+    unit weights.
     """
     report = floor_power_report(report)
     if report.shape != (np.shape(w)[-1], N_SC):
@@ -290,6 +291,21 @@ def power_correct(w: np.ndarray, report: np.ndarray, r: int | np.ndarray) -> np.
         )
     p = report.T[RB_TO_SC[r]]  # per-antenna power at each block's subcarrier
     return w * np.sqrt(p[..., :1] / p)
+
+
+def correction_gains(report: np.ndarray) -> np.ndarray:
+    """Every antenna's correction gain on each distinct subcarrier block,
+    shape (58, antennas): :func:`power_correct` of unit weights on the
+    first block of each of the 58 distinct
+    :data:`~nullsim.phy_grid.RB_TO_SC` subcarriers.
+
+    Scaling by 1.0 is exact, so ``w * gains`` has the bits of
+    ``power_correct(w, report, r)`` on those blocks.  A run derives the
+    gains from its sounding report once, and every corrected
+    :func:`build_weight_matrix` call reuses them.
+    """
+    report = floor_power_report(report)
+    return power_correct(np.ones(len(report)), report, _SC_BLOCKS)
 
 
 def build_weight_matrix(
@@ -306,30 +322,36 @@ def build_weight_matrix(
     Every column is the unit-norm, optionally power-corrected weight vector
     for that resource block, conjugated into the transmit domain.  Without
     a report all columns are one vector, normalized once and broadcast: the
-    result is a read-only view whose last stride is 0.  With a report,
-    blocks that :data:`~nullsim.phy_grid.RB_TO_SC` maps to one subcarrier
-    get one correction, so only the first block of each of the 58 distinct
-    subcarriers is corrected, by a single :func:`power_correct` call, and
-    normalized; each block's column is then gathered from those 58 rows.
+    result is a read-only view whose last stride is 0.  With one,
+    ``report`` is not the power report itself but its
+    :func:`correction_gains`, (58, antennas), derived once per run: blocks
+    that :data:`~nullsim.phy_grid.RB_TO_SC` maps to one subcarrier get one
+    correction, so the weights are scaled by the 58 rows of gains and
+    normalized, and each block's column is gathered from those 58 rows.
     Either way each column has the bits of
-    ``conj(normalize(power_correct(w, report, r)))``, where ``w`` is
-    ``base``, the constraint-domain vector already solved (the search tree
-    solves each node once).
+    ``conj(normalize(power_correct(w, report, r)))`` for the power report
+    the gains came from, where ``w`` is ``base``, the constraint-domain
+    vector already solved (the search tree solves each node once).
 
     A stacked ``base`` of shape (n, antennas), such as the weights of a
     tree frontier, gives a stack of matrices, (n, antennas, 100), each
     with the bits of its own call.  ``null_degs`` only names the null sets.
     """
     w = np.asarray(base)
-    if w.shape[-1] != geom.k_antennas:
-        raise ValueError(
-            f"weights of length {w.shape[-1]} do not fit {geom.k_antennas} antennas"
-        )
+    k = geom.k_antennas
+    if w.shape[-1] != k:
+        raise ValueError(f"weights of length {w.shape[-1]} do not fit {k} antennas")
     if report is None:
         cols = np.conj(normalize(w))[..., None]
         return np.broadcast_to(cols, w.shape + (N_RB,))
+    gains = np.asarray(report)
+    if gains.shape != (len(_SC_BLOCKS), k):
+        raise ValueError(
+            f"the correction gains of a power report are ({len(_SC_BLOCKS)}, {k}) "
+            f"for {k} antennas; got {gains.shape}"
+        )
     # (..., distinct blocks, antennas): one corrected vector per subcarrier
     # the blocks map to, then one per block (``take`` gathers in half the
     # time of an index array), then per column
-    rows = normalize(power_correct(w[..., None, :], report, _SC_BLOCKS))
+    rows = normalize(w[..., None, :] * gains)
     return rows.conj().take(_BLOCK_ROW, axis=-2).swapaxes(-1, -2)

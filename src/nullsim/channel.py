@@ -128,7 +128,9 @@ def rx_power(h: np.ndarray, weight_matrix: np.ndarray, tx_power: float = 1.0) ->
     it adds antennas in order whatever the stack sizes.  A broadcast matrix
     (last stride 0, as :func:`~nullsim.beamforming.build_weight_matrix`
     returns without a power report) has one column for every block and is
-    used as that column, with no per-subcarrier gather.
+    used as that column, with no per-subcarrier gather.  The square and the
+    scaling by ``tx_power`` are done in place on |sum|, with the bits of
+    ``tx_power * np.abs(sum) ** 2``.
     """
     if tx_power <= 0:
         raise ValueError("tx power must be positive")
@@ -140,17 +142,19 @@ def rx_power(h: np.ndarray, weight_matrix: np.ndarray, tx_power: float = 1.0) ->
         raise ValueError(f"a response has {N_SC} subcarriers, not {h.shape[-1]}")
     if w.shape[-1] != N_RB:
         raise ValueError(f"a weight matrix has {N_RB} resource blocks, not {w.shape[-1]}")
-    cols = w[..., :1] if w.strides[-1] == 0 else w[..., SC_TO_RB]
+    cols = w[..., :1] if w.strides[-1] == 0 else w.take(SC_TO_RB, axis=-1)
     if w.ndim == 3:
         h = h[..., None, :, :]  # every user against every config
-    summed = np.multiply(cols, h, order="C").sum(axis=-2)
-    return tx_power * np.abs(summed) ** 2
+    power = np.abs(np.add.reduce(np.multiply(cols, h, order="C"), axis=-2))
+    np.square(power, out=power)
+    power *= tx_power
+    return power
 
 
 def sampled_inr(
     h: np.ndarray,
     weight_matrix: np.ndarray,
-    noise_power: Sequence[float],
+    noise_power: Sequence[float] | np.ndarray,
     tx_power: float = 1.0,
     sample_count: int = 100,
     noise_jitter: float = 0.0,
@@ -167,17 +171,24 @@ def sampled_inr(
 
     Every user measures the same transmissions: the users' powers come from
     one product, averaged over the subcarriers, and their INRs from one
-    :func:`averaged_inr` call.
+    :func:`averaged_inr` call.  The average is ``np.add.reduce`` over the
+    subcarriers divided by their count, the two steps of ``np.mean``, so
+    it has its bits.  A run passes its users' noise powers as the
+    (U, 1, 1) column :func:`averaged_inr` divides by, built once per run.
     """
-    if np.ndim(h) != 3 or np.ndim(weight_matrix) != 3:
+    h = np.asarray(h)
+    weight_matrix = np.asarray(weight_matrix)
+    if h.ndim != 3 or weight_matrix.ndim != 3:
         raise ValueError("need stacks of responses and of weight matrices")
     p_sc = rx_power(h, weight_matrix, tx_power)  # (users, configs, subcarriers)
-    return averaged_inr(np.mean(p_sc, axis=-1), noise_power, sample_count, noise_jitter, rngs)
+    power = np.add.reduce(p_sc, axis=-1)
+    power /= p_sc.shape[-1]
+    return averaged_inr(power, noise_power, sample_count, noise_jitter, rngs)
 
 
 def averaged_inr(
     power: np.ndarray,
-    noise_power: Sequence[float],
+    noise_power: Sequence[float] | np.ndarray,
     sample_count: int = 100,
     noise_jitter: float = 0.0,
     rngs: Sequence[np.random.Generator] | None = None,
@@ -185,12 +196,19 @@ def averaged_inr(
     """Every user's linear INRs from their mean received powers,
     (U, configs), each INR the average of ``sample_count`` noisy draws.
 
+    ``noise_power`` holds one noise power per user, as a sequence or as
+    an array of any shape with U entries, such as the (U, 1, 1) column a
+    run builds once; every entry must be positive (NaN is not).
+
     Each draw perturbs the measured on-phase power by a zero-mean Gaussian
     of standard deviation ``noise_jitter`` times the user's noise power;
     the off-phase measurement is the noise floor itself.  With zero jitter
     the average equals the single-shot value exactly.  The draws are turned
     into INRs and averaged as one array, in the order the rngs produced
-    them, with the arithmetic done in place on the draw buffer.
+    them, with the arithmetic done in place on the draw buffer: the floor
+    at :data:`MIN_MEASURABLE_POWER` is ``np.maximum``, which is what
+    ``np.clip`` without an upper bound calls, and the mean is
+    ``np.add.reduce`` over the draws divided by their count.
 
     Each user's draws come from one call of its own rng that fills an
     (n, sample_count) array, the same numbers (and the same next draw) as
@@ -202,26 +220,29 @@ def averaged_inr(
         raise ValueError("need at least one measurement sample")
     if noise_jitter < 0:
         raise ValueError("noise jitter cannot be negative")
-    if len(noise_power) != len(power):
+    noise = np.asarray(noise_power, dtype=float).reshape(-1, 1, 1)
+    if len(noise) != len(power):
         raise ValueError("need one noise power per user")
-    if not all(n > 0 for n in noise_power):
+    # counts NaN as not positive, where min(noise) > 0 would pass it
+    if np.count_nonzero(noise > 0) < len(noise):
         raise ValueError("noise power must be positive")
-    noise = np.array(noise_power, dtype=float)[:, None, None]
     p_on = power[..., None] + noise
-    # every noise power is positive and every draw is clipped above zero,
+    # every noise power is positive and every draw is floored above zero,
     # so each INR is a plain ratio of positive powers
     if noise_jitter == 0.0:
         return (p_on / noise)[..., 0].tolist()
-    if rngs is None or len(rngs) != len(noise_power) or None in rngs:
+    if rngs is None or len(rngs) != len(noise) or None in rngs:
         raise ValueError("jittered measurements need an rng per user")
-    draws = np.empty(np.shape(power) + (sample_count,))
+    draws = np.empty(power.shape + (sample_count,))
     for rng, z_u in zip(rngs, draws):
         rng.standard_normal(out=z_u)
     draws *= noise_jitter * noise
     draws += p_on
-    np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
+    np.maximum(draws, MIN_MEASURABLE_POWER, out=draws)
     draws /= noise
-    return np.mean(draws, axis=-1).tolist()
+    inr = np.add.reduce(draws, axis=-1)
+    inr /= sample_count
+    return inr.tolist()
 
 
 def power_report(h: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .beamforming import build_weight_matrix, lcmv_weights
+from .beamforming import build_weight_matrix, correction_gains, lcmv_weights
 from .channel import (
     InrReport,
     averaged_inr,
@@ -452,7 +452,10 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     w0_stack = build_weight_matrix(
         geom, scenario.ue_angle_deg, ((),), base=tree.beam_weights[None]
     )
-    responses, beam_power, noise = _calibrated_channels(scenario, geom, w0_stack[0])
+    responses, beam_power, noise_powers = _calibrated_channels(scenario, geom, w0_stack[0])
+    # the users' noise powers as the (users, 1, 1) column every measurement
+    # divides by, built once
+    noise = np.array(noise_powers, dtype=float)[:, None, None]
     sim = scenario.sim
     dc, backhaul = scenario.duty, scenario.backhaul
     # each user's measurement draws come from its own rng; without jitter
@@ -470,7 +473,8 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
     ) -> list[list[float]]:
         """Every user's INRs for a frontier, from one stacked weight-matrix
         build and one measurement of all users, each user's draws from its
-        own rng."""
+        own rng.  A corrected frontier's ``report`` is the run's
+        correction gains."""
         wm = build_weight_matrix(
             geom,
             scenario.ue_angle_deg,
@@ -507,9 +511,12 @@ def run_full_protocol(scenario: "Scenario") -> ProtocolResult:
         finals = [reps[0] for reps in measure([joint_cfg], w_joint[None])]
     else:
         if search.mode == "tree":
-            # the measurement phase's power report, from the response
-            # calibration already computed
-            report = power_report(responses[0]) if search.power_correction else None
+            # the correction gains of the measurement phase's power report,
+            # from the response calibration already computed, derived once
+            # for every level
+            report = None
+            if search.power_correction:
+                report = correction_gains(power_report(responses[0]))
             timeline, state = simulate_tree_search(
                 tree, dc, backhaul, sim,
                 partial(measure, report=report),

@@ -464,6 +464,11 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
     return d
 
 
+# the canonical JSON that scenario_hash digests: json.dumps with these
+# arguments builds this same encoder on every call
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def scenario_hash(s: Scenario) -> str:
     """Stable short id of the scenario contents (seed included).
 
@@ -474,7 +479,7 @@ def scenario_hash(s: Scenario) -> str:
     """
     digest = s.__dict__.get("_scenario_hash")
     if digest is None:
-        canon = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
+        canon = _CANONICAL_JSON.encode(scenario_to_dict(s))
         digest = s.__dict__["_scenario_hash"] = hashlib.sha256(canon.encode()).hexdigest()[:12]
     return digest
 

@@ -11,6 +11,9 @@ settings.register_profile("oracle", max_examples=1000, deadline=None)
 # the screened rank checks of tests/test_rank_screen.py against the full SVD,
 # ten times their tier-1 budget: pytest --hypothesis-profile=screen
 settings.register_profile("screen", max_examples=2500, deadline=None)
+# the measurement's bit-identity properties of tests/test_measurement_bits.py,
+# ten to twenty times their tier-1 budget: pytest --hypothesis-profile=bits
+settings.register_profile("bits", max_examples=400, deadline=None)
 
 
 def clear_caches():

@@ -18,6 +18,9 @@ joint config that is one, is recorded with no margin at all.
 null sets, every row through the SVD with nothing screened: the check the
 per-row tests compare ``lcmv_weights``, a tree's screened check and the
 stacked solves against.
+
+``sampled_inr_reference`` is the stacked measurement written with numpy's
+own wrappers, the one ``channel.sampled_inr`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +37,14 @@ from nullsim.beamforming import (
     steering_vector,
 )
 from nullsim.channel import MIN_MEASURABLE_POWER, channel_response
-from nullsim.phy_grid import CENTER_FREQ_HZ, N_RB, N_SC, RB_BANDWIDTH_HZ, SC_BANDWIDTH_HZ
+from nullsim.phy_grid import (
+    CENTER_FREQ_HZ,
+    N_RB,
+    N_SC,
+    RB_BANDWIDTH_HZ,
+    SC_BANDWIDTH_HZ,
+    SC_TO_RB,
+)
 
 
 # A solve's INR error grows as eps / (sigma ratio): against a 40-digit
@@ -73,6 +83,33 @@ def degenerate_rows(geom, beam: float, null_sets) -> dict[int, str]:
             ratio = sv[i, -1] / sv[i, 0]
             failing[i] = f"constraint directions are rank deficient (sigma ratio {ratio:.2e})"
     return failing
+
+
+def sampled_inr_reference(h, wm, noise_power, tx_power, sample_count, noise_jitter, rngs):
+    """Every user's INRs on a stack of weight matrices, as
+    ``channel.sampled_inr`` computes them, through ``np.mean``, ``np.clip``
+    and ``tx_power * np.abs(s) ** 2``.
+
+    ``h`` is (users, K, 64), ``wm`` (n, K, 100) and ``noise_power`` one
+    float per user.  Every matrix is gathered per subcarrier, broadcast or
+    not, and each user's draws fill one (n, sample_count) array from its
+    own rng.
+    """
+    cols = np.asarray(wm)[..., SC_TO_RB]
+    summed = np.multiply(cols, h[:, None], order="C").sum(axis=-2)
+    power = np.mean(tx_power * np.abs(summed) ** 2, axis=-1)
+    noise = np.array(noise_power, dtype=float)[:, None, None]
+    p_on = power[..., None] + noise
+    if noise_jitter == 0.0:
+        return (p_on / noise)[..., 0].tolist()
+    draws = np.empty(power.shape + (sample_count,))
+    for rng, z_u in zip(rngs, draws):
+        rng.standard_normal(out=z_u)
+    draws *= noise_jitter * noise
+    draws += p_on
+    np.clip(draws, MIN_MEASURABLE_POWER, None, out=draws)
+    draws /= noise
+    return np.mean(draws, axis=-1).tolist()
 
 
 def pinv_weights(geom, beam: float, nulls) -> tuple[np.ndarray, float]:

@@ -16,6 +16,7 @@ from nullsim.beamforming import (
     ArrayGeometry,
     DegenerateConstraintsError,
     build_weight_matrix,
+    correction_gains,
     floor_power_report,
     lcmv_weights,
     normalize,
@@ -243,14 +244,14 @@ def test_matrix_without_report_replicates_one_column(geom4):
 def test_matrix_with_flat_report_equals_no_report(geom4):
     w = lcmv_weights(geom4, 5.0, (30.0,))
     plain = build_weight_matrix(geom4, 5.0, (30.0,), base=w)
-    corrected = build_weight_matrix(geom4, 5.0, (30.0,), report=flat_report(4, 64, 2.5), base=w)
+    corrected = build_weight_matrix(geom4, 5.0, (30.0,), report=correction_gains(flat_report(4, 64, 2.5)), base=w)
     assert np.allclose(plain, corrected)
 
 
 def test_all_columns_unit_norm(geom8, rng):
     report = rng.uniform(0.2, 5.0, size=(8, 64))
     w = lcmv_weights(geom8, -17.0, (42.0,))
-    m = build_weight_matrix(geom8, -17.0, (42.0,), report=report, base=w)
+    m = build_weight_matrix(geom8, -17.0, (42.0,), report=correction_gains(report), base=w)
     assert np.allclose(np.linalg.norm(m, axis=0), 1.0, atol=1e-9)
 
 
@@ -261,7 +262,7 @@ def test_selective_report_changes_columns_at_map_boundaries():
     report = flat_report(4, 64)
     report[1, 32:] = 4.0
     w = lcmv_weights(geom, 0.0, (50.0,))
-    m = build_weight_matrix(geom, 0.0, (50.0,), report=report, base=w)
+    m = build_weight_matrix(geom, 0.0, (50.0,), report=correction_gains(report), base=w)
     boundary = RB_TO_SC.tolist().index(32)
     left, right = m[:, boundary - 1], m[:, boundary]
     assert np.allclose(m[:, : boundary], left[:, None])
@@ -274,10 +275,12 @@ def test_matrix_argument_validation(geom4):
         build_weight_matrix(geom4, 0.0, ())  # the weights are always solved first
     with pytest.raises(ValueError):
         build_weight_matrix(geom4, 0.0, (), base=np.ones(3, dtype=complex))
-    with pytest.raises(ValueError, match="power report"):
-        build_weight_matrix(
-            geom4, 0.0, (), report=flat_report(8, 64), base=lcmv_weights(geom4, 0.0, ())
-        )
+    w = lcmv_weights(geom4, 0.0, ())
+    # the report argument takes a report's correction gains: another
+    # array's gains, or a power report itself, are refused
+    for report in (correction_gains(flat_report(8, 64)), flat_report(4, 64)):
+        with pytest.raises(ValueError, match="power report"):
+            build_weight_matrix(geom4, 0.0, (), report=report, base=w)
 
 
 def per_block_reference(w, report=None):
@@ -305,7 +308,8 @@ def test_matrix_is_bit_identical_to_per_block_reference(k, corrected, excluded):
             report = rng.exponential(size=(k, 64)) * 10.0 ** rng.uniform(-9.0, 3.0)
             report[rng.random(report.shape) < 0.15] = 0.0  # floored
             report[:, list(excluded)] = 0.0
-        m = build_weight_matrix(geom, 0.0, (), report=report, base=w)
+        gains = None if report is None else correction_gains(report)
+        m = build_weight_matrix(geom, 0.0, (), report=gains, base=w)
         assert m.shape == (k, N_RB)
         assert np.array_equal(m, per_block_reference(w, report))
 
@@ -318,7 +322,8 @@ def test_matrix_report_too_short_for_the_map(geom4):
 
 def test_a_corrected_matrix_corrects_each_distinct_block_once(geom4, monkeypatch):
     """Blocks on one subcarrier share a correction, so only the first block
-    of each of the 58 distinct subcarriers is corrected."""
+    of each of the 58 distinct subcarriers is corrected, when the gains
+    are derived; a matrix built on them corrects nothing again."""
     corrected = []
     real = beamforming.power_correct
     monkeypatch.setattr(
@@ -326,8 +331,10 @@ def test_a_corrected_matrix_corrects_each_distinct_block_once(geom4, monkeypatch
     )
     w = lcmv_weights(geom4, 21.4, (-30.0,))
     report = np.random.default_rng(7).exponential(size=(4, 64))
-    m = build_weight_matrix(geom4, 21.4, (-30.0,), report=report, base=w)
+    gains = correction_gains(report)
+    m = build_weight_matrix(geom4, 21.4, (-30.0,), report=gains, base=w)
     (blocks,) = corrected
     assert blocks.tolist() == np.unique(RB_TO_SC, return_index=True)[1].tolist()
     assert len(blocks) == 58
+    assert gains.shape == (58, 4)
     assert np.array_equal(m, per_block_reference(w, report))

@@ -26,6 +26,7 @@ from nullsim.beamforming import (
     DegenerateConstraintsError,
     build_weight_matrix,
     constraint_matrices,
+    correction_gains,
     lcmv_weights,
     min_norm_weights,
     null_basis,
@@ -443,7 +444,7 @@ def test_frontier_measurement_matches_per_config_calls(k, corrected, jitter, n, 
     rng = np.random.default_rng(seed)
     geom = ArrayGeometry(k_antennas=k)
     weights = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    report = rng.exponential(size=(k, 64)) if corrected else None
+    report = correction_gains(rng.exponential(size=(k, 64))) if corrected else None
     model = orbit_like_channel(rng, k) if seed % 2 else two_ray_channel(10.0)
     h = channel_response(model, geom)
 
@@ -498,7 +499,7 @@ def test_one_measurement_of_every_user_matches_per_user_measurements(
     rng = np.random.default_rng(seed)
     geom = ArrayGeometry(k_antennas=k)
     weights = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    report = rng.exponential(size=(k, 64)) if corrected else None
+    report = correction_gains(rng.exponential(size=(k, 64))) if corrected else None
     stack = build_weight_matrix(geom, 0.0, ((),) * n, report=report, base=weights)
     assert (stack.strides[-1] == 0) == (not corrected)
     # every user its own channel and its own calibrated noise power
