@@ -342,8 +342,13 @@ def build_weight_matrix(
     if w.shape[-1] != k:
         raise ValueError(f"weights of length {w.shape[-1]} do not fit {k} antennas")
     if report is None:
-        cols = np.conj(normalize(w))[..., None]
-        return np.broadcast_to(cols, w.shape + (N_RB,))
+        # every column is the one vector: a read-only view of it with a
+        # last stride of 0, as np.broadcast_to makes, built by the ndarray
+        # constructor without broadcast_to's Python-level nditer
+        cols = np.conj(normalize(w), order="C")
+        m = np.ndarray(w.shape + (N_RB,), cols.dtype, cols, 0, cols.strides + (0,))
+        m.flags.writeable = False
+        return m
     gains = np.asarray(report)
     if gains.shape != (len(_SC_BLOCKS), k):
         raise ValueError(
